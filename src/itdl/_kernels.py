@@ -8,6 +8,12 @@ path always reproduces its own results bit for bit.
 
 Sample matrices are (N, d) float64 C-contiguous, labels int64 in
 {0..p-1}, counts int64 of length p.
+
+Sparse codes have mostly all-zero rows. The numpy class-kernel sums use
+that exactly: all-zero rows coincide (their mutual kernel is 1), so only
+the |A| x N block of active rows against all rows is evaluated, and the
+all-zero rows' sums follow from per-class zero counts plus the block's
+column sums. Without all-zero rows the block is the full N x N matrix.
 """
 
 from __future__ import annotations
@@ -37,10 +43,14 @@ except ImportError:  # pragma: no cover - exercised only without numba
 NUMBA_ENABLED = _have_numba and _want_numba
 
 
-def _sq_dist_matrix(x: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, clipped at zero."""
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+def _sq_dist_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x and the rows of y
+    (default: x itself), clipped at zero."""
+    sq = (x * x).sum(axis=1)
+    if y is None:
+        y = x
+    d2 = sq[:, None] + (sq if y is x else (y * y).sum(axis=1))
+    d2 -= 2.0 * (x @ y.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -50,10 +60,21 @@ def _sq_dist_matrix(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _class_kernel_sums_np(x, labels, var):
-    w = np.exp(_sq_dist_matrix(x) / (-2.0 * var))
-    s_all = w.sum(axis=1)
-    same = labels[:, None] == labels[None, :]
-    s_own = (w * same).sum(axis=1)
+    active = x.any(axis=1)
+    n_zero = len(x) - np.count_nonzero(active)
+    # Kernel rows for the active rows only. Without all-zero rows x itself
+    # is passed, so the Gram product is the same call as the dense sum's.
+    w = _sq_dist_matrix(x[active] if n_zero else x, x)
+    np.divide(w, -2.0 * var, out=w)
+    np.exp(w, out=w)
+    w_own = w * (labels[active][:, None] == labels)
+    # All-zero rows coincide: each gets kernel 1 from every all-zero row,
+    # itself included (from those of its class for the own-class sum),
+    # plus its column of the active block. Active rows take their row sums.
+    s_all = w.sum(axis=0) + n_zero
+    s_own = w_own.sum(axis=0) + np.bincount(labels, weights=~active)[labels]
+    s_all[active] = w.sum(axis=1)
+    s_own[active] = w_own.sum(axis=1)
     return s_all, s_own
 
 

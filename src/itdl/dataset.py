@@ -7,6 +7,7 @@ are pure given their inputs and seed; returned datasets are frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,8 @@ def load_csv(path) -> Dataset:
 
     Raw labels may be arbitrary integers; they are remapped to 0..p-1 in
     order of first appearance. Raises LoadError naming the offending
-    1-based row for ragged, non-numeric, all-zero-signal or empty input.
+    1-based row for ragged, non-numeric, non-finite (nan/inf),
+    all-zero-signal or empty input.
     """
     raw_labels: list[int] = []
     rows: list[list[float]] = []
@@ -103,6 +105,8 @@ def load_csv(path) -> Dataset:
                 feats = [float(c) for c in cells[1:]]
             except ValueError as exc:
                 raise LoadError(f"row {lineno}: non-numeric cell ({exc})") from None
+            if not (math.isfinite(label_val) and all(map(math.isfinite, feats))):
+                raise LoadError(f"row {lineno}: non-finite cell (nan or inf)")
             if label_val != int(label_val):
                 raise LoadError(f"row {lineno}: label {cells[0]!r} is not an integer")
             if not any(v != 0.0 for v in feats):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import class_kernel_sums, qmi_grad, qmi_value
+from ._kernels import _sq_dist_matrix, class_kernel_sums, qmi_grad, qmi_value
 from .sparse_coding import Dictionary, Selection, pinv
 
 NEG_INF = float("-inf")
@@ -45,14 +45,22 @@ def gauss_kernel(x: np.ndarray, sigma2: float) -> float:
 
 
 def median_pairwise_distance(codes: np.ndarray) -> float:
-    """Median Euclidean distance over distinct column pairs."""
+    """Median Euclidean distance over distinct column pairs.
+
+    z all-zero columns give z(z-1)/2 pairs at distance exactly 0. When
+    that is more than half of the M = N(N-1)/2 pairs (at least M//2 + 1),
+    the median is exactly 0.0 and is returned after an O(dN) count,
+    without forming the N x N distances.
+    """
     codes = np.asarray(codes, dtype=np.float64)
     n = codes.shape[1]
     if n < 2:
         return 0.0
-    x = codes.T
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    z = n - np.count_nonzero(codes.any(axis=0))
+    m = n * (n - 1) // 2
+    if z * (z - 1) // 2 >= m // 2 + 1:
+        return 0.0
+    d2 = _sq_dist_matrix(codes.T)
     return float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
 
 
@@ -60,7 +68,9 @@ def bandwidth_rule(codes: np.ndarray) -> float:
     """Density-estimation bandwidth: median pairwise distance * N^(-1/(d+4)).
 
     Floored at 1e-3 so degenerate (single-point or duplicated) code sets
-    still give a usable kernel.
+    still give a usable kernel. Sparse codes whose columns are mostly all
+    zero have a median of exactly 0 (see median_pairwise_distance), so
+    they resolve to the floor without an N x N distance pass.
     """
     codes = np.asarray(codes, dtype=np.float64)
     d, n = codes.shape

@@ -1,8 +1,11 @@
-"""Shared test fixtures: structured data generators and quadrature oracles.
+"""Shared test fixtures: structured data generators and test oracles.
 
-The oracles here intentionally avoid the library's closed forms: mutual
-information and quadratic MI are evaluated by dense grid integration of
-the same KDE densities, so they can vouch for the analytic paths.
+The quadrature oracles intentionally avoid the library's closed forms:
+mutual information and quadratic MI are evaluated by dense grid
+integration of the same KDE densities, so they can vouch for the
+analytic paths. The dense oracles are the plain all-pairs forms of the
+median pairwise distance and the class kernel sums, against which the
+library's sparse-aware versions are checked.
 """
 
 import numpy as np
@@ -104,3 +107,36 @@ def mi_quadrature_1d(codes, labels, sigma, grid_points=4001, pad=10.0):
     h_all = entropy(x)
     h_cond = sum((labels == c).sum() / n * entropy(x[labels == c]) for c in classes)
     return h_all - h_cond
+
+
+def dense_median_pairwise_distance(codes):
+    """Median Euclidean distance over all N(N-1)/2 column pairs, no shortcut."""
+    codes = np.asarray(codes, dtype=np.float64)
+    n = codes.shape[1]
+    if n < 2:
+        return 0.0
+    x = codes.T
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    return float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+
+
+def dense_class_kernel_sums(x, labels, var):
+    """Marginal and own-class Gaussian kernel row sums over the full N x N block."""
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    w = np.exp(d2 / (-2.0 * var))
+    same = labels[:, None] == labels[None, :]
+    return w.sum(axis=1), (w * same).sum(axis=1)
+
+
+def dense_mi_codes_labels(codes, labels, sigma):
+    """Resubstitution KDE mutual information from the dense kernel sums."""
+    x = np.ascontiguousarray(np.asarray(codes, dtype=np.float64).T)
+    labels = np.asarray(labels, dtype=np.int64)
+    counts = np.bincount(labels)
+    if (counts > 0).sum() < 2:
+        return 0.0
+    s_all, s_own = dense_class_kernel_sums(x, labels, sigma * sigma)
+    n = x.shape[0]
+    return max(float(np.mean(np.log(s_own / counts[labels]) - np.log(s_all / n))), 0.0)

@@ -49,6 +49,17 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
         assert ds.p == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["0,1,nan,2\n", "0,1,inf,2\n", "0,-inf,1,2\n", "nan,1,2,3\n", "inf,1,2,3\n", "-inf,1,2,3\n"],
+        ids=["nan-feature", "inf-feature", "neg-inf-feature", "nan-label", "inf-label", "neg-inf-label"],
+    )
+    def test_non_finite_cell_names_row(self, tmp_path, text):
+        f = tmp_path / "d.csv"
+        f.write_text("1,1,1,1\n" + text)
+        with pytest.raises(LoadError, match="row 2: non-finite"):
+            load_csv(f)
+
     def test_non_integer_label(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("0.5,1,0\n")
