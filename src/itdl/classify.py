@@ -224,35 +224,36 @@ def reconstruct_masked(
     predicted class minimizes the observed-entry residual (lowest class on
     ties) and supplies the full reconstruction. Columns sharing a mask
     pattern are coded together, so an all-true mask reproduces plain
-    least-squares coding exactly.
+    least-squares coding exactly. Patterns with the same observed-row and
+    column counts are stacked, one ``pinv`` per class per stack.
     """
     Y = masked.signals
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != Y.shape:
         raise ValueError("mask shape must match the signals")
     n, N = Y.shape
-    groups: dict[bytes, list[int]] = {}
-    for i in range(N):
-        groups.setdefault(mask[:, i].tobytes(), []).append(i)
+    patterns, which = np.unique(mask.T, axis=0, return_inverse=True)
+    which = which.reshape(N)  # the inverse's shape differs between numpy versions
+    cols_by_pattern = np.argsort(which, kind="stable")
+    n_cols = np.bincount(which, minlength=len(patterns))
+    first = np.concatenate(([0], np.cumsum(n_cols)[:-1]))
+    n_obs = patterns.sum(axis=1)
     recon = np.empty((n, N))
     pred = np.empty(N, dtype=np.int64)
-    for key, cols in groups.items():
-        obs = np.frombuffer(key, dtype=bool)
-        all_rows = bool(obs.all())
-        if all_rows and len(cols) == N:
-            Yg = Y
-        else:
-            Yg = Y[:, cols] if all_rows else Y[np.ix_(obs, cols)]
-        residuals = np.empty((len(atoms_by_class), len(cols)))
-        recons = []
-        for ci, (_, atoms) in enumerate(atoms_by_class):
-            sub = atoms if all_rows else atoms[obs, :]
+    best = np.full(N, np.inf)
+    for m, c in np.unique(np.column_stack([n_obs, n_cols]), axis=0):
+        group = np.flatnonzero((n_obs == m) & (n_cols == c))
+        cols = cols_by_pattern[first[group, None] + np.arange(c)]  # (G, c)
+        rows = np.nonzero(patterns[group])[1].reshape(len(group), m)  # (G, m)
+        Yg = Y[rows[:, :, None], cols[:, None, :]]  # (G, m, c)
+        for class_id, atoms in atoms_by_class:
+            sub = atoms[rows]  # (G, m, k)
             coeffs = pinv(sub) @ Yg
             diff = Yg - sub @ coeffs
-            residuals[ci] = np.sqrt(np.sum(diff * diff, axis=0))
-            recons.append(atoms @ coeffs)
-        choice = np.argmin(residuals, axis=0)
-        for j, col in enumerate(cols):
-            pred[col] = atoms_by_class[choice[j]][0]
-            recon[:, col] = recons[choice[j]][:, j]
+            resid = np.sqrt(np.sum(diff * diff, axis=1))
+            better = resid < best[cols]
+            hit = cols[better]
+            best[hit] = resid[better]
+            pred[hit] = class_id
+            recon[:, hit] = (atoms @ coeffs).swapaxes(0, 1)[:, better]
     return recon, pred

@@ -221,16 +221,23 @@ def save_mask(mask: np.ndarray, path) -> None:
 
 
 def load_mask(path) -> np.ndarray:
+    """Read a 0/1 CSV mask, one row per signal column.
+
+    Raises LoadError naming the 1-based row for a cell other than 0 or 1,
+    a row whose length differs from the first, or an empty file.
+    """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                rows.append([bool(int(c)) for c in line.split(",")])
-            except ValueError:
-                raise LoadError(f"row {lineno}: mask cells must be 0 or 1") from None
+            cells = [c.strip() for c in line.split(",")]
+            if not all(c in ("0", "1") for c in cells):
+                raise LoadError(f"row {lineno}: mask cells must be 0 or 1")
+            if rows and len(cells) != len(rows[0]):
+                raise LoadError(f"row {lineno}: expected {len(rows[0])} cells, got {len(cells)}")
+            rows.append([c == "1" for c in cells])
     if not rows:
         raise LoadError("empty mask file")
     return np.array(rows, dtype=bool).T

@@ -238,8 +238,7 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None, jitter: float = 
     """
     atoms = np.asarray(atoms, dtype=np.float64)
     K = atoms.shape[1]
-    sq = np.sum(atoms * atoms, axis=0)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (atoms.T @ atoms), 0.0)
+    d2 = _sq_dist_matrix(atoms.T)
     if rho is None:
         if K < 2:
             rho = 1.0

@@ -81,61 +81,103 @@ class Selection:
 
 
 def pinv(mat: np.ndarray) -> np.ndarray:
-    """SVD pseudoinverse; singular values below 1e-10 x max are dropped."""
+    """SVD pseudoinverse of a matrix, or of each matrix in a stack (..., m, n).
+
+    Per matrix, singular values below 1e-10 x its largest are dropped, so
+    an all-zero matrix inverts to zeros.
+    """
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("pinv expects a matrix")
+    if mat.ndim < 2:
+        raise ValueError("pinv expects a matrix or a stack of matrices")
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[1], mat.shape[0]))
-    inv_s = np.where(s >= SVD_CUTOFF * s[0], 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
-    return (vt.T * inv_s) @ u.T
+    top = s[..., :1]
+    keep = (s >= SVD_CUTOFF * top) & (s > 0.0)
+    inv_s = np.where(keep, 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
+    return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
+
+
+# Signals coded together by omp_codes; the K x block score matrix and the
+# block x T x n basis bound its memory whatever the number of signals.
+_OMP_BLOCK = 1024
 
 
 def omp(dictionary: Dictionary, y: np.ndarray, T: int) -> np.ndarray:
-    """Orthogonal matching pursuit for one signal.
+    """Orthogonal matching pursuit for one signal: ``omp_codes`` on one column."""
+    y = np.asarray(y, dtype=np.float64).reshape(dictionary.n, 1)
+    return omp_codes(dictionary, y, T).coeffs[:, 0]
 
-    Greedy argmax of |d^T r| with lowest-index tie-break, full
-    least-squares refit after every pick. Returns a length-K coefficient
-    vector with at most T nonzeros; an all-zero signal codes to zeros.
+
+def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> SparseCodes:
+    """Orthogonal matching pursuit for every column of a signal matrix.
+
+    Greedy argmax of |d^T r| with lowest-index tie-break. A signal stops
+    when its best score or its residual norm falls to 1e-12 x its norm; an
+    all-zero signal codes to zeros. The coefficients are the
+    least-squares fit (``pinv``) on the final support, in pick order.
+    Columns are coded in blocks, each step scoring the block's live
+    signals with one matrix product.
     """
     atoms = dictionary.atoms
     n, K = atoms.shape
     if not 1 <= T <= min(n, K):
         raise ValueError("need 1 <= T <= min(n, K)")
-    y = np.asarray(y, dtype=np.float64).reshape(n)
-    x = np.zeros(K)
-    ynorm = np.linalg.norm(y)
-    if ynorm == 0.0:
-        return x
-    resid = y.copy()
-    chosen: list[int] = []
-    available = np.ones(K, dtype=bool)
-    for _ in range(T):
-        scores = np.abs(atoms.T @ resid)
-        scores[~available] = -1.0
-        best = int(np.argmax(scores))
-        if scores[best] <= 1e-12 * ynorm:
-            break
-        chosen.append(best)
-        available[best] = False
-        sub = atoms[:, chosen]
-        coef = pinv(sub) @ y
-        resid = y - sub @ coef
-        if np.linalg.norm(resid) <= 1e-12 * ynorm:
-            break
-    if chosen:
-        x[chosen] = coef
-    return x
-
-
-def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> SparseCodes:
-    """Column-wise OMP over a signal matrix."""
-    signals = np.asarray(signals, dtype=np.float64)
-    coeffs = np.empty((dictionary.K, signals.shape[1]))
-    for i in range(signals.shape[1]):
-        coeffs[:, i] = omp(dictionary, signals[:, i], T)
+    Y = np.asarray(signals, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] != n:
+        raise ValueError("signals must be an (n, N) matrix")
+    coeffs = np.zeros((K, Y.shape[1]))
+    for start in range(0, Y.shape[1], _OMP_BLOCK):
+        block = Y[:, start : start + _OMP_BLOCK]
+        support, size = _omp_supports(atoms, block, T)
+        for t in range(1, T + 1):
+            cols = np.flatnonzero(size == t)
+            if cols.size == 0:
+                continue
+            chosen = support[cols, :t]
+            # (G, n, t) stack of each signal's chosen atoms, in pick order
+            P = pinv(atoms.T[chosen].swapaxes(1, 2))
+            coeffs[chosen, start + cols[:, None]] = (P @ block.T[cols, :, None])[..., 0]
     return SparseCodes(coeffs=coeffs, sparsity=T)
+
+
+def _omp_supports(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """OMP supports of the columns of Y: (N, T) atom indices in pick order
+    and the (N,) number of atoms each signal picked.
+
+    Each signal keeps an orthonormal basis of its chosen atoms, grown by
+    Gram-Schmidt (applied twice), and its residual is the signal minus
+    its projection onto that basis. A new direction of norm below the
+    pinv cutoff adds nothing to the basis, as pinv drops it.
+    """
+    n, N = Y.shape
+    tol = 1e-12 * np.linalg.norm(Y, axis=0)
+    support = np.zeros((N, T), dtype=np.intp)
+    size = np.zeros(N, dtype=np.intp)
+    basis = np.zeros((N, T, n))
+    resid = Y.T.copy()
+    live = np.flatnonzero(tol > 0.0)
+    for t in range(T):
+        if live.size == 0:
+            break
+        scores = np.abs(atoms.T @ resid[live].T)
+        lanes = np.arange(live.size)
+        scores[support[live, :t].T, lanes] = -1.0
+        best = np.argmax(scores, axis=0)
+        picked = scores[best, lanes] > tol[live]
+        live, best = live[picked], best[picked]
+        support[live, t] = best
+        size[live] = t + 1
+        q = atoms.T[best]
+        prev = basis[live, :t]
+        for _ in range(2):
+            q -= np.einsum("ltn,lt->ln", prev, np.einsum("ltn,ln->lt", prev, q))
+        norm = np.linalg.norm(q, axis=1)
+        q *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm >= SVD_CUTOFF)[:, None]
+        basis[live, t] = q
+        r = resid[live]
+        r -= q * np.einsum("ln,ln->l", q, r)[:, None]
+        resid[live] = r
+        live = live[np.linalg.norm(r, axis=1) > tol[live]]
+    return support, size
 
 
 def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection, SparseCodes]:

@@ -5,13 +5,16 @@ mutual information and quadratic MI are evaluated by dense grid
 integration of the same KDE densities, so they can vouch for the
 analytic paths. The dense oracles are the plain all-pairs forms of the
 median pairwise distance and the class kernel sums, against which the
-library's sparse-aware versions are checked.
+library's sparse-aware versions are checked. The loop oracles code one
+signal (or one mask pattern) at a time, with a full pseudoinverse refit
+after every OMP pick, against which the library's batched coding is
+checked.
 """
 
 import numpy as np
 
 from itdl.dataset import Dataset
-from itdl.sparse_coding import Dictionary
+from itdl.sparse_coding import Dictionary, pinv
 
 
 def shared_style_dataset(n, p, per_class, seed, style=1.8, noise=0.08):
@@ -140,3 +143,60 @@ def dense_mi_codes_labels(codes, labels, sigma):
     s_all, s_own = dense_class_kernel_sums(x, labels, sigma * sigma)
     n = x.shape[0]
     return max(float(np.mean(np.log(s_own / counts[labels]) - np.log(s_all / n))), 0.0)
+
+
+def loop_omp(atoms, y, T):
+    """OMP for one signal: argmax |d^T r| (lowest index on ties), then a
+    pinv least-squares refit on the grown support after every pick."""
+    n, K = atoms.shape
+    x = np.zeros(K)
+    ynorm = np.linalg.norm(y)
+    if ynorm == 0.0:
+        return x
+    resid = y.copy()
+    chosen = []
+    available = np.ones(K, dtype=bool)
+    for _ in range(T):
+        scores = np.abs(atoms.T @ resid)
+        scores[~available] = -1.0
+        best = int(np.argmax(scores))
+        if scores[best] <= 1e-12 * ynorm:
+            break
+        chosen.append(best)
+        available[best] = False
+        sub = atoms[:, chosen]
+        coef = pinv(sub) @ y
+        resid = y - sub @ coef
+        if np.linalg.norm(resid) <= 1e-12 * ynorm:
+            break
+    if chosen:
+        x[chosen] = coef
+    return x
+
+
+def loop_omp_codes(dictionary, signals, T):
+    """Column-by-column OMP coefficient matrix (K, N)."""
+    signals = np.asarray(signals, dtype=np.float64)
+    return np.column_stack(
+        [loop_omp(dictionary.atoms, signals[:, i], T) for i in range(signals.shape[1])]
+    )
+
+
+def loop_reconstruct_masked(atoms_by_class, signals, mask):
+    """Masked reconstruction one column at a time: per class, pinv of the
+    observed atom rows; the class with the smallest observed residual
+    (lowest on ties) supplies the prediction and the reconstruction."""
+    n, N = signals.shape
+    recon = np.empty((n, N))
+    pred = np.empty(N, dtype=np.int64)
+    for i in range(N):
+        obs = mask[:, i]
+        y = signals[obs, i]
+        best = np.inf
+        for class_id, atoms in atoms_by_class:
+            sub = atoms[obs, :]
+            coef = pinv(sub) @ y
+            resid = np.linalg.norm(y - sub @ coef)
+            if resid < best:
+                best, pred[i], recon[:, i] = resid, class_id, atoms @ coef
+    return recon, pred

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_unit_dictionary, shared_style_dataset
+from helpers import loop_reconstruct_masked, random_unit_dictionary, shared_style_dataset
 from itdl.classify import (
     EvalReport,
     LinearModel,
@@ -223,6 +223,29 @@ class TestReconstructMasked:
         np.testing.assert_array_equal(pred, ds.labels)
         # observed-entry residual for the true class is tiny
         np.testing.assert_allclose(recon, ds.signals, atol=1e-8)
+
+    def test_matches_loop_oracle_on_repeated_and_uneven_patterns(self):
+        rng = np.random.default_rng(9)
+        n, N = 12, 40
+        a, b = rng.standard_normal((n, 3)), rng.standard_normal((n, 4))
+        # class 2 repeats class 0's atoms: its residuals tie and it never wins
+        atom_sets = [(0, a), (1, b), (2, a.copy())]
+        patterns = [rng.random(n) < f for f in (0.5, 0.5, 0.8, 1.0)]
+        # pattern 1 is pattern 0 shifted: the same observed count on other
+        # rows, shared by fewer columns
+        patterns[1] = np.roll(patterns[0], 1)
+        pick = np.array([0, 0, 0, 1, 2, 2, 3] * 5 + [0, 1, 2, 3, 3])
+        mask = np.column_stack([patterns[i] for i in pick])
+        mask[:, 5] = rng.random(n) < 0.6  # a pattern of its own
+        mask[:, 6] = False  # nothing observed
+        signals = np.where(mask, rng.standard_normal((n, N)), 0.0)
+        labels = np.arange(N) % 3
+        ds = Dataset(signals=signals, labels=labels, p=3, class_counts=np.bincount(labels))
+        recon, pred = reconstruct_masked(atom_sets, ds, mask)
+        want_recon, want_pred = loop_reconstruct_masked(atom_sets, signals, mask)
+        np.testing.assert_array_equal(pred, want_pred)
+        np.testing.assert_allclose(recon, want_recon, rtol=1e-12, atol=1e-12)
+        assert 2 not in pred
 
     def test_mask_shape_checked(self):
         ds, atom_sets = _perfect_setup(seed=8)

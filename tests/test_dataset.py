@@ -226,6 +226,20 @@ class TestMaskPixels:
         save_mask(mask, f)
         np.testing.assert_array_equal(load_mask(f), mask)
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("1,2,0", "row 2: mask cells must be 0 or 1"),
+            ("1,-1,1", "row 2: mask cells must be 0 or 1"),
+            ("1,1", "row 2: expected 3 cells, got 2"),
+        ],
+    )
+    def test_bad_mask_row_names_the_row(self, tmp_path, bad_row, message):
+        f = tmp_path / "m.csv"
+        f.write_text(f"1,0,1\n{bad_row}\n0,1,1\n", encoding="ascii")
+        with pytest.raises(LoadError, match=message):
+            load_mask(f)
+
     def test_bad_fraction(self):
         ds = synth_gaussian_classes(8, 2, 3, 0.2, 4)
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_unit_dictionary
+from helpers import loop_omp_codes, random_unit_dictionary
+from itdl import sparse_coding
 from itdl.sparse_coding import (
     Dictionary,
     Selection,
@@ -88,6 +89,104 @@ class TestOmp:
         d = Dictionary(atoms=np.column_stack([b, a, a]))
         x = omp(d, a * 3.0, 1)
         assert np.flatnonzero(x).tolist() == [1]
+
+
+class TestBatchedOmp:
+    @pytest.mark.parametrize(
+        "seed, n, K, N, T", [(1, 16, 32, 60, 4), (2, 32, 128, 40, 8), (3, 8, 8, 30, 8), (4, 12, 20, 25, 12)]
+    )
+    def test_matches_loop_oracle(self, seed, n, K, N, T):
+        d = random_unit_dictionary(seed, n, K)
+        Y = np.random.default_rng(seed + 100).standard_normal((n, N))
+        got = omp_codes(d, Y, T).coeffs
+        want = loop_omp_codes(d, Y, T)
+        np.testing.assert_array_equal(got != 0, want != 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_mixed_batch_stops_per_signal(self, monkeypatch):
+        # blocks of 4 columns, so stopped and live signals share blocks
+        monkeypatch.setattr(sparse_coding, "_OMP_BLOCK", 4)
+        n, K = 6, 9
+        d = random_unit_dictionary(21, n, K)
+        rng = np.random.default_rng(22)
+        Y = np.column_stack(
+            [
+                np.zeros(n),
+                2.5 * d.atoms[:, 3],
+                rng.standard_normal(n),
+                np.zeros(n),
+                -d.atoms[:, 7],
+                rng.standard_normal(n),
+                rng.standard_normal(n),
+                0.5 * d.atoms[:, 0],
+                rng.standard_normal(n),
+            ]
+        )
+        T = min(n, K)
+        got = omp_codes(d, Y, T).coeffs
+        want = loop_omp_codes(d, Y, T)
+        np.testing.assert_array_equal(got != 0, want != 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert (got != 0).sum(axis=0).tolist() == [0, 1, T, 0, 1, T, T, 1, T]
+
+    def test_exact_ties_go_to_lowest_index_in_every_column(self):
+        rng = np.random.default_rng(23)
+        q = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        a, b, c = q.T
+        # atoms 1 = 2 and 3 = 4 are identical: their scores tie exactly
+        d = Dictionary(atoms=np.column_stack([c, a, a, b, b]))
+        Y = np.column_stack([3.0 * a, -2.0 * b, a + 0.5 * b, 0.25 * b + a])
+        got = omp_codes(d, Y, 2).coeffs
+        assert [np.flatnonzero(col).tolist() for col in got.T] == [[1], [3], [1, 3], [1, 3]]
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_near_duplicate_atoms_reach_the_same_residual(self, eps):
+        # twins of six atoms, perturbed by eps; below about 1e-8 the two
+        # codings may pick different twins on a few signals
+        n, base, T = 10, 12, 5
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            atoms = rng.standard_normal((n, base))
+            atoms /= np.linalg.norm(atoms, axis=0)
+            twins = atoms[:, :6] + eps * rng.standard_normal((n, 6))
+            d = Dictionary(atoms=np.hstack([atoms, twins / np.linalg.norm(twins, axis=0)]))
+            sparse = rng.standard_normal((18, 30)) * (rng.random((18, 30)) < 0.2)
+            Y = np.hstack(
+                [
+                    d.atoms[:, :6] @ rng.standard_normal((6, 30)),
+                    d.atoms @ sparse,
+                    rng.standard_normal((n, 30)),
+                ]
+            )
+            got = omp_codes(d, Y, T).coeffs
+            want = loop_omp_codes(d, Y, T)
+            np.testing.assert_allclose(
+                np.linalg.norm(Y - d.atoms @ got, axis=0),
+                np.linalg.norm(Y - d.atoms @ want, axis=0),
+                rtol=0,
+                atol=1e-8,
+            )
+
+    def test_dependent_pick_leaves_the_residual_as_pinv_does(self):
+        # the twin is picked first and the atom second: their difference
+        # (norm 1e-11) is below the pinv cutoff, so the residual keeps its
+        # e component and the third pick is the weak atom, as in the loop
+        rng = np.random.default_rng(26)
+        a, e, f, g = np.linalg.qr(rng.standard_normal((6, 4)))[0].T
+        twin = a + 1e-11 * e
+        weak = f + 5e-12 * e
+        d = Dictionary(
+            atoms=np.column_stack([a, g, twin / np.linalg.norm(twin), weak / np.linalg.norm(weak)])
+        )
+        y = (a + 3.0 * e)[:, None]
+        got = omp_codes(d, y, 3).coeffs
+        assert np.flatnonzero(got).tolist() == [0, 2, 3]
+        np.testing.assert_array_equal(got, loop_omp_codes(d, y, 3))
+
+    def test_signal_shape_checked(self):
+        d = random_unit_dictionary(25, 5, 7)
+        with pytest.raises(ValueError):
+            omp_codes(d, np.ones((4, 3)), 2)
 
 
 class TestSomp:
@@ -185,6 +284,32 @@ class TestPinv:
 
     def test_zero_matrix(self):
         np.testing.assert_array_equal(pinv(np.zeros((3, 2))), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("m, n", [(6, 3), (3, 6), (4, 4), (1, 5)])
+    def test_stack_matches_per_matrix_bit_for_bit(self, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        stack = rng.standard_normal((5, m, n))
+        stack[1, :, -1] = stack[1, :, 0]  # rank-deficient
+        stack[2] = np.outer(rng.standard_normal(m), rng.standard_normal(n))  # rank one
+        stack[3] = 0.0
+        got = pinv(stack)
+        assert got.shape == (5, n, m)
+        for k in range(5):
+            assert got[k].tobytes() == pinv(stack[k]).tobytes()
+        nested = pinv(stack.reshape(5, 1, m, n))
+        assert nested.reshape(5, n, m).tobytes() == got.tobytes()
+
+    def test_cutoff_is_per_matrix(self):
+        # 1e-12 is far below the cutoff of the first matrix but is the
+        # largest singular value of the second
+        stack = np.array([np.diag([1.0, 1e-12]), np.diag([1e-12, 1e-12])])
+        got = pinv(stack)
+        np.testing.assert_array_equal(got[0], np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(got[1], np.diag([1e12, 1e12]))
+
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError):
+            pinv(np.ones(3))
 
 
 class TestCodeLs:
