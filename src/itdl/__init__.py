@@ -6,10 +6,8 @@ quadratic mutual information between sparse codes and class labels.
 """
 
 from .dataset import (
-    BinaryRelabeling,
     Dataset,
     LoadError,
-    binary_labels,
     load_csv,
     load_mask,
     mask_pixels,
@@ -46,17 +44,11 @@ from .info_measures import (
     median_pairwise_distance,
     build_gp_model,
     class_entropy,
-    gauss_kernel,
-    gp_compact_gain,
     gp_compact_gains,
-    gp_total_mi,
-    kde_class_density,
-    kl_qd_check,
     mi_codes_labels,
     qmi,
     qmi_grad_codes,
     qmi_grad_phi,
-    qmi_grad_x,
     recon_gain,
 )
 from .itds import (

@@ -152,20 +152,20 @@ def substream_seed(seed: int, name: str) -> int:
     return int(child.generate_state(1, dtype=np.uint64)[0])
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
+def _atomic(path: Path, write) -> None:
+    """Call ``write(tmp)`` on a sibling temporary name, then rename it to
+    ``path``: the artifact is either fully written or left as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="ascii")
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _write_json_atomic(path: Path, obj) -> None:
-    _write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _save_matrix_atomic(mat: np.ndarray, path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    sparse_coding.save_matrix(mat, tmp)
-    os.replace(tmp, path)
+def _write_json(path: Path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _atomic(path, lambda tmp: tmp.write_text(text, encoding="ascii"))
 
 
 def _load_dataset(path, normalize: bool) -> dataset.Dataset:
@@ -177,12 +177,6 @@ def _load_dataset(path, normalize: bool) -> dataset.Dataset:
     return dataset.Dataset(
         signals=signals, labels=ds.labels, p=ds.p, class_counts=ds.class_counts
     )
-
-
-def _kde_cfg(cfg: RunConfig) -> KdeConfig:
-    if cfg.sigma is None:
-        return KdeConfig()
-    return KdeConfig.fixed(cfg.sigma)
 
 
 def _selection_paths(cfg: RunConfig, out: Path, p: int) -> list[tuple[int | None, Path]]:
@@ -202,10 +196,10 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
     d0 = sparse_coding.ksvd_init(
         train.signals, cfg.atoms, cfg.sparsity, cfg.ksvd_iters, rng_seed
     )
-    _save_matrix_atomic(d0.atoms, out / "dict_initial.itdl")
+    _atomic(out / "dict_initial.itdl", lambda tmp: sparse_coding.save_matrix(d0.atoms, tmp))
     codes0 = sparse_coding.omp_codes(d0, train.signals, cfg.sparsity)
     gp = build_gp_model(d0.atoms, rho=cfg.rho)
-    kde_cfg = _kde_cfg(cfg)
+    kde_cfg = KdeConfig(cfg.sigma)
     mode = itds.SelectionMode(variant=cfg.mode, ablation=cfg.ablation)
     override = None
     if cfg.lambda2 is not None or cfg.lambda3 is not None:
@@ -252,11 +246,9 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
             residual_model=res_model,
             kde_cfg=kde_cfg,
         )
-    for (class_id, path), res in zip(_selection_paths(cfg, out, train.p), results):
-        tmp = path.with_name(path.name + ".tmp")
-        sparse_coding.save_selection(res.selection, tmp)
-        os.replace(tmp, path)
-    _write_json_atomic(out / "selection_report.json", itds.selection_report(results))
+    for (_, path), res in zip(_selection_paths(cfg, out, train.p), results):
+        _atomic(path, lambda tmp: sparse_coding.save_selection(res.selection, tmp))
+    _write_json(out / "selection_report.json", itds.selection_report(results))
 
 
 def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
@@ -278,16 +270,13 @@ def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         step=cfg.step,
         max_iters=cfg.iters,
         tol=cfg.tol,
-        kde_cfg=None if cfg.sigma is None else KdeConfig.fixed(cfg.sigma),
+        kde_cfg=None if cfg.sigma is None else KdeConfig(cfg.sigma),
     )
     for (class_id, path), res in zip(_updated_dict_paths(cfg, out, train.p), results):
-        _save_matrix_atomic(res.atoms, path)
+        _atomic(path, lambda tmp: sparse_coding.save_matrix(res.atoms, tmp))
         suffix = "" if class_id is None else f"_c{class_id}"
-        trace_path = out / f"update_trace{suffix}.csv"
-        tmp = trace_path.with_name(trace_path.name + ".tmp")
-        save_mi_trace(res.state.trace, tmp)
-        os.replace(tmp, trace_path)
-    _write_json_atomic(out / "update_report.json", itdu.update_report(results))
+        _atomic(out / f"update_trace{suffix}.csv", lambda tmp: save_mi_trace(res.state.trace, tmp))
+    _write_json(out / "update_report.json", itdu.update_report(results))
 
 
 def stage_evaluate(
@@ -303,14 +292,14 @@ def stage_evaluate(
     model = classify.train_linear(
         features, train.labels, seed=substream_seed(cfg.seed, "sgd")
     )
-    _save_matrix_atomic(model.weights.T, out / "model_weights.itdl")
-    _write_text_atomic(
-        out / "model_bias.csv", ",".join(repr(float(v)) for v in model.bias) + "\n"
-    )
+    weights = model.weights.T
+    _atomic(out / "model_weights.itdl", lambda tmp: sparse_coding.save_matrix(weights, tmp))
+    bias = ",".join(repr(float(v)) for v in model.bias) + "\n"
+    _atomic(out / "model_bias.csv", lambda tmp: tmp.write_text(bias, encoding="ascii"))
     report = classify.evaluate(
-        model, atoms_by_class, test, shared=shared, kde_cfg=_kde_cfg(cfg)
+        model, atoms_by_class, test, shared=shared, kde_cfg=KdeConfig(cfg.sigma)
     )
-    _write_json_atomic(out / "eval_report.json", report.to_dict())
+    _write_json(out / "eval_report.json", report.to_dict())
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -378,9 +367,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ds, args.train_fraction, substream_seed(args.seed, "split")
     )
     for name, part in (("train.csv", train), ("test.csv", test)):
-        tmp = out / (name + ".tmp")
-        dataset.save_csv(part, tmp)
-        os.replace(tmp, out / name)
+        _atomic(out / name, lambda tmp: dataset.save_csv(part, tmp))
     print(f"wrote {out / 'train.csv'} ({train.size} samples) and {out / 'test.csv'} ({test.size})")
     return 0
 

@@ -66,17 +66,6 @@ def _make_dataset(signals: np.ndarray, labels: np.ndarray) -> Dataset:
     return Dataset(signals=signals, labels=labels, p=p, class_counts=counts)
 
 
-@dataclass(frozen=True)
-class BinaryRelabeling:
-    """One-vs-rest indicator labels for a source class."""
-
-    source_class: int
-    labels01: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels01", _freeze(np.asarray(self.labels01, dtype=np.int64)))
-
-
 def load_csv(path) -> Dataset:
     """Read rows of ``label, feature_1, ..., feature_n``.
 
@@ -180,13 +169,6 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
         _make_dataset(ds.signals[:, tr], ds.labels[tr]),
         _make_dataset(ds.signals[:, te], ds.labels[te]),
     )
-
-
-def binary_labels(ds: Dataset, c: int) -> BinaryRelabeling:
-    """Indicator labels: 1 for samples of class c, 0 otherwise."""
-    if not 0 <= c < ds.p:
-        raise ValueError(f"class {c} out of range for p={ds.p}")
-    return BinaryRelabeling(source_class=c, labels01=(ds.labels == c).astype(np.int64))
 
 
 def mask_pixels(ds: Dataset, missing_fraction: float, seed: int) -> tuple[Dataset, np.ndarray]:

@@ -32,17 +32,8 @@ NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
-# kernels and KDE
+# bandwidths and KDE
 # ---------------------------------------------------------------------------
-
-def gauss_kernel(x: np.ndarray, sigma2: float) -> float:
-    """Isotropic Gaussian kernel (2*pi*sigma2)^(-d/2) exp(-|x|^2 / (2 sigma2))."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    d = x.size
-    return float((2.0 * math.pi * sigma2) ** (-0.5 * d) * math.exp(-float(x @ x) / (2.0 * sigma2)))
-
 
 def median_pairwise_distance(codes: np.ndarray) -> float:
     """Median Euclidean distance over distinct column pairs.
@@ -90,23 +81,19 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KdeConfig:
-    """Kernel bandwidth, either fixed or derived from the scored codes."""
+    """Kernel bandwidth: a fixed sigma > 0, or None to derive it from the
+    scored codes by bandwidth_rule."""
 
     sigma: float | None = None
-    auto: bool = True
 
     def __post_init__(self):
-        if not self.auto and (self.sigma is None or self.sigma <= 0):
-            raise ValueError("fixed bandwidth requires sigma > 0")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ValueError(f"bandwidth sigma must be positive or None, got {self.sigma!r}")
 
     def resolve(self, codes: np.ndarray) -> float:
-        if self.auto:
+        if self.sigma is None:
             return bandwidth_rule(codes)
         return float(self.sigma)
-
-    @staticmethod
-    def fixed(sigma: float) -> "KdeConfig":
-        return KdeConfig(sigma=sigma, auto=False)
 
 
 def _codes_matrix(codes: np.ndarray) -> np.ndarray:
@@ -120,23 +107,6 @@ def _label_counts(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     counts = np.bincount(labels).astype(np.int64)
     return labels, counts
-
-
-def kde_class_density(
-    codes: np.ndarray, labels: np.ndarray, c: int, x: np.ndarray, cfg: KdeConfig
-) -> float:
-    """KDE estimate of p(x | class c) over the class-c code columns."""
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim == 1:
-        codes = codes[None, :]
-    labels = np.asarray(labels, dtype=np.int64)
-    members = codes[:, labels == c]
-    if members.shape[1] == 0:
-        raise ValueError(f"class {c} has no samples")
-    sigma2 = cfg.resolve(codes) ** 2
-    x = np.asarray(x, dtype=np.float64).ravel()
-    total = sum(gauss_kernel(x - members[:, j], sigma2) for j in range(members.shape[1]))
-    return total / members.shape[1]
 
 
 def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, cfg: KdeConfig) -> float:
@@ -176,27 +146,6 @@ def save_mi_trace(values, path) -> None:
         fh.write("iteration,value\n")
         for i, v in enumerate(values):
             fh.write(f"{i},{float(v)!r}\n")
-
-
-def kl_qd_check(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """KL divergence and quadratic divergence of two discrete distributions.
-
-    Exists for validating D(p||q) >= Q(p||q)/2 in the test suite. A zero
-    in q where p is positive yields kl = +inf.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("p and q must be 1-d with a common support")
-    for name, v in (("p", p), ("q", q)):
-        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not a distribution")
-    qd = float(np.sum((p - q) ** 2))
-    pos = p > 0
-    if (q[pos] == 0).any():
-        return float("inf"), qd
-    kl = float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
-    return kl, qd
 
 
 # ---------------------------------------------------------------------------
@@ -253,35 +202,6 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None, jitter: float = 
     return GpModel(cov=cov, jitter=jitter)
 
 
-def _cond_var(cov: np.ndarray, a: int, given: list[int]) -> float:
-    if not given:
-        return float(cov[a, a])
-    sub = cov[np.ix_(given, given)]
-    b = cov[given, a]
-    return float(cov[a, a] - b @ np.linalg.solve(sub, b))
-
-
-def gp_compact_gain(model: GpModel, selected: Selection, candidate: int) -> float:
-    """Marginal compactness gain of one candidate atom.
-
-    Half the log-ratio of the candidate's conditional variance given the
-    selected set over its conditional variance given all remaining atoms.
-    Returns -inf when the selected set already explains the candidate.
-    """
-    sel = list(selected.indices)
-    K = model.size
-    if candidate in sel:
-        raise ValueError("candidate already selected")
-    if len(sel) + 1 >= K:
-        raise ValueError("complement side would be empty")
-    v_sel = _cond_var(model.cov, candidate, sel)
-    if v_sel < model.var_floor:
-        return NEG_INF
-    comp = [i for i in range(K) if i != candidate and i not in set(sel)]
-    v_comp = max(_cond_var(model.cov, candidate, comp), 1e-300)
-    return 0.5 * math.log(v_sel / v_comp)
-
-
 def gp_compact_gains(model: GpModel, selected: Selection, candidates: list[int]) -> np.ndarray:
     """Vector of gp_compact_gain values for one greedy round.
 
@@ -313,20 +233,6 @@ def gp_compact_gains(model: GpModel, selected: Selection, candidates: list[int])
         v_comp = max(1.0 / prec_diag[pos[c]], 1e-300)
         gains[j] = 0.5 * math.log(v_sel[j] / v_comp)
     return gains
-
-
-def gp_total_mi(model: GpModel, subset: list[int]) -> float:
-    """Mutual information between a subset and its complement under the GP."""
-    K = model.size
-    sub = sorted(set(subset))
-    comp = [i for i in range(K) if i not in set(sub)]
-    if not sub or not comp:
-        return 0.0
-    cov = model.cov
-    _, ld_s = np.linalg.slogdet(cov[np.ix_(sub, sub)])
-    _, ld_c = np.linalg.slogdet(cov[np.ix_(comp, comp)])
-    _, ld_all = np.linalg.slogdet(cov)
-    return 0.5 * (ld_s + ld_c - ld_all)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +314,6 @@ def qmi_grad_codes(
     sigma = cfg.resolve(codes)
     x = np.ascontiguousarray(codes.T)
     return np.ascontiguousarray(qmi_grad(x, labels, counts, sigma * sigma).T)
-
-
-def qmi_grad_x(
-    codes: np.ndarray, labels: np.ndarray, i: int, c: int, cfg: KdeConfig = KdeConfig()
-) -> np.ndarray:
-    """Gradient of qmi with respect to the code of sample i (class c)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels[i] != c:
-        raise ValueError(f"sample {i} does not belong to class {c}")
-    return qmi_grad_codes(codes, labels, cfg)[:, i].copy()
 
 
 def qmi_grad_phi(

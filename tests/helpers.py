@@ -8,12 +8,18 @@ median pairwise distance and the class kernel sums, against which the
 library's sparse-aware versions are checked. The loop oracles code one
 signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
-checked.
+checked. The reference forms (single Gaussian kernel, per-point class
+density, scalar GP compactness gain, GP total MI, per-sample QMI
+gradient, discrete KL and quadratic divergence) spell out the
+definitions that the library evaluates in batched or closed form.
 """
+
+import math
 
 import numpy as np
 
 from itdl.dataset import Dataset
+from itdl.info_measures import KdeConfig, qmi_grad_codes
 from itdl.sparse_coding import Dictionary, pinv
 
 
@@ -200,3 +206,103 @@ def loop_reconstruct_masked(atoms_by_class, signals, mask):
             if resid < best:
                 best, pred[i], recon[:, i] = resid, class_id, atoms @ coef
     return recon, pred
+
+
+def gauss_kernel(x: np.ndarray, sigma2: float) -> float:
+    """Isotropic Gaussian kernel (2*pi*sigma2)^(-d/2) exp(-|x|^2 / (2 sigma2))."""
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    x = np.asarray(x, dtype=np.float64).ravel()
+    d = x.size
+    return float((2.0 * math.pi * sigma2) ** (-0.5 * d) * math.exp(-float(x @ x) / (2.0 * sigma2)))
+
+
+def kde_class_density(
+    codes: np.ndarray, labels: np.ndarray, c: int, x: np.ndarray, cfg: KdeConfig
+) -> float:
+    """KDE estimate of p(x | class c) over the class-c code columns."""
+    codes = np.asarray(codes, dtype=np.float64)
+    if codes.ndim == 1:
+        codes = codes[None, :]
+    labels = np.asarray(labels, dtype=np.int64)
+    members = codes[:, labels == c]
+    if members.shape[1] == 0:
+        raise ValueError(f"class {c} has no samples")
+    sigma2 = cfg.resolve(codes) ** 2
+    x = np.asarray(x, dtype=np.float64).ravel()
+    total = sum(gauss_kernel(x - members[:, j], sigma2) for j in range(members.shape[1]))
+    return total / members.shape[1]
+
+
+def _cond_var(cov: np.ndarray, a: int, given: list[int]) -> float:
+    if not given:
+        return float(cov[a, a])
+    sub = cov[np.ix_(given, given)]
+    b = cov[given, a]
+    return float(cov[a, a] - b @ np.linalg.solve(sub, b))
+
+
+def gp_compact_gain(model, selected, candidate):
+    """Marginal compactness gain of one candidate atom.
+
+    Half the log-ratio of the candidate's conditional variance given the
+    selected set over its conditional variance given all remaining atoms.
+    Returns -inf when the selected set already explains the candidate.
+    """
+    sel = list(selected.indices)
+    K = model.size
+    if candidate in sel:
+        raise ValueError("candidate already selected")
+    if len(sel) + 1 >= K:
+        raise ValueError("complement side would be empty")
+    v_sel = _cond_var(model.cov, candidate, sel)
+    if v_sel < model.var_floor:
+        return -math.inf
+    comp = [i for i in range(K) if i != candidate and i not in set(sel)]
+    v_comp = max(_cond_var(model.cov, candidate, comp), 1e-300)
+    return 0.5 * math.log(v_sel / v_comp)
+
+
+def gp_total_mi(model, subset):
+    """Mutual information between a subset and its complement under the GP."""
+    K = model.size
+    sub = sorted(set(subset))
+    comp = [i for i in range(K) if i not in set(sub)]
+    if not sub or not comp:
+        return 0.0
+    cov = model.cov
+    _, ld_s = np.linalg.slogdet(cov[np.ix_(sub, sub)])
+    _, ld_c = np.linalg.slogdet(cov[np.ix_(comp, comp)])
+    _, ld_all = np.linalg.slogdet(cov)
+    return 0.5 * (ld_s + ld_c - ld_all)
+
+
+def qmi_grad_x(
+    codes: np.ndarray, labels: np.ndarray, i: int, c: int, cfg: KdeConfig = KdeConfig()
+) -> np.ndarray:
+    """Gradient of qmi with respect to the code of sample i (class c)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels[i] != c:
+        raise ValueError(f"sample {i} does not belong to class {c}")
+    return qmi_grad_codes(codes, labels, cfg)[:, i].copy()
+
+
+def kl_qd_check(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """KL divergence and quadratic divergence of two discrete distributions.
+
+    For checking D(p||q) >= Q(p||q)/2. A zero in q where p is positive
+    yields kl = +inf.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape or p.ndim != 1:
+        raise ValueError("p and q must be 1-d with a common support")
+    for name, v in (("p", p), ("q", q)):
+        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
+            raise ValueError(f"{name} is not a distribution")
+    qd = float(np.sum((p - q) ** 2))
+    pos = p > 0
+    if (q[pos] == 0).any():
+        return float("inf"), qd
+    kl = float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+    return kl, qd

@@ -12,7 +12,13 @@ from itertools import combinations
 
 import numpy as np
 
-from helpers import planted_support_instance, qmi_quadrature, shared_style_dataset
+from helpers import (
+    gp_total_mi,
+    kl_qd_check,
+    planted_support_instance,
+    qmi_quadrature,
+    shared_style_dataset,
+)
 from itdl.classify import code_test_signals, predict, reconstruct_masked, train_linear
 from itdl.cli import main
 from itdl.dataset import mask_pixels, save_csv, split, synth_gaussian_classes
@@ -22,8 +28,6 @@ from itdl.info_measures import (
     build_gp_model,
     class_entropy,
     gp_compact_gains,
-    gp_total_mi,
-    kl_qd_check,
     mi_codes_labels,
     qmi,
     qmi_grad_codes,
@@ -51,7 +55,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         p = int(rng.integers(2, 5))
         labels = _random_labels(rng, n, p)
         codes = rng.standard_normal((d, n))
-        cfg = KdeConfig.fixed(float(rng.uniform(0.4, 1.2)))
+        cfg = KdeConfig(float(rng.uniform(0.4, 1.2)))
         grads = qmi_grad_codes(codes, labels, cfg)
         h = 1e-5
         for i in range(n):
@@ -92,7 +96,7 @@ def test_criterion_2_closed_form_matches_quadrature():
         labels = _random_labels(rng, n, 2)
         codes = rng.standard_normal((1, n)) * 1.5
         sigma = float(rng.uniform(0.3, 0.8))
-        got = qmi(codes, labels, KdeConfig.fixed(sigma))
+        got = qmi(codes, labels, KdeConfig(sigma))
         want = qmi_quadrature(codes, labels, sigma)
         worst = max(worst, abs(got - want) / abs(want))
     for _ in range(3):
@@ -100,13 +104,13 @@ def test_criterion_2_closed_form_matches_quadrature():
         labels = _random_labels(rng, n, 2)
         codes = rng.standard_normal((2, n))
         sigma = float(rng.uniform(0.4, 0.8))
-        got = qmi(codes, labels, KdeConfig.fixed(sigma))
+        got = qmi(codes, labels, KdeConfig(sigma))
         want = qmi_quadrature(codes, labels, sigma, pad=8.0)
         worst = max(worst, abs(got - want) / abs(want))
     # single-class instances collapse exactly
     for _ in range(5):
         codes = rng.standard_normal((2, 8))
-        assert qmi(codes, np.zeros(8, dtype=int), KdeConfig.fixed(0.5)) == 0.0
+        assert qmi(codes, np.zeros(8, dtype=int), KdeConfig(0.5)) == 0.0
     elapsed = time.perf_counter() - start
     assert worst < 1e-3
     assert elapsed < 30.0
@@ -260,7 +264,7 @@ def test_criterion_9_bayes_bound_sanity():
         ]
     )
     labels = np.array([0] * n_half + [1] * n_half)
-    cfg = KdeConfig.fixed(1.0)
+    cfg = KdeConfig(1.0)
     h_c = class_entropy(labels)
     separated = bayes_bound(h_c, mi_codes_labels(codes, labels, cfg))
     shuffled_labels = rng.permutation(labels)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import shared_style_dataset
-from itdl.cli import ConfigError, RunConfig, load_config, main, substream_seed
+from itdl import sparse_coding
+from itdl.cli import ConfigError, RunConfig, _atomic, load_config, main, substream_seed
 from itdl.dataset import load_csv, save_csv, split
 from itdl.sparse_coding import load_matrix
 
@@ -235,6 +236,39 @@ class TestPartialArtifacts:
         assert (out / "dict_initial.itdl").exists()
         assert (out / "dict_updated.itdl").exists()
         assert not (out / "eval_report.json").exists()
+
+
+def _failing_writer(tmp):
+    tmp.write_bytes(b"partial")
+    raise OSError("disk full")
+
+
+class TestAtomicWriter:
+    def test_raising_writer_leaves_target_absent(self, tmp_path):
+        target = tmp_path / "report.json"
+        with pytest.raises(OSError, match="disk full"):
+            _atomic(target, _failing_writer)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_raising_writer_leaves_target_unchanged(self, tmp_path):
+        target = tmp_path / "report.json"
+        _atomic(target, lambda tmp: tmp.write_text("old"))
+        with pytest.raises(OSError, match="disk full"):
+            _atomic(target, _failing_writer)
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_stage_writer_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch):
+        # the stage calls the module's save_selection as bound when it runs,
+        # and a failing write leaves neither the artifact nor a temp file
+        train_csv, _ = write_data(tmp_path)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.setattr(sparse_coding, "save_selection", lambda sel, tmp: _failing_writer(tmp))
+        rc = main(["select", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)])
+        assert rc == 1
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["dict_initial.itdl"]
 
 
 class TestAblationFlag:

@@ -4,7 +4,6 @@ import pytest
 from itdl.dataset import (
     Dataset,
     LoadError,
-    binary_labels,
     load_csv,
     load_mask,
     mask_pixels,
@@ -170,29 +169,6 @@ class TestSplit:
         )
         with pytest.raises(ValueError):
             split(ds, 0.5, 0)
-
-
-class TestBinaryLabels:
-    def test_indicator(self):
-        ds = Dataset(
-            signals=np.ones((2, 4)),
-            labels=np.array([0, 1, 2, 1]),
-            p=3,
-            class_counts=np.array([1, 2, 1]),
-        )
-        rel = binary_labels(ds, 1)
-        np.testing.assert_array_equal(rel.labels01, [0, 1, 0, 1])
-        assert rel.source_class == 1
-
-    def test_all_members(self):
-        ds = synth_gaussian_classes(3, 2, 3, 0.1, 0)
-        rel = binary_labels(ds, 0)
-        assert rel.labels01.sum() == 3
-
-    def test_out_of_range(self):
-        ds = synth_gaussian_classes(3, 2, 3, 0.1, 0)
-        with pytest.raises(ValueError):
-            binary_labels(ds, 2)
 
 
 class TestMaskPixels:

@@ -4,7 +4,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import mi_quadrature_1d, planted_support_instance, qmi_quadrature, random_unit_dictionary
+from helpers import (
+    gauss_kernel,
+    gp_compact_gain,
+    gp_total_mi,
+    kde_class_density,
+    kl_qd_check,
+    mi_quadrature_1d,
+    planted_support_instance,
+    qmi_grad_x,
+    qmi_quadrature,
+    random_unit_dictionary,
+)
 from itdl.info_measures import (
     GpModel,
     KdeConfig,
@@ -13,17 +24,11 @@ from itdl.info_measures import (
     bayes_bound,
     build_gp_model,
     class_entropy,
-    gauss_kernel,
-    gp_compact_gain,
     gp_compact_gains,
-    gp_total_mi,
-    kde_class_density,
-    kl_qd_check,
     mi_codes_labels,
     qmi,
     qmi_grad_codes,
     qmi_grad_phi,
-    qmi_grad_x,
     recon_gain,
 )
 from itdl.sparse_coding import Dictionary, Selection, somp
@@ -52,14 +57,14 @@ class TestGaussKernel:
 class TestKdeClassDensity:
     def test_single_sample(self):
         codes = np.array([[0.3], [1.0]])
-        cfg = KdeConfig.fixed(0.7)
+        cfg = KdeConfig(0.7)
         got = kde_class_density(codes, np.array([0]), 0, codes[:, 0], cfg)
         assert got == pytest.approx(gauss_kernel(np.zeros(2), 0.49), rel=1e-12)
 
     def test_symmetry(self):
         codes = np.array([[1.0, -1.0, 2.0, -2.0]])
         labels = np.zeros(4, dtype=int)
-        cfg = KdeConfig.fixed(0.5)
+        cfg = KdeConfig(0.5)
         a = kde_class_density(codes, labels, 0, np.array([0.7]), cfg)
         b = kde_class_density(codes, labels, 0, np.array([-0.7]), cfg)
         assert a == pytest.approx(b, rel=1e-12)
@@ -69,7 +74,7 @@ class TestKdeClassDensity:
         codes = rng.standard_normal((2, 12))
         labels = rng.integers(0, 3, 12)
         labels[:3] = [0, 1, 2]
-        cfg = KdeConfig.fixed(0.6)
+        cfg = KdeConfig(0.6)
         n = labels.size
         for _ in range(5):
             x = rng.standard_normal(2)
@@ -85,20 +90,20 @@ class TestKdeClassDensity:
     def test_empty_class(self):
         codes = np.ones((1, 3))
         with pytest.raises(ValueError):
-            kde_class_density(codes, np.zeros(3, dtype=int), 1, np.array([0.0]), KdeConfig.fixed(1.0))
+            kde_class_density(codes, np.zeros(3, dtype=int), 1, np.array([0.0]), KdeConfig(1.0))
 
 
 class TestMiCodesLabels:
     def test_identical_conditionals(self):
         pts = np.array([[0.0, 1.0, 2.0, 0.0, 1.0, 2.0]])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        assert mi_codes_labels(pts, labels, KdeConfig.fixed(0.5)) <= 1e-6
+        assert mi_codes_labels(pts, labels, KdeConfig(0.5)) <= 1e-6
 
     def test_against_quadrature(self):
         codes = np.array([[-10.0, -10.3, -9.7, 10.0, 10.4, 9.8]])
         labels = np.array([0, 0, 0, 1, 1, 1])
         sigma = 0.5
-        got = mi_codes_labels(codes, labels, KdeConfig.fixed(sigma))
+        got = mi_codes_labels(codes, labels, KdeConfig(sigma))
         want = mi_quadrature_1d(codes, labels, sigma)
         assert got == pytest.approx(want, rel=0.02)
 
@@ -107,7 +112,7 @@ class TestMiCodesLabels:
         codes = rng.standard_normal((2, 14))
         labels = rng.integers(0, 2, 14)
         labels[:2] = [0, 1]
-        cfg = KdeConfig.fixed(0.8)
+        cfg = KdeConfig(0.8)
         base = mi_codes_labels(codes, labels, cfg)
         perm = rng.permutation(14)
         assert mi_codes_labels(codes[:, perm], labels[perm], cfg) == pytest.approx(base, rel=1e-12)
@@ -243,13 +248,13 @@ class TestReconGain:
 class TestQmi:
     def test_single_class_exact_zero(self):
         codes = np.random.default_rng(15).standard_normal((3, 9))
-        assert qmi(codes, np.zeros(9, dtype=int), KdeConfig.fixed(0.5)) == 0.0
+        assert qmi(codes, np.zeros(9, dtype=int), KdeConfig(0.5)) == 0.0
 
     def test_against_quadrature_1d(self):
         codes = np.array([[-1.0, 0.2, 0.9, -0.4, 1.4, 0.1]])
         labels = np.array([0, 0, 0, 1, 1, 1])
         sigma = 0.5
-        got = qmi(codes, labels, KdeConfig.fixed(sigma))
+        got = qmi(codes, labels, KdeConfig(sigma))
         want = qmi_quadrature(codes, labels, sigma)
         assert got == pytest.approx(want, rel=1e-3)
 
@@ -258,7 +263,7 @@ class TestQmi:
         codes = rng.standard_normal((2, 10))
         labels = rng.integers(0, 2, 10)
         labels[:2] = [0, 1]
-        cfg = KdeConfig.fixed(0.6)
+        cfg = KdeConfig(0.6)
         shifted = codes + np.array([[3.5], [-2.0]])
         assert qmi(shifted, labels, cfg) == pytest.approx(qmi(codes, labels, cfg), rel=1e-12)
 
@@ -267,7 +272,7 @@ class TestQmi:
         codes = rng.standard_normal((2, 12))
         labels = rng.integers(0, 3, 12)
         labels[:3] = [0, 1, 2]
-        cfg = KdeConfig.fixed(0.7)
+        cfg = KdeConfig(0.7)
         swapped = np.array([2, 0, 1])[labels]
         assert qmi(codes, swapped, cfg) == pytest.approx(qmi(codes, labels, cfg), rel=1e-12)
 
@@ -285,7 +290,7 @@ class TestQmiGradients:
         codes = np.ones((2, 6))
         labels = np.array([0, 0, 0, 1, 1, 1])
         np.testing.assert_allclose(
-            qmi_grad_codes(codes, labels, KdeConfig.fixed(0.5)), 0.0, atol=1e-15
+            qmi_grad_codes(codes, labels, KdeConfig(0.5)), 0.0, atol=1e-15
         )
 
     def test_grad_x_matches_finite_differences(self):
@@ -293,7 +298,7 @@ class TestQmiGradients:
         codes = rng.standard_normal((2, 9))
         labels = rng.integers(0, 2, 9)
         labels[:2] = [0, 1]
-        cfg = KdeConfig.fixed(0.7)
+        cfg = KdeConfig(0.7)
         i = 3
         got = qmi_grad_x(codes, labels, i, int(labels[i]), cfg)
         h = 1e-5
@@ -313,7 +318,7 @@ class TestQmiGradients:
     def test_two_point_antisymmetry(self):
         codes = np.array([[1.5, -1.5], [0.5, -0.5]])
         labels = np.array([0, 1])
-        cfg = KdeConfig.fixed(0.8)
+        cfg = KdeConfig(0.8)
         g0 = qmi_grad_x(codes, labels, 0, 0, cfg)
         g1 = qmi_grad_x(codes, labels, 1, 1, cfg)
         np.testing.assert_allclose(g0, -g1, atol=1e-14)
@@ -323,7 +328,7 @@ class TestQmiGradients:
         phi = np.random.default_rng(20).standard_normal((3, 2))
         labels = np.array([0, 0, 0, 1, 1, 1])
         np.testing.assert_allclose(
-            qmi_grad_phi(phi, Y, labels, KdeConfig.fixed(0.5)), 0.0, atol=1e-12
+            qmi_grad_phi(phi, Y, labels, KdeConfig(0.5)), 0.0, atol=1e-12
         )
 
     def test_grad_phi_matches_finite_differences(self):
@@ -332,7 +337,7 @@ class TestQmiGradients:
         phi = rng.standard_normal((4, 2))
         labels = rng.integers(0, 2, 10)
         labels[:2] = [0, 1]
-        cfg = KdeConfig.fixed(0.9)
+        cfg = KdeConfig(0.9)
         grad = qmi_grad_phi(phi, Y, labels, cfg)
         h = 1e-6
         for _ in range(5):
@@ -349,7 +354,7 @@ class TestQmiGradients:
         phi = rng.standard_normal((3, 2))
         labels = rng.integers(0, 2, 8)
         labels[:2] = [0, 1]
-        cfg = KdeConfig.fixed(1.1)
+        cfg = KdeConfig(1.1)
         alpha = 1.7
         grad_scaled = qmi_grad_phi(phi, alpha * Y, labels, cfg)
         want = alpha * Y @ qmi_grad_codes(phi.T @ (alpha * Y), labels, cfg).T
@@ -398,4 +403,18 @@ class TestBandwidth:
 
     def test_fixed_config_requires_positive(self):
         with pytest.raises(ValueError):
-            KdeConfig(sigma=0.0, auto=False)
+            KdeConfig(sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_negative_or_nan_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            KdeConfig(sigma=sigma)
+
+    def test_given_sigma_is_used_and_none_means_rule(self):
+        codes = np.random.default_rng(0).standard_normal((2, 40))
+        assert KdeConfig(sigma=0.05).resolve(codes) == 0.05
+        assert KdeConfig().resolve(codes) == bandwidth_rule(codes)
+        labels = np.repeat([0, 1], 20)
+        assert qmi(codes, labels, KdeConfig(sigma=0.05)) == pytest.approx(
+            qmi_quadrature(codes, labels, 0.05), rel=1e-3
+        )

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import planted_support_instance, random_unit_dictionary
+from helpers import gp_compact_gain, planted_support_instance, random_unit_dictionary
 from itdl.dataset import synth_gaussian_classes
 from itdl.info_measures import (
     GpModel,
     KdeConfig,
     ResidualModel,
     build_gp_model,
-    gp_compact_gain,
     mi_codes_labels,
     recon_gain,
 )

@@ -103,7 +103,7 @@ class TestUpdateDictionary:
         raw_codes = pinv(raw_atoms) @ Y
         from itdl.info_measures import qmi
 
-        assert qmi(raw_codes, labels, KdeConfig.fixed(state.sigma)) == pytest.approx(
+        assert qmi(raw_codes, labels, KdeConfig(state.sigma)) == pytest.approx(
             state.trace[-1], rel=1e-8
         )
         # renormalization rescales code rows inversely: reconstruction intact
@@ -118,13 +118,40 @@ class TestUpdateDictionary:
         assert st1.trace == st2.trace
         assert st1.accepted_steps == st2.accepted_steps
 
-    def test_fixed_step_mode_runs(self):
-        atoms, Y, labels = two_class_instance(seed=5)
-        _, state = update_dictionary(
-            atoms, Y, labels, step=1e-3, max_iters=5, tol=0.0, backtracking=False
-        )
-        assert state.iteration == 5
-        assert len(state.trace) == 6
+    def test_atoms_recovered_once_after_the_ascent(self, monkeypatch):
+        # one pinv for the initial transform, one for the final atoms,
+        # however many steps and backtracking trials the ascent takes
+        import itdl.itdu as itdu_mod
+
+        calls = []
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return pinv(mat)
+
+        monkeypatch.setattr(itdu_mod, "pinv", counting)
+        atoms, Y, labels = two_class_instance(seed=2)
+        _, state = update_dictionary(atoms, Y, labels, max_iters=8)
+        assert len(state.accepted_steps) >= 6
+        assert calls == [atoms.shape, atoms.shape[::-1]]
+
+    def test_trace_is_objective_of_accepted_transform(self):
+        atoms, Y, labels = two_class_instance(seed=3)
+        _, state = update_dictionary(atoms, Y, labels, max_iters=10)
+        from itdl.info_measures import qmi
+
+        cfg = KdeConfig(state.sigma)
+        assert qmi(state.transform.T @ Y, labels, cfg) == state.trace[-1]
+
+    def test_rank_deficient_transform_raises_named_error(self):
+        # twin atoms give a rank-1 transform whose columns stay equal under
+        # the ascent, so recovering two atoms from it must fail loudly
+        atoms, Y, labels = two_class_instance(seed=2)
+        twin = np.column_stack([atoms[:, 0], atoms[:, 0]])
+        with pytest.raises(np.linalg.LinAlgError, match="rank 1 < 2"):
+            update_dictionary(twin, Y, labels, max_iters=3)
+        with pytest.raises(RuntimeError, match="class 1: coding transform has rank 1 < 2"):
+            update_all_classes([(0, atoms), (1, twin)], Y, labels, shared=False, max_iters=3)
 
     def test_sigma_frozen_from_initial_codes(self):
         atoms, Y, labels = two_class_instance(seed=6)

@@ -1,7 +1,7 @@
 """Sparse-aware KDE paths against their dense oracles.
 
 median_pairwise_distance returns 0 without forming distances once the
-all-zero columns make up more than half of the pairs, and the numpy class
+all-zero columns make up more than half of the pairs, and the class
 kernel sums evaluate only active rows against all rows. Both must agree
 with the plain all-pairs forms in tests/helpers.py.
 """
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import dense_class_kernel_sums, dense_median_pairwise_distance, dense_mi_codes_labels
-from itdl._kernels import _class_kernel_sums_np
+from itdl._kernels import class_kernel_sums
 from itdl.info_measures import KdeConfig, bandwidth_rule, median_pairwise_distance, mi_codes_labels
 
 FLOOR = 1e-3
@@ -48,7 +48,7 @@ def coded_labels(draw, grid=False, p=3):
 
 def kernel_sums(codes, labels, var):
     x = np.ascontiguousarray(codes.T)
-    return _class_kernel_sums_np(x, labels, var), dense_class_kernel_sums(x, labels, var)
+    return class_kernel_sums(x, labels, var), dense_class_kernel_sums(x, labels, var)
 
 
 def threshold_cases(target):
@@ -173,7 +173,7 @@ class TestMiCodesLabels:
     def test_fixed_sigma_matches_dense(self, data, sigma):
         codes, labels = data
         want = dense_mi_codes_labels(codes, labels, sigma)
-        got = mi_codes_labels(codes, labels, KdeConfig.fixed(sigma))
+        got = mi_codes_labels(codes, labels, KdeConfig(sigma))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_single_class_labeling(self):
