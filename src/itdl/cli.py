@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -82,12 +83,14 @@ class RunConfig:
             raise ConfigError("ksvd_iters must be at least 1")
         if self.iters < 0:
             raise ConfigError("iters must be non-negative")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        for name in ("sigma", "sigma_r", "rho", "step"):
+        for name in ("sigma", "sigma_r", "rho", "step", "tol"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive or 'auto'")
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {v}")
+        for name in ("lambda2", "lambda3"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {v}")
         if not self.ablation or not self.ablation <= set(itds.TERMS):
             raise ConfigError(f"ablation must be a nonempty subset of {itds.TERMS}")
         return self
@@ -179,16 +182,12 @@ def _load_dataset(path, normalize: bool) -> dataset.Dataset:
     )
 
 
-def _selection_paths(cfg: RunConfig, out: Path, p: int) -> list[tuple[int | None, Path]]:
+def _class_paths(cfg: RunConfig, out: Path, p: int, name: str) -> list[tuple[int | None, Path]]:
+    """The artifact ``name`` once in shared mode, or ``<stem>_c<class><suffix>`` per class."""
     if cfg.mode == "shared":
-        return [(None, out / "selection.csv")]
-    return [(c, out / f"selection_c{c}.csv") for c in range(p)]
-
-
-def _updated_dict_paths(cfg: RunConfig, out: Path, p: int) -> list[tuple[int | None, Path]]:
-    if cfg.mode == "shared":
-        return [(None, out / "dict_updated.itdl")]
-    return [(c, out / f"dict_updated_c{c}.itdl") for c in range(p)]
+        return [(None, out / name)]
+    stem, suffix = name.split(".")
+    return [(c, out / f"{stem}_c{c}.{suffix}") for c in range(p)]
 
 
 def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
@@ -199,54 +198,28 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
     _atomic(out / "dict_initial.itdl", lambda tmp: sparse_coding.save_matrix(d0.atoms, tmp))
     codes0 = sparse_coding.omp_codes(d0, train.signals, cfg.sparsity)
     gp = build_gp_model(d0.atoms, rho=cfg.rho)
-    kde_cfg = KdeConfig(cfg.sigma)
-    mode = itds.SelectionMode(variant=cfg.mode, ablation=cfg.ablation)
-    override = None
+    weights = None
     if cfg.lambda2 is not None or cfg.lambda3 is not None:
-        override = itds.SelectionWeights(
-            lambda1=1.0,
+        weights = itds.SelectionWeights(
             lambda2=cfg.lambda2 if cfg.lambda2 is not None else 0.0,
             lambda3=cfg.lambda3 if cfg.lambda3 is not None else 0.0,
         )
+    select = itds.select_shared if cfg.mode == "shared" else itds.select_dedicated
+    results = select(
+        d0,
+        train.signals,
+        train.labels,
+        cfg.sparsity,
+        itds.SelectionMode(ablation=cfg.ablation),
+        weights,
+        initial_codes=codes0,
+        gp_model=gp,
+        residual_model=None if cfg.sigma_r is None else ResidualModel(cfg.sigma_r),
+        kde_cfg=KdeConfig(cfg.sigma),
+    )
     if cfg.mode == "shared":
-        res_model = (
-            ResidualModel(cfg.sigma_r)
-            if cfg.sigma_r is not None
-            else ResidualModel.from_signals(train.signals)
-        )
-        weights = override or itds.estimate_lambdas(
-            d0, codes0, train.labels, train.signals, gp, res_model, kde_cfg
-        )
-        results = [
-            itds.select_shared(
-                d0,
-                train.signals,
-                train.labels,
-                cfg.sparsity,
-                mode,
-                weights,
-                initial_codes=codes0,
-                gp_model=gp,
-                residual_model=res_model,
-                kde_cfg=kde_cfg,
-            )
-        ]
-    else:
-        res_model = ResidualModel(cfg.sigma_r) if cfg.sigma_r is not None else None
-        weights_per_class = [override] * train.p if override is not None else None
-        results = itds.select_dedicated(
-            d0,
-            train.signals,
-            train.labels,
-            cfg.sparsity,
-            mode,
-            weights_per_class,
-            initial_codes=codes0,
-            gp_model=gp,
-            residual_model=res_model,
-            kde_cfg=kde_cfg,
-        )
-    for (_, path), res in zip(_selection_paths(cfg, out, train.p), results):
+        results = [results]
+    for (_, path), res in zip(_class_paths(cfg, out, train.p, "selection.csv"), results):
         _atomic(path, lambda tmp: sparse_coding.save_selection(res.selection, tmp))
     _write_json(out / "selection_report.json", itds.selection_report(results))
 
@@ -257,7 +230,7 @@ def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         raise FileNotFoundError(f"missing dictionary artifact: {dict_path}")
     d0 = sparse_coding.load_dictionary(dict_path)
     selected = []
-    for class_id, path in _selection_paths(cfg, out, train.p):
+    for class_id, path in _class_paths(cfg, out, train.p, "selection.csv"):
         if not path.exists():
             raise FileNotFoundError(f"missing selection artifact: {path}")
         sel = sparse_coding.load_selection(path)
@@ -266,16 +239,18 @@ def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         selected,
         train.signals,
         train.labels,
-        shared=cfg.mode == "shared",
         step=cfg.step,
         max_iters=cfg.iters,
         tol=cfg.tol,
         kde_cfg=None if cfg.sigma is None else KdeConfig(cfg.sigma),
     )
-    for (class_id, path), res in zip(_updated_dict_paths(cfg, out, train.p), results):
+    for (_, path), (_, trace), res in zip(
+        _class_paths(cfg, out, train.p, "dict_updated.itdl"),
+        _class_paths(cfg, out, train.p, "update_trace.csv"),
+        results,
+    ):
         _atomic(path, lambda tmp: sparse_coding.save_matrix(res.atoms, tmp))
-        suffix = "" if class_id is None else f"_c{class_id}"
-        _atomic(out / f"update_trace{suffix}.csv", lambda tmp: save_mi_trace(res.state.trace, tmp))
+        _atomic(trace, lambda tmp: save_mi_trace(res.state.trace, tmp))
     _write_json(out / "update_report.json", itdu.update_report(results))
 
 
@@ -283,7 +258,7 @@ def stage_evaluate(
     cfg: RunConfig, train: dataset.Dataset, test: dataset.Dataset, out: Path
 ) -> None:
     atoms_by_class = []
-    for class_id, path in _updated_dict_paths(cfg, out, train.p):
+    for class_id, path in _class_paths(cfg, out, train.p, "dict_updated.itdl"):
         if not path.exists():
             raise FileNotFoundError(f"missing updated dictionary artifact: {path}")
         atoms_by_class.append((class_id, sparse_coding.load_matrix(path)))

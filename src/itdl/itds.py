@@ -7,9 +7,12 @@ between restricted codes and labels) and reconstruction (residual
 log-likelihood drop). Weight estimation uses only the best single-atom
 gain of each criterion, so it costs one extra scoring round.
 
-Two variants exist: one shared support for all classes, or a dedicated
-support per class where discrimination uses one-vs-rest labels over all
-samples and reconstruction sees only that class's signals.
+Both variants run one greedy selection per group of (class id,
+discrimination labels, own signals). Shared mode is the single group
+(None, the class labels, every signal); dedicated mode has one group per
+class, with one-vs-rest labels over all samples and only that class's
+signals for reconstruction. Each group estimates its own weights unless
+the caller fixes them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,11 @@ from .info_measures import (
     mi_codes_labels,
     recon_gain,
 )
-from .sparse_coding import Dictionary, Selection, SparseCodes, code_ls, omp_codes
+from .sparse_coding import Dictionary, Selection, SparseCodes, omp_codes
+
+# Unused here. The import stays because the benchmark's tracer
+# (perfbench/tracing.py) patches itds.code_ls.
+from .sparse_coding import code_ls  # noqa: F401
 
 TERMS = ("compact", "discriminative", "reconstructive")
 
@@ -39,15 +46,12 @@ class WeightsError(RuntimeError):
 
 @dataclass(frozen=True)
 class SelectionWeights:
-    """Balance between the compactness, discrimination and reconstruction terms."""
+    """Weights of the discrimination and reconstruction terms; compactness has weight 1."""
 
-    lambda1: float = 1.0
     lambda2: float = 0.0
     lambda3: float = 0.0
 
     def __post_init__(self):
-        if self.lambda1 != 1.0:
-            raise ValueError("lambda1 is fixed at 1")
         for name in ("lambda2", "lambda3"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -56,14 +60,11 @@ class SelectionWeights:
 
 @dataclass(frozen=True)
 class SelectionMode:
-    """Selection variant plus the subset of active objective terms."""
+    """The subset of active objective terms."""
 
-    variant: str = "shared"
     ablation: frozenset = frozenset(TERMS)
 
     def __post_init__(self):
-        if self.variant not in ("shared", "dedicated"):
-            raise ValueError("variant must be 'shared' or 'dedicated'")
         ablation = frozenset(self.ablation)
         object.__setattr__(self, "ablation", ablation)
         if not ablation or not ablation <= set(TERMS):
@@ -85,8 +86,6 @@ class RoundRecord:
 @dataclass(frozen=True)
 class SelectionResult:
     selection: Selection
-    codes: SparseCodes
-    reconstruction: np.ndarray
     rounds: tuple[RoundRecord, ...]
     weights: SelectionWeights
     class_id: int | None = None
@@ -124,7 +123,7 @@ def estimate_lambdas(
     recon = max(
         recon_gain(dictionary, Selection(), i, signals, residual_model) for i in range(K)
     )
-    return SelectionWeights(lambda1=1.0, lambda2=discrim / denom, lambda3=recon / denom)
+    return SelectionWeights(lambda2=discrim / denom, lambda3=recon / denom)
 
 
 def _greedy_select(
@@ -173,7 +172,7 @@ def _greedy_select(
             gr = (
                 recon_gain(dictionary, sel, k, recon_signals, residual_model) if use_r else 0.0
             )
-            total = weights.lambda1 * gc + weights.lambda2 * gd + weights.lambda3 * gr
+            total = gc + weights.lambda2 * gd + weights.lambda3 * gr
             if total > best_total:
                 best_total = total
                 best_j = j
@@ -206,50 +205,69 @@ def _check_select_args(dictionary: Dictionary, T: int) -> None:
         raise ValueError(f"sparsity T={T} must not exceed the signal dimension n={dictionary.n}")
 
 
+def _select_groups(
+    dictionary: Dictionary,
+    signals: np.ndarray,
+    groups: list[tuple[int | None, np.ndarray, np.ndarray]],
+    T: int,
+    mode: SelectionMode,
+    weights: SelectionWeights | None,
+    initial_codes: SparseCodes | None,
+    gp_model: GpModel | None,
+    residual_model: ResidualModel | None,
+    kde_cfg: KdeConfig,
+) -> list[SelectionResult]:
+    """One greedy selection per (class_id, discrimination labels, own signals) group.
+
+    Codes and the GP model are shared by all groups; the residual model
+    defaults to each group's own signals and the weights to each group's
+    estimate.
+    """
+    _check_select_args(dictionary, T)
+    if initial_codes is None:
+        initial_codes = omp_codes(dictionary, signals, T)
+    if gp_model is None:
+        gp_model = build_gp_model(dictionary.atoms)
+    results: list[SelectionResult] = []
+    for class_id, group_labels, group_signals in groups:
+        res_model = residual_model or ResidualModel.from_signals(group_signals)
+        w = weights
+        if w is None:
+            w = estimate_lambdas(
+                dictionary, initial_codes, group_labels, group_signals, gp_model, res_model, kde_cfg
+            )
+        selection, records = _greedy_select(
+            dictionary, initial_codes.coeffs, group_labels, group_signals, T,
+            mode.ablation, w, gp_model, res_model, kde_cfg,
+        )
+        results.append(SelectionResult(selection, records, w, class_id))
+    return results
+
+
 def select_shared(
     dictionary: Dictionary,
     signals: np.ndarray,
     labels: np.ndarray,
     T: int,
     mode: SelectionMode,
-    weights: SelectionWeights,
+    weights: SelectionWeights | None = None,
     *,
     initial_codes: SparseCodes | None = None,
     gp_model: GpModel | None = None,
     residual_model: ResidualModel | None = None,
     kde_cfg: KdeConfig = KdeConfig(),
 ) -> SelectionResult:
-    """One common support of T atoms for all classes."""
-    _check_select_args(dictionary, T)
+    """One common support of T atoms for all classes, scored on every signal.
+
+    weights=None estimates them from the class labels and all signals.
+    """
     Y = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if initial_codes is None:
-        initial_codes = omp_codes(dictionary, Y, T)
-    if gp_model is None:
-        gp_model = build_gp_model(dictionary.atoms)
-    if residual_model is None:
-        residual_model = ResidualModel.from_signals(Y)
-    selection, records = _greedy_select(
-        dictionary,
-        initial_codes.coeffs,
-        labels,
-        Y,
-        T,
-        mode.ablation,
-        weights,
-        gp_model,
-        residual_model,
-        kde_cfg,
+    (result,) = _select_groups(
+        dictionary, Y, [(None, labels, Y)], T, mode, weights,
+        initial_codes, gp_model, residual_model, kde_cfg,
     )
-    codes = code_ls(dictionary, selection, Y)
-    recon = dictionary.atoms[:, list(selection.indices)] @ codes.coeffs
-    return SelectionResult(
-        selection=selection,
-        codes=codes,
-        reconstruction=recon,
-        rounds=records,
-        weights=weights,
-    )
+    return result
 
 
 def select_dedicated(
@@ -258,7 +276,7 @@ def select_dedicated(
     labels: np.ndarray,
     T: int,
     mode: SelectionMode,
-    weights_per_class: list[SelectionWeights] | None = None,
+    weights: SelectionWeights | None = None,
     *,
     initial_codes: SparseCodes | None = None,
     gp_model: GpModel | None = None,
@@ -268,10 +286,9 @@ def select_dedicated(
     """An independent support of T atoms per class.
 
     Discrimination is scored with one-vs-rest labels over every sample's
-    codes; reconstruction and the final least-squares coding see only the
-    class's own signals. Weights default to per-class estimates.
+    codes; reconstruction sees only the class's own signals. Given weights
+    apply to every class; weights=None estimates them per class.
     """
-    _check_select_args(dictionary, T)
     Y = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     p = int(labels.max()) + 1
@@ -279,58 +296,21 @@ def select_dedicated(
     if (counts < 2).any():
         bad = int(np.argmin(counts))
         raise ValueError(f"class {bad} has fewer than 2 samples")
-    if initial_codes is None:
-        initial_codes = omp_codes(dictionary, Y, T)
-    if gp_model is None:
-        gp_model = build_gp_model(dictionary.atoms)
-    if weights_per_class is not None and len(weights_per_class) != p:
-        raise ValueError("need one SelectionWeights per class")
-    results: list[SelectionResult] = []
-    for c in range(p):
-        labels01 = (labels == c).astype(np.int64)
-        Yc = Y[:, labels == c]
-        res_model_c = residual_model or ResidualModel.from_signals(Yc)
-        if weights_per_class is None:
-            w = estimate_lambdas(
-                dictionary, initial_codes, labels01, Yc, gp_model, res_model_c, kde_cfg
-            )
-        else:
-            w = weights_per_class[c]
-        selection, records = _greedy_select(
-            dictionary,
-            initial_codes.coeffs,
-            labels01,
-            Yc,
-            T,
-            mode.ablation,
-            w,
-            gp_model,
-            res_model_c,
-            kde_cfg,
-        )
-        codes = code_ls(dictionary, selection, Yc)
-        recon = dictionary.atoms[:, list(selection.indices)] @ codes.coeffs
-        results.append(
-            SelectionResult(
-                selection=selection,
-                codes=codes,
-                reconstruction=recon,
-                rounds=records,
-                weights=w,
-                class_id=c,
-            )
-        )
-    return results
+    groups = [(c, (labels == c).astype(np.int64), Y[:, labels == c]) for c in range(p)]
+    return _select_groups(
+        dictionary, Y, groups, T, mode, weights,
+        initial_codes, gp_model, residual_model, kde_cfg,
+    )
 
 
-def selection_report(results: list[SelectionResult], sigma: float | None = None) -> dict:
+def selection_report(results: list[SelectionResult]) -> dict:
     """JSON-ready report: per-round chosen index, raw gains, weighted total, weights."""
     entries = []
     for res in results:
         entries.append(
             {
                 "class": res.class_id,
-                "lambda1": res.weights.lambda1,
+                "lambda1": 1.0,
                 "lambda2": res.weights.lambda2,
                 "lambda3": res.weights.lambda3,
                 "indices": list(res.selection.indices),
@@ -349,7 +329,4 @@ def selection_report(results: list[SelectionResult], sigma: float | None = None)
                 ],
             }
         )
-    report = {"selections": entries}
-    if sigma is not None:
-        report["sigma"] = sigma
-    return report
+    return {"selections": entries}

@@ -53,14 +53,10 @@ def backtrack_step(phi, grad, nu0, objective, current, max_halvings: int = 30):
     return 0.0, current
 
 
-def renormalize_atoms(atoms: np.ndarray, codes: np.ndarray):
-    """Unit-normalize atoms, rescaling coefficient rows inversely.
-
-    The product atoms @ codes (the reconstruction) is unchanged.
-    """
+def renormalize_atoms(atoms: np.ndarray) -> np.ndarray:
+    """Unit-normalize the nonzero atoms; their span is unchanged."""
     norms = np.linalg.norm(atoms, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    return atoms / safe, codes * safe[:, None]
+    return atoms / np.where(norms > 0, norms, 1.0)
 
 
 def update_dictionary(
@@ -141,8 +137,7 @@ def update_dictionary(
             f"coding transform has rank {rank} < {phi.shape[1]} atoms; "
             "the atoms cannot be recovered from it"
         )
-    atoms, _ = renormalize_atoms(pinv(phi.T), X)
-    return atoms, state
+    return renormalize_atoms(pinv(phi.T)), state
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,6 @@ class ClassUpdateResult:
     class_id: int | None
     atoms: np.ndarray
     state: UpdateState
-    codes: np.ndarray
-    reconstruction: np.ndarray
 
 
 def update_all_classes(
@@ -159,35 +152,25 @@ def update_all_classes(
     signals: np.ndarray,
     labels: np.ndarray,
     *,
-    shared: bool,
     step: float | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
     kde_cfg: KdeConfig | None = None,
 ) -> list[ClassUpdateResult]:
-    """Run the atom update per class (dedicated) or once (shared).
+    """Run the atom update once per (class_id, atoms) entry.
 
-    selected_atoms is a list of (class_id, atoms) pairs; with shared=True
-    it must hold exactly one entry, updated against the global labels.
-    Dedicated entries are updated against one-vs-rest labels computed over
-    all samples, then coded on their own class's signals.
+    class_id=None (shared mode) ascends against the class labels; a class
+    id ascends against its one-vs-rest labels. Both are computed over all
+    samples.
     """
-    Y = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if shared and len(selected_atoms) != 1:
-        raise ValueError("shared mode takes exactly one atom set")
     results: list[ClassUpdateResult] = []
     for class_id, atoms in selected_atoms:
-        if shared:
-            run_labels = labels
-            Yc = Y
-        else:
-            run_labels = (labels == class_id).astype(np.int64)
-            Yc = Y[:, labels == class_id]
+        run_labels = labels if class_id is None else (labels == class_id).astype(np.int64)
         try:
             new_atoms, state = update_dictionary(
                 atoms,
-                Y,
+                signals,
                 run_labels,
                 step=step,
                 max_iters=max_iters,
@@ -196,17 +179,7 @@ def update_all_classes(
             )
         except Exception as exc:
             raise RuntimeError(f"atom update failed for class {class_id}: {exc}") from exc
-        codes = pinv(new_atoms) @ Yc
-        recon = new_atoms @ codes
-        results.append(
-            ClassUpdateResult(
-                class_id=class_id,
-                atoms=new_atoms,
-                state=state,
-                codes=codes,
-                reconstruction=recon,
-            )
-        )
+        results.append(ClassUpdateResult(class_id, new_atoms, state))
     return results
 
 

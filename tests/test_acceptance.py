@@ -214,11 +214,11 @@ def test_criterion_7_update_improves_dedicated_accuracy():
         train, test = split(ds, 0.5, seed + 77)
         d0 = ksvd_init(train.signals, 10, 2, 1, seed + 123)
         res = select_dedicated(
-            d0, train.signals, train.labels, 2, SelectionMode(variant="dedicated")
+            d0, train.signals, train.labels, 2, SelectionMode()
         )
         pre_atoms = [(r.class_id, d0.atoms[:, list(r.selection.indices)]) for r in res]
         upd = update_all_classes(
-            pre_atoms, train.signals, train.labels, shared=False, max_iters=30
+            pre_atoms, train.signals, train.labels, max_iters=30
         )
         post_atoms = [(r.class_id, r.atoms) for r in upd]
 
@@ -283,11 +283,11 @@ def test_criterion_10_masked_reconstruction_trend():
         train, test = split(ds, 0.5, seed + 77)
         d0 = ksvd_init(train.signals, 12, 2, 1, seed + 123)
         res = select_dedicated(
-            d0, train.signals, train.labels, 2, SelectionMode(variant="dedicated")
+            d0, train.signals, train.labels, 2, SelectionMode()
         )
         pre_atoms = [(r.class_id, d0.atoms[:, list(r.selection.indices)]) for r in res]
         upd = update_all_classes(
-            pre_atoms, train.signals, train.labels, shared=False, max_iters=30
+            pre_atoms, train.signals, train.labels, max_iters=30
         )
         post_atoms = [(r.class_id, r.atoms) for r in upd]
         masked, mask = mask_pixels(test, 0.6, seed + 999)

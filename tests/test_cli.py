@@ -158,6 +158,33 @@ class TestCliErrors:
         assert rc == 2
         assert "sparsity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("sigma", "nan"),
+            ("sigma_r", "nan"),
+            ("rho", "inf"),
+            ("step", "nan"),
+            ("step", "inf"),
+            ("tol", "nan"),
+            ("lambda2", "inf"),
+            ("lambda3", "nan"),
+            ("lambda2", "-1"),
+            ("lambda3", "-0.5"),
+        ],
+    )
+    def test_bad_number_exit_2_names_key(self, tmp_path, capsys, key, value):
+        train_csv, test_csv = write_data(tmp_path)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x"
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(test_csv), "--out", str(out), f"--{key.replace('_', '-')}", value,
+        ])
+        assert rc == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_update_without_selection_exit_1(self, tmp_path, capsys):
         train_csv, _ = write_data(tmp_path)
         cfg = write_config(tmp_path)

@@ -32,10 +32,13 @@ def small_problem(seed=0, n=10, K=12, p=3, per_class=8, spread=0.25, T=3):
 
 class TestWeights:
     def test_lambda1_fixed(self):
-        with pytest.raises(ValueError):
+        # compactness always has weight 1: there is no field to set
+        with pytest.raises(TypeError):
             SelectionWeights(lambda1=2.0)
         with pytest.raises(ValueError):
             SelectionWeights(lambda2=-0.1)
+        with pytest.raises(ValueError):
+            SelectionWeights(lambda3=float("nan"))
 
     def test_estimate_matches_rederivation(self):
         ds, d, codes = small_problem(seed=3)
@@ -43,7 +46,6 @@ class TestWeights:
         res_model = ResidualModel.from_signals(ds.signals)
         cfg = KdeConfig()
         w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model, cfg)
-        assert w.lambda1 == 1.0
         # literally run the three separate first greedy steps
         compact = max(gp_compact_gain(gp, Selection(), i) for i in range(d.K))
         discrim = max(
@@ -102,6 +104,7 @@ class TestSelectShared:
 
     def test_full_objective_beats_compact_only_on_median(self):
         from itdl.classify import build_features, predict, train_linear
+        from itdl.sparse_coding import code_ls
 
         diffs = []
         for seed in range(20):
@@ -115,7 +118,7 @@ class TestSelectShared:
                 ("compact", SelectionMode(ablation=frozenset({"compact"})), SelectionWeights()),
             ):
                 res = select_shared(d, ds.signals, ds.labels, 3, mode, wts, initial_codes=codes)
-                feats = build_features("shared", res.codes)
+                feats = build_features("shared", code_ls(d, res.selection, ds.signals))
                 model = train_linear(feats, ds.labels, seed=seed)
                 accs[tag] = float((predict(model, feats) == ds.labels).mean())
             diffs.append(accs["full"] - accs["compact"])
@@ -143,18 +146,21 @@ class TestSelectShared:
                 gc = gp_compact_gain(gp, sel, cand)
                 gd = mi_codes_labels(codes.coeffs[chosen + [cand], :], ds.labels, cfg) - mi_base
                 gr = recon_gain(d, sel, cand, ds.signals, res_model)
-                total = w.lambda1 * gc + w.lambda2 * gd + w.lambda3 * gr
+                total = gc + w.lambda2 * gd + w.lambda3 * gr
                 assert record.gain_total >= total - 1e-9
             chosen.append(record.index)
 
-    def test_codes_and_reconstruction_consistent(self):
-        ds, d, codes = small_problem(seed=8)
-        w = SelectionWeights(lambda2=0.5, lambda3=0.5)
-        res = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), w, initial_codes=codes)
-        sub = d.atoms[:, list(res.selection.indices)]
-        np.testing.assert_allclose(res.reconstruction, sub @ res.codes.coeffs, atol=1e-12)
-        assert len(res.selection) == 3
-        assert len(set(res.selection.indices)) == 3
+    def test_no_weights_estimates_them(self):
+        ds, d, codes = small_problem(seed=11)
+        gp = build_gp_model(d.atoms)
+        res_model = ResidualModel.from_signals(ds.signals)
+        kw = dict(initial_codes=codes, gp_model=gp, residual_model=res_model)
+        auto = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), **kw)
+        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
+        given = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), w, **kw)
+        assert auto.weights == w
+        assert auto.selection == given.selection
+        assert auto.rounds == given.rounds
 
     def test_sparsity_validation(self):
         ds, d, codes = small_problem(seed=9)
@@ -169,7 +175,7 @@ class TestSelectShared:
         a = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), w, initial_codes=codes)
         b = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), w, initial_codes=codes)
         assert a.selection.indices == b.selection.indices
-        np.testing.assert_array_equal(a.codes.coeffs, b.codes.coeffs)
+        assert a.rounds == b.rounds
 
     def test_compact_only_accepted_gains_nonincreasing(self):
         ds, d, codes = small_problem(seed=15, T=4)
@@ -199,7 +205,7 @@ class TestSelectDedicated:
         Y = rng.standard_normal((8, 8))
         labels = np.zeros(8, dtype=int)
         w = SelectionWeights(lambda2=0.4, lambda3=0.6)
-        ded = select_dedicated(d, Y, labels, 3, SelectionMode(variant="dedicated"), [w])
+        ded = select_dedicated(d, Y, labels, 3, SelectionMode(), w)
         sh = select_shared(d, Y, labels, 3, SelectionMode(), w)
         assert len(ded) == 1
         assert ded[0].selection.indices == sh.selection.indices
@@ -213,7 +219,7 @@ class TestSelectDedicated:
         Y1 = basis[:, 4:7] @ np.abs(rng.standard_normal((3, 20)))
         Y = np.hstack([Y0, Y1])
         labels = np.array([0] * 20 + [1] * 20)
-        res = select_dedicated(d, Y, labels, 3, SelectionMode(variant="dedicated"))
+        res = select_dedicated(d, Y, labels, 3, SelectionMode())
         g0 = set(res[0].selection.indices)
         g1 = set(res[1].selection.indices)
         assert g0 == {0, 1, 2} and g1 == {4, 5, 6}
@@ -221,9 +227,7 @@ class TestSelectDedicated:
 
     def test_selection_lengths_and_distinctness(self):
         ds, d, codes = small_problem(seed=12)
-        res = select_dedicated(
-            d, ds.signals, ds.labels, 3, SelectionMode(variant="dedicated"), initial_codes=codes
-        )
+        res = select_dedicated(d, ds.signals, ds.labels, 3, SelectionMode(), initial_codes=codes)
         assert [r.class_id for r in res] == [0, 1, 2]
         for r in res:
             assert len(r.selection) == 3
@@ -234,17 +238,42 @@ class TestSelectDedicated:
         Y = np.random.default_rng(33).standard_normal((6, 5))
         labels = np.array([0, 0, 0, 0, 1])
         with pytest.raises(ValueError, match="class 1"):
-            select_dedicated(d, Y, labels, 2, SelectionMode(variant="dedicated"))
+            select_dedicated(d, Y, labels, 2, SelectionMode())
 
-    def test_per_class_codes_use_own_signals(self):
+    def test_per_class_reconstruction_uses_own_signals(self):
+        # reconstruction-only: each class's support is the shared selection
+        # run on that class's signals alone
         ds, d, codes = small_problem(seed=13)
+        mode = SelectionMode(ablation=frozenset({"reconstructive"}))
+        w = SelectionWeights(lambda3=1.0)
+        res = select_dedicated(d, ds.signals, ds.labels, 3, mode, w, initial_codes=codes)
+        for r in res:
+            own = ds.signals[:, ds.labels == r.class_id]
+            alone = select_shared(d, own, ds.labels[ds.labels == r.class_id], 3, mode, w)
+            assert r.selection.indices == alone.selection.indices
+            assert r.rounds == alone.rounds
+
+    def test_single_weights_apply_to_every_class(self):
+        ds, d, codes = small_problem(seed=16)
+        w = SelectionWeights(lambda2=0.3, lambda3=0.7)
+        res = select_dedicated(d, ds.signals, ds.labels, 3, SelectionMode(), w, initial_codes=codes)
+        assert len(res) == ds.p
+        assert all(r.weights is w for r in res)
+        for r in res:
+            for rec in r.rounds:
+                total = rec.gain_compact + w.lambda2 * rec.gain_discrim + w.lambda3 * rec.gain_recon
+                assert rec.gain_total == total
+
+    def test_no_weights_estimates_per_class(self):
+        ds, d, codes = small_problem(seed=17)
+        gp = build_gp_model(d.atoms)
         res = select_dedicated(
-            d, ds.signals, ds.labels, 3, SelectionMode(variant="dedicated"), initial_codes=codes
+            d, ds.signals, ds.labels, 3, SelectionMode(), initial_codes=codes, gp_model=gp
         )
         for r in res:
-            n_c = int((ds.labels == r.class_id).sum())
-            assert r.codes.coeffs.shape == (3, n_c)
-            assert r.reconstruction.shape == (ds.n, n_c)
+            own = ds.signals[:, ds.labels == r.class_id]
+            labels01 = (ds.labels == r.class_id).astype(np.int64)
+            assert r.weights == estimate_lambdas(d, codes, labels01, own, gp)
 
 
 class TestSelectionReport:
@@ -261,8 +290,6 @@ class TestSelectionReport:
             assert row["weighted_recon"] == 0.0
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            SelectionMode(variant="other")
         with pytest.raises(ValueError):
             SelectionMode(ablation=frozenset())
         with pytest.raises(ValueError):

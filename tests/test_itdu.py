@@ -65,12 +65,20 @@ class TestBacktrackStep:
 
 class TestRenormalize:
     def test_reconstruction_unchanged(self):
+        # unit-norm atoms with the same span: least-squares recoding
+        # reconstructs every signal as before
         rng = np.random.default_rng(1)
         atoms = rng.standard_normal((6, 3)) * np.array([0.2, 5.0, 1.7])
-        codes = rng.standard_normal((3, 10))
-        atoms2, codes2 = renormalize_atoms(atoms, codes)
+        Y = rng.standard_normal((6, 10))
+        atoms2 = renormalize_atoms(atoms)
         np.testing.assert_allclose(np.linalg.norm(atoms2, axis=0), 1.0, atol=1e-12)
-        assert np.linalg.norm(atoms @ codes - atoms2 @ codes2) < 1e-10
+        np.testing.assert_allclose(atoms2 * np.linalg.norm(atoms, axis=0), atoms, atol=1e-12)
+        recon = atoms @ pinv(atoms) @ Y
+        assert np.linalg.norm(recon - atoms2 @ pinv(atoms2) @ Y) < 1e-10
+
+    def test_zero_atom_left_zero(self):
+        atoms = np.column_stack([np.zeros(4), np.full(4, 2.0)])
+        np.testing.assert_array_equal(renormalize_atoms(atoms), [[0.0, 0.5]] * 4)
 
 
 class TestUpdateDictionary:
@@ -151,7 +159,7 @@ class TestUpdateDictionary:
         with pytest.raises(np.linalg.LinAlgError, match="rank 1 < 2"):
             update_dictionary(twin, Y, labels, max_iters=3)
         with pytest.raises(RuntimeError, match="class 1: coding transform has rank 1 < 2"):
-            update_all_classes([(0, atoms), (1, twin)], Y, labels, shared=False, max_iters=3)
+            update_all_classes([(0, atoms), (1, twin)], Y, labels, max_iters=3)
 
     def test_sigma_frozen_from_initial_codes(self):
         atoms, Y, labels = two_class_instance(seed=6)
@@ -175,10 +183,10 @@ class TestUpdateAllClasses:
 
         monkeypatch.setattr(itdu_mod, "update_dictionary", counting)
         atoms, Y, labels = two_class_instance(seed=7)
-        results = update_all_classes([(None, atoms)], Y, labels, shared=True, max_iters=2)
+        results = update_all_classes([(None, atoms)], Y, labels, max_iters=2)
         assert len(calls) == 1
         assert len(results) == 1
-        assert results[0].codes.shape == (atoms.shape[1], Y.shape[1])
+        assert results[0].class_id is None
 
     def test_dedicated_mode_one_run_per_class(self, monkeypatch):
         calls = []
@@ -193,21 +201,37 @@ class TestUpdateAllClasses:
         monkeypatch.setattr(itdu_mod, "update_dictionary", counting)
         ds = shared_style_dataset(12, 3, 10, seed=8)
         d = ksvd_init(ds.signals, 8, 2, 1, 8)
-        sel = select_dedicated(d, ds.signals, ds.labels, 2, SelectionMode(variant="dedicated"))
+        sel = select_dedicated(d, ds.signals, ds.labels, 2, SelectionMode())
         atom_sets = [(r.class_id, d.atoms[:, list(r.selection.indices)]) for r in sel]
-        results = update_all_classes(atom_sets, ds.signals, ds.labels, shared=False, max_iters=2)
+        results = update_all_classes(atom_sets, ds.signals, ds.labels, max_iters=2)
         assert len(calls) == 3
+        assert [r.class_id for r in results] == [0, 1, 2]
         for r in results:
-            n_c = int((ds.labels == r.class_id).sum())
-            assert r.codes.shape == (2, n_c)
-            np.testing.assert_allclose(
-                r.reconstruction, r.atoms @ r.codes, atol=1e-12
-            )
+            assert r.atoms.shape == (ds.n, 2)
 
-    def test_shared_mode_needs_single_entry(self):
-        atoms, Y, labels = two_class_instance(seed=9)
-        with pytest.raises(ValueError):
-            update_all_classes([(0, atoms), (1, atoms)], Y, labels, shared=True)
+    def test_labels_global_for_none_one_vs_rest_for_class(self, monkeypatch):
+        seen = []
+        import itdl.itdu as itdu_mod
+
+        original = itdu_mod.update_dictionary
+
+        def recording(atoms, signals, labels, **kwargs):
+            seen.append(np.array(labels))
+            return original(atoms, signals, labels, **kwargs)
+
+        monkeypatch.setattr(itdu_mod, "update_dictionary", recording)
+        ds = shared_style_dataset(12, 3, 10, seed=12)
+        atoms = ksvd_init(ds.signals, 8, 2, 1, 12).atoms[:, :2]
+        results = update_all_classes(
+            [(None, atoms), (2, atoms), (0, atoms)], ds.signals, ds.labels, max_iters=1
+        )
+        assert [r.class_id for r in results] == [None, 2, 0]
+        np.testing.assert_array_equal(seen[0], ds.labels)
+        np.testing.assert_array_equal(seen[1], (ds.labels == 2).astype(np.int64))
+        np.testing.assert_array_equal(seen[2], (ds.labels == 0).astype(np.int64))
+        # every entry ascends on all samples
+        alone, _ = original(atoms, ds.signals, (ds.labels == 2).astype(np.int64), max_iters=1)
+        np.testing.assert_array_equal(results[1].atoms, alone)
 
     def test_within_class_variance_fraction_drops(self):
         # the update concentrates each class's codes: the within-class share
@@ -215,9 +239,9 @@ class TestUpdateAllClasses:
         # reduced intra-class variation)
         train, _ = split(shared_style_dataset(16, 4, 60, seed=0), 0.5, 77)
         d = ksvd_init(train.signals, 12, 2, 1, 123)
-        sel = select_dedicated(d, train.signals, train.labels, 2, SelectionMode(variant="dedicated"))
+        sel = select_dedicated(d, train.signals, train.labels, 2, SelectionMode())
         pre = [(r.class_id, d.atoms[:, list(r.selection.indices)]) for r in sel]
-        post = update_all_classes(pre, train.signals, train.labels, shared=False, max_iters=30)
+        post = update_all_classes(pre, train.signals, train.labels, max_iters=30)
 
         def mean_fraction(atom_sets):
             total = 0.0
@@ -233,11 +257,11 @@ class TestUpdateAllClasses:
         atoms, Y, labels = two_class_instance(seed=10)
         bad = np.full_like(atoms, np.nan)
         with pytest.raises(RuntimeError, match="class 1"):
-            update_all_classes([(0, atoms), (1, bad)], Y, labels, shared=False, max_iters=1)
+            update_all_classes([(0, atoms), (1, bad)], Y, labels, max_iters=1)
 
     def test_report_shape(self):
         atoms, Y, labels = two_class_instance(seed=11)
-        results = update_all_classes([(None, atoms)], Y, labels, shared=True, max_iters=3)
+        results = update_all_classes([(None, atoms)], Y, labels, max_iters=3)
         rep = update_report(results)
         entry = rep["updates"][0]
         assert set(entry) == {
