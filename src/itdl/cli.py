@@ -333,14 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    try:
+        ds = dataset.synth_gaussian_classes(
+            args.dim, args.classes, args.per_class, args.spread, args.seed
+        )
+        train, test = dataset.split(
+            ds, args.train_fraction, substream_seed(args.seed, "split")
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ds = dataset.synth_gaussian_classes(
-        args.dim, args.classes, args.per_class, args.spread, args.seed
-    )
-    train, test = dataset.split(
-        ds, args.train_fraction, substream_seed(args.seed, "split")
-    )
     for name, part in (("train.csv", train), ("test.csv", test)):
         _atomic(out / name, lambda tmp: dataset.save_csv(part, tmp))
     print(f"wrote {out / 'train.csv'} ({train.size} samples) and {out / 'test.csv'} ({test.size})")
@@ -366,6 +369,10 @@ def _run_stages(args: argparse.Namespace, stages: list[str]) -> int:
             elif stage == "update":
                 stage_update(cfg, train, out)
             elif stage == "evaluate":
+                if test.p != train.p:  # each file maps its own labels to 0..p-1
+                    raise ValueError(
+                        f"test file {args.test} has {test.p} classes, the training file {train.p}"
+                    )
                 stage_evaluate(cfg, train, test, out)
         except Exception as exc:
             print(f"error: stage {stage} failed: {exc}", file=sys.stderr)

@@ -70,9 +70,9 @@ def load_csv(path) -> Dataset:
     """Read rows of ``label, feature_1, ..., feature_n``.
 
     Raw labels may be arbitrary integers; they are remapped to 0..p-1 in
-    order of first appearance. Raises LoadError naming the offending
-    1-based row for ragged, non-numeric, non-finite (nan/inf),
-    all-zero-signal or empty input.
+    increasing order of value, so row order does not change the mapping.
+    Raises LoadError naming the offending 1-based row for ragged,
+    non-numeric, non-finite (nan/inf), all-zero-signal or empty input.
     """
     raw_labels: list[int] = []
     rows: list[list[float]] = []
@@ -104,11 +104,7 @@ def load_csv(path) -> Dataset:
             rows.append(feats)
     if not rows:
         raise LoadError("empty file: no data rows")
-    remap: dict[int, int] = {}
-    for lab in raw_labels:
-        if lab not in remap:
-            remap[lab] = len(remap)
-    labels = np.array([remap[lab] for lab in raw_labels], dtype=np.int64)
+    _, labels = np.unique(np.array(raw_labels, dtype=np.int64), return_inverse=True)
     signals = np.array(rows, dtype=np.float64).T
     return _make_dataset(signals, labels)
 
@@ -125,12 +121,12 @@ def synth_gaussian_classes(n: int, p: int, per_class: int, spread: float, seed: 
     """Class blobs: p means drawn uniformly on the unit sphere, isotropic noise.
 
     Deterministic for a fixed seed. spread=0 collapses every class onto
-    its mean; negative spread is rejected.
+    its mean; a negative or non-finite spread is rejected.
     """
     if n < 1 or p < 2 or per_class < 2:
         raise ValueError("need n >= 1, p >= 2, per_class >= 2")
-    if spread < 0:
-        raise ValueError("spread must be non-negative")
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be finite and non-negative, got {spread}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((p, n))
     means /= np.linalg.norm(means, axis=1, keepdims=True)

@@ -20,16 +20,16 @@ Entropies and MI are in nats throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import _sq_dist_matrix, class_kernel_sums, qmi_grad, qmi_value
-from .sparse_coding import Dictionary, Selection, pinv
+from .sparse_coding import SVD_CUTOFF, Dictionary, Selection
 
-NEG_INF = float("-inf")
-
+# Unused here. The import stays because the benchmark's tracer
+# (perfbench/tracing.py) patches info_measures.pinv.
+from .sparse_coding import pinv  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # bandwidths and KDE
@@ -203,35 +203,30 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None, jitter: float = 
 
 
 def gp_compact_gains(model: GpModel, selected: Selection, candidates: list[int]) -> np.ndarray:
-    """Vector of gp_compact_gain values for one greedy round.
-
-    Each candidate's complement variance is the reciprocal precision
-    diagonal of the unselected block, so the whole round costs one solve
-    of the unselected covariance instead of one per candidate.
+    """Compactness gain of each candidate for one greedy round: half the
+    log-ratio of its variance given the selected atoms over its variance
+    given the other unselected atoms (the reciprocal precision diagonal of
+    the unselected block), or -inf when the selected atoms explain it.
+    One inverse and one solve per round; a selected candidate raises ValueError.
     """
     sel = list(selected.indices)
+    cands = np.asarray(candidates, dtype=np.intp)
     cov = model.cov
-    K = model.size
-    sel_set = set(sel)
-    unsel = [i for i in range(K) if i not in sel_set]
-    pos = {atom: j for j, atom in enumerate(unsel)}
-    prec_diag = np.diag(np.linalg.inv(cov[np.ix_(unsel, unsel)]))
+    unsel = np.ones(model.size, dtype=bool)
+    unsel[sel] = False
+    if not unsel[cands].all():
+        raise ValueError("candidate already selected")
+    block = np.flatnonzero(unsel)
+    prec_diag = np.diag(np.linalg.inv(cov[np.ix_(block, block)]))
+    v_sel = cov[cands, cands]
     if sel:
-        sub = cov[np.ix_(sel, sel)]
-        B = cov[np.ix_(sel, candidates)]
-        v_sel = np.array(
-            [cov[c, c] for c in candidates]
-        ) - np.einsum("ij,ij->j", B, np.linalg.solve(sub, B))
-    else:
-        v_sel = np.array([cov[c, c] for c in candidates])
-    gains = np.empty(len(candidates))
-    floor = model.var_floor
-    for j, c in enumerate(candidates):
-        if v_sel[j] < floor:
-            gains[j] = NEG_INF
-            continue
-        v_comp = max(1.0 / prec_diag[pos[c]], 1e-300)
-        gains[j] = 0.5 * math.log(v_sel[j] / v_comp)
+        B = cov[np.ix_(sel, cands)]
+        v_sel = v_sel - np.einsum("ij,ij->j", B, np.linalg.solve(cov[np.ix_(sel, sel)], B))
+    # position of each candidate within the unselected block
+    v_comp = np.maximum(1.0 / prec_diag[np.cumsum(unsel)[cands] - 1], 1e-300)
+    dup = v_sel < model.var_floor
+    gains = np.full(cands.size, -np.inf)
+    gains[~dup] = 0.5 * np.log(v_sel[~dup] / v_comp[~dup])
     return gains
 
 
@@ -255,33 +250,43 @@ class ResidualModel:
         return ResidualModel(sigma_r=max(factor * float(norms.mean()), 1e-12))
 
 
-def _residual_sq(atoms: np.ndarray, indices: list[int], signals: np.ndarray) -> float:
-    if not indices:
-        return float(np.sum(signals * signals))
-    sub = atoms[:, indices]
-    resid = signals - sub @ (pinv(sub) @ signals)
-    return float(np.sum(resid * resid))
-
-
 def recon_gain(
     dictionary: Dictionary,
     selected: Selection,
-    candidate: int,
+    candidates: list[int],
     signals: np.ndarray,
     model: ResidualModel,
-) -> float:
-    """Log-likelihood improvement from adding one atom to the support.
-
-    Computed as the drop in total squared projection residual over
-    2 sigma_r^2, with least-squares coefficients on each support.
+) -> np.ndarray:
+    """Log-likelihood improvement of each candidate joining the support: the
+    drop in squared least-squares residual over 2 sigma_r^2. One projection
+    scores the round (the orthogonal least-squares forward step): with Q an
+    orthonormal basis of the selected atoms (Gram-Schmidt in pick order,
+    applied twice), R = Y - QQ^T Y and P = D_cands - Q(Q^T D_cands), the
+    drop is |P_k^T R|^2 / |P_k|^2. As pinv would, a direction of norm below
+    the cutoff adds nothing to Q and such a P_k gains 0. A selected
+    candidate raises ValueError.
     """
     sel = list(selected.indices)
-    if candidate in sel:
+    cands = np.asarray(candidates, dtype=np.intp)
+    if np.isin(cands, sel).any():
         raise ValueError("candidate already selected")
+    atoms = dictionary.atoms
     Y = np.asarray(signals, dtype=np.float64)
-    base = _residual_sq(dictionary.atoms, sel, Y)
-    extended = _residual_sq(dictionary.atoms, sel + [candidate], Y)
-    return (base - extended) / (2.0 * model.sigma_r**2)
+    Q = np.zeros((atoms.shape[0], 0))
+    for k in sel:
+        q = atoms[:, k].copy()
+        for _ in range(2):
+            q -= Q @ (Q.T @ q)
+        norm = np.linalg.norm(q)
+        if norm >= SVD_CUTOFF:
+            Q = np.column_stack([Q, q / norm])
+    R = Y - Q @ (Q.T @ Y)
+    P = atoms[:, cands] - Q @ (Q.T @ atoms[:, cands])
+    p_sq = np.einsum("nk,nk->k", P, P)
+    C = P.T @ R
+    keep = np.sqrt(p_sq) >= SVD_CUTOFF
+    drop = np.divide(np.einsum("kj,kj->k", C, C), p_sq, out=np.zeros(cands.size), where=keep)
+    return drop / (2.0 * model.sigma_r**2)
 
 
 # ---------------------------------------------------------------------------

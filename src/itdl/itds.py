@@ -4,8 +4,12 @@ Atoms are picked one at a time from an initial dictionary by maximizing a
 weighted sum of three marginal gains: compactness (GP mutual information
 against the unselected pool), discrimination (KDE mutual information
 between restricted codes and labels) and reconstruction (residual
-log-likelihood drop). Weight estimation uses only the best single-atom
-gain of each criterion, so it costs one extra scoring round.
+log-likelihood drop). A round scores all remaining candidates as
+vectors: compactness first, whose -inf entries (atoms the chosen ones
+explain) leave the pool for good, then discrimination (one KDE estimate
+per candidate) and reconstruction (one orthogonal projection); the pick
+is the first maximum of the weighted total. Weight estimation uses only
+the best single-atom gain of each term, one extra scoring round.
 
 Both variants run one greedy selection per group of (class id,
 discrimination labels, own signals). Shared mode is the single group
@@ -120,9 +124,7 @@ def estimate_lambdas(
         raise WeightsError("degenerate atom covariance: no compactness gain to normalize by")
     X = codes.coeffs
     discrim = max(mi_codes_labels(X[i : i + 1, :], labels, kde_cfg) for i in range(K))
-    recon = max(
-        recon_gain(dictionary, Selection(), i, signals, residual_model) for i in range(K)
-    )
+    recon = float(np.max(recon_gain(dictionary, Selection(), range(K), signals, residual_model)))
     return SelectionWeights(lambda2=discrim / denom, lambda3=recon / denom)
 
 
@@ -138,59 +140,46 @@ def _greedy_select(
     residual_model: ResidualModel,
     kde_cfg: KdeConfig,
 ) -> tuple[Selection, tuple[RoundRecord, ...]]:
-    use_c = "compact" in ablation
-    use_d = "discriminative" in ablation
-    use_r = "reconstructive" in ablation
     K = dictionary.K
     chosen: list[int] = []
-    excluded: set[int] = set()
+    available = np.ones(K, dtype=bool)
     records: list[RoundRecord] = []
     mi_base = 0.0
     for t in range(T):
-        taken = set(chosen)
-        cands = [k for k in range(K) if k not in taken and k not in excluded]
-        if not cands:
-            raise RuntimeError("all remaining atoms are excluded as duplicates")
+        cands = np.flatnonzero(available)
         sel = Selection(indices=tuple(chosen))
-        if use_c:
+        compact = np.zeros(cands.size)
+        if "compact" in ablation:
             compact = gp_compact_gains(gp_model, sel, cands)
-        else:
-            compact = np.zeros(len(cands))
-        best_j = -1
-        best_total = -math.inf
-        best_gains = (0.0, 0.0, 0.0)
-        for j, k in enumerate(cands):
-            gc = float(compact[j])
-            if gc == -math.inf:
-                excluded.add(k)
-                continue
-            gd = (
-                mi_codes_labels(init_coeffs[chosen + [k], :], discrim_labels, kde_cfg) - mi_base
-                if use_d
-                else 0.0
-            )
-            gr = (
-                recon_gain(dictionary, sel, k, recon_signals, residual_model) if use_r else 0.0
-            )
-            total = gc + weights.lambda2 * gd + weights.lambda3 * gr
-            if total > best_total:
-                best_total = total
-                best_j = j
-                best_gains = (gc, gd, gr)
-        if best_j < 0:
+            dup = compact == -math.inf
+            available[cands[dup]] = False
+            cands, compact = cands[~dup], compact[~dup]
+        if cands.size == 0:
             raise RuntimeError("all remaining atoms are excluded as duplicates")
-        pick = cands[best_j]
+        discrim = np.zeros(cands.size)
+        if "discriminative" in ablation:
+            mi = [
+                mi_codes_labels(init_coeffs[chosen + [k], :], discrim_labels, kde_cfg)
+                for k in cands
+            ]
+            discrim = np.array(mi) - mi_base
+        recon = np.zeros(cands.size)
+        if "reconstructive" in ablation:
+            recon = recon_gain(dictionary, sel, cands, recon_signals, residual_model)
+        total = compact + weights.lambda2 * discrim + weights.lambda3 * recon
+        j = int(np.argmax(total))
+        pick = int(cands[j])
         chosen.append(pick)
-        if use_d:
-            mi_base += best_gains[1]
+        available[pick] = False
+        mi_base += discrim[j]
         records.append(
             RoundRecord(
                 round=t + 1,
                 index=pick,
-                gain_compact=best_gains[0],
-                gain_discrim=best_gains[1],
-                gain_recon=best_gains[2],
-                gain_total=best_total,
+                gain_compact=float(compact[j]),
+                gain_discrim=float(discrim[j]),
+                gain_recon=float(recon[j]),
+                gain_total=float(total[j]),
             )
         )
     return Selection(indices=tuple(chosen)), tuple(records)

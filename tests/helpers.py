@@ -9,9 +9,10 @@ library's sparse-aware versions are checked. The loop oracles code one
 signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
 checked. The reference forms (single Gaussian kernel, per-point class
-density, scalar GP compactness gain, GP total MI, per-sample QMI
-gradient, discrete KL and quadratic divergence) spell out the
-definitions that the library evaluates in batched or closed form.
+density, scalar GP compactness gain, two-refit reconstruction gain, GP
+total MI, per-sample QMI gradient, discrete KL and quadratic divergence)
+spell out the definitions that the library evaluates in batched or
+closed form.
 """
 
 import math
@@ -261,6 +262,27 @@ def gp_compact_gain(model, selected, candidate):
     comp = [i for i in range(K) if i != candidate and i not in set(sel)]
     v_comp = max(_cond_var(model.cov, candidate, comp), 1e-300)
     return 0.5 * math.log(v_sel / v_comp)
+
+
+def _residual_sq(atoms, indices, signals):
+    if not indices:
+        return float(np.sum(signals * signals))
+    sub = atoms[:, indices]
+    resid = signals - sub @ (pinv(sub) @ signals)
+    return float(np.sum(resid * resid))
+
+
+def loop_recon_gain(dictionary, selected, candidate, signals, model):
+    """Reconstruction gain of one candidate atom: the drop in total squared
+    residual over 2 sigma_r^2, with a pinv least-squares refit on the
+    support before and after the candidate joins it."""
+    sel = list(selected.indices)
+    if candidate in sel:
+        raise ValueError("candidate already selected")
+    Y = np.asarray(signals, dtype=np.float64)
+    base = _residual_sq(dictionary.atoms, sel, Y)
+    extended = _residual_sq(dictionary.atoms, sel + [candidate], Y)
+    return (base - extended) / (2.0 * model.sigma_r**2)
 
 
 def gp_total_mi(model, subset):

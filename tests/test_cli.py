@@ -134,6 +134,28 @@ class TestCliRuns:
         assert main(["evaluate", *base, "--test", str(test_csv), "--out", str(staged)]) == 0
         assert (full / "eval_report.json").read_bytes() == (staged / "eval_report.json").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["shared", "dedicated"])
+    def test_reversed_test_file_same_report(self, tmp_path, mode):
+        # labels map by sorted value, so row order cannot permute classes;
+        # only the summation order of the test-set sums changes
+        train_csv, test_csv = write_data(tmp_path)
+        reversed_csv = tmp_path / "test_reversed.csv"
+        reversed_csv.write_text("".join(reversed(test_csv.read_text().splitlines(keepends=True))))
+        cfg = write_config(tmp_path, mode=mode)
+        reports = []
+        for name, path in (("fwd", test_csv), ("rev", reversed_csv)):
+            out = tmp_path / name
+            assert main([
+                "run-all", "--config", str(cfg), "--train", str(train_csv),
+                "--test", str(path), "--out", str(out),
+            ]) == 0
+            reports.append(json.loads((out / "eval_report.json").read_text()))
+        fwd, rev = reports
+        assert rev["accuracy"] == fwd["accuracy"]
+        assert rev["per_class_accuracy"] == fwd["per_class_accuracy"]
+        for key in ("rmse", "mi_estimate", "bayes_bound"):
+            assert rev[key] == pytest.approx(fwd[key], rel=1e-12)
+
     def test_evaluate_twice_identical(self, tmp_path):
         train_csv, test_csv = write_data(tmp_path)
         cfg = write_config(tmp_path)
@@ -212,6 +234,44 @@ class TestCliErrors:
             "--test", str(tmp_path / "none.csv"), "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--spread", "nan", "spread must be finite"),
+            ("--spread", "inf", "spread must be finite"),
+            ("--spread", "-1", "spread must be finite"),
+            ("--per-class", "1", "per_class >= 2"),
+            ("--classes", "1", "p >= 2"),
+            ("--train-fraction", "1.5", "train_fraction"),
+            ("--train-fraction", "0", "train_fraction"),
+        ],
+        ids=["spread-nan", "spread-inf", "spread-negative", "per-class-1", "classes-1",
+             "fraction-1.5", "fraction-0"],
+    )
+    def test_bad_synth_argument_exit_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "data"
+        rc = main(["synth", "--out", str(out), "--seed", "1", flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: configuration: ") and message in err
+        assert not out.exists()
+
+    def test_test_file_class_count_mismatch_exit_1(self, tmp_path, capsys):
+        train_csv, test_csv = write_data(tmp_path)
+        rows = test_csv.read_text().splitlines(keepends=True)
+        two_class = tmp_path / "two_class.csv"
+        two_class.write_text("".join(r for r in rows if not r.startswith("1,")))
+        cfg = write_config(tmp_path)
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(two_class), "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage evaluate failed" in err
+        assert str(two_class) in err and "2 classes" in err
+        assert not (tmp_path / "x" / "eval_report.json").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         train_csv, test_csv = write_data(tmp_path)

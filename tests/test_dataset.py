@@ -41,12 +41,15 @@ class TestLoadCsv:
         with pytest.raises(LoadError, match="empty"):
             load_csv(f)
 
-    def test_label_remap_first_appearance(self, tmp_path):
+    def test_label_remap_sorted_value(self, tmp_path):
         f = tmp_path / "d.csv"
-        f.write_text("5,1,0\n7,0,1\n5,2,2\n")
+        f.write_text("7,1,0\n-2,0,1\n7,2,2\n5,1,1\n")
         ds = load_csv(f)
-        np.testing.assert_array_equal(ds.labels, [0, 1, 0])
-        assert ds.p == 2
+        np.testing.assert_array_equal(ds.labels, [2, 0, 2, 1])
+        assert ds.p == 3
+        # the mapping does not depend on row order
+        f.write_text("5,1,1\n7,2,2\n-2,0,1\n7,1,0\n")
+        np.testing.assert_array_equal(load_csv(f).labels, [1, 2, 0, 2])
 
     @pytest.mark.parametrize(
         "text",
@@ -107,6 +110,11 @@ class TestSynth:
     def test_negative_spread_rejected(self):
         with pytest.raises(ValueError):
             synth_gaussian_classes(4, 2, 3, -0.1, 0)
+
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread_rejected(self, spread):
+        with pytest.raises(ValueError, match="spread must be finite"):
+            synth_gaussian_classes(4, 2, 3, spread, 0)
 
     def test_ls_baseline_on_easy_data(self):
         # a plain least-squares classifier on raw signals is the oracle

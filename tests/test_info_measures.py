@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     gauss_kernel,
@@ -10,6 +12,7 @@ from helpers import (
     gp_total_mi,
     kde_class_density,
     kl_qd_check,
+    loop_recon_gain,
     mi_quadrature_1d,
     planted_support_instance,
     qmi_grad_x,
@@ -32,6 +35,8 @@ from itdl.info_measures import (
     recon_gain,
 )
 from itdl.sparse_coding import Dictionary, Selection, somp
+
+RECON_PROPERTY = settings(max_examples=200, deadline=None)
 
 
 class TestGaussKernel:
@@ -198,6 +203,11 @@ class TestGpCompactness:
         with pytest.raises(ValueError):
             gp_compact_gain(model, Selection(indices=(0, 1)), 2)
 
+    def test_round_rejects_selected_candidate(self):
+        model = build_gp_model(random_unit_dictionary(7, 6, 9).atoms)
+        with pytest.raises(ValueError, match="already selected"):
+            gp_compact_gains(model, Selection(indices=(0, 4)), [1, 4, 6])
+
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = 0.5
@@ -211,14 +221,14 @@ class TestReconGain:
         sel = Selection(indices=(0, 1))
         Y = d.atoms[:, :2] @ np.random.default_rng(0).standard_normal((2, 5))
         model = ResidualModel(sigma_r=0.5)
-        for cand in range(2, 8):
-            assert recon_gain(d, sel, cand, Y, model) == pytest.approx(0.0, abs=1e-9)
+        gains = recon_gain(d, sel, list(range(2, 8)), Y, model)
+        np.testing.assert_allclose(gains, 0.0, atol=1e-9)
 
     def test_unit_atom_from_empty(self):
         d = random_unit_dictionary(13, 6, 8)
         y = d.atoms[:, 4][:, None]
         model = ResidualModel(sigma_r=0.3)
-        got = recon_gain(d, Selection(), 4, y, model)
+        (got,) = recon_gain(d, Selection(), [4], y, model)
         assert got == pytest.approx(1.0 / (2 * 0.3**2), rel=1e-10)
 
     def test_never_negative(self):
@@ -229,8 +239,8 @@ class TestReconGain:
         for _ in range(50):
             k = int(rng.integers(0, 4))
             sel = Selection(indices=tuple(rng.choice(12, size=k, replace=False).tolist()))
-            cand = int(rng.choice([c for c in range(12) if c not in sel.indices]))
-            assert recon_gain(d, sel, cand, Y, model) >= -1e-10
+            cands = [c for c in range(12) if c not in sel.indices]
+            assert (recon_gain(d, sel, cands, Y, model) >= -1e-10).all()
 
     def test_greedy_matches_somp_on_planted_instances(self):
         for seed in range(5):
@@ -239,10 +249,48 @@ class TestReconGain:
             chosen = []
             for _ in range(4):
                 cands = [k for k in range(d.K) if k not in chosen]
-                gains = [recon_gain(d, Selection(indices=tuple(chosen)), c, Y, model) for c in cands]
+                gains = recon_gain(d, Selection(indices=tuple(chosen)), cands, Y, model)
                 chosen.append(cands[int(np.argmax(gains))])
             sel, _ = somp(d, Y, 4)
             assert set(chosen) == set(sel.indices)
+
+    @RECON_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        extra=st.integers(3, 8),
+        size=st.integers(0, 11),
+    )
+    def test_round_matches_two_refit_oracle(self, seed, n, extra, size):
+        # Random unit atoms, except that atom K-2 lies in the span of the
+        # selection and atom K-1 is a selected atom perturbed by 1e-12:
+        # both add nothing, so both gain exactly 0.
+        rng = np.random.default_rng(seed)
+        K = n + extra
+        atoms = rng.standard_normal((n, K))
+        sel = rng.permutation(K - 2)[: min(size, K - 3)].tolist()
+        if sel:
+            atoms[:, K - 2] = atoms[:, sel] @ rng.standard_normal(len(sel))
+            atoms[:, K - 1] = atoms[:, sel[0]] / np.linalg.norm(atoms[:, sel[0]])
+            atoms[:, K - 1] += 1e-12 * rng.standard_normal(n)
+        atoms /= np.linalg.norm(atoms, axis=0)
+        d = Dictionary(atoms=atoms)
+        Y = rng.standard_normal((n, int(rng.integers(1, 6))))
+        model = ResidualModel(sigma_r=float(rng.uniform(0.1, 2.0)))
+        selected = Selection(indices=tuple(sel))
+        cands = [k for k in range(K) if k not in sel]
+        got = recon_gain(d, selected, cands, Y, model)
+        want = [loop_recon_gain(d, selected, k, Y, model) for k in cands]
+        scale = float(np.sum(Y * Y)) / (2.0 * model.sigma_r**2)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
+        if sel:
+            assert got[-2] == 0.0 and got[-1] == 0.0
+
+    def test_selected_candidate_rejected(self):
+        d = random_unit_dictionary(15, 6, 8)
+        Y = np.random.default_rng(15).standard_normal((6, 3))
+        with pytest.raises(ValueError, match="already selected"):
+            recon_gain(d, Selection(indices=(0, 3)), [1, 3, 5], Y, ResidualModel(sigma_r=1.0))
 
 
 class TestQmi:

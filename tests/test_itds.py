@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import gp_compact_gain, planted_support_instance, random_unit_dictionary
+from helpers import (
+    gp_compact_gain,
+    loop_recon_gain,
+    planted_support_instance,
+    random_unit_dictionary,
+)
 from itdl.dataset import synth_gaussian_classes
 from itdl.info_measures import (
     GpModel,
@@ -9,7 +14,6 @@ from itdl.info_measures import (
     ResidualModel,
     build_gp_model,
     mi_codes_labels,
-    recon_gain,
 )
 from itdl.itds import (
     SelectionMode,
@@ -52,7 +56,7 @@ class TestWeights:
             mi_codes_labels(codes.coeffs[i : i + 1], ds.labels, cfg) for i in range(d.K)
         )
         recon = max(
-            recon_gain(d, Selection(), i, ds.signals, res_model) for i in range(d.K)
+            loop_recon_gain(d, Selection(), i, ds.signals, res_model) for i in range(d.K)
         )
         assert w.lambda2 == pytest.approx(discrim / compact, rel=1e-12)
         assert w.lambda3 == pytest.approx(recon / compact, rel=1e-12)
@@ -145,7 +149,7 @@ class TestSelectShared:
                     continue
                 gc = gp_compact_gain(gp, sel, cand)
                 gd = mi_codes_labels(codes.coeffs[chosen + [cand], :], ds.labels, cfg) - mi_base
-                gr = recon_gain(d, sel, cand, ds.signals, res_model)
+                gr = loop_recon_gain(d, sel, cand, ds.signals, res_model)
                 total = gc + w.lambda2 * gd + w.lambda3 * gr
                 assert record.gain_total >= total - 1e-9
             chosen.append(record.index)
@@ -196,6 +200,20 @@ class TestSelectShared:
         res = select_shared(d, Y, labels, 4, mode, SelectionWeights())
         picked = set(res.selection.indices)
         assert not {0, 5} <= picked
+
+    def test_all_remaining_duplicates_raise(self):
+        # atoms 2 and 3 duplicate atoms 0 and 1: after two picks nothing is left
+        rng = np.random.default_rng(31)
+        base = rng.standard_normal((4, 2))
+        base /= np.linalg.norm(base, axis=0)
+        d = Dictionary(atoms=np.hstack([base, base]))
+        Y = rng.standard_normal((4, 6))
+        labels = np.array([0] * 3 + [1] * 3)
+        w = SelectionWeights(lambda2=1.0, lambda3=1.0)
+        first_two = select_shared(d, Y, labels, 2, SelectionMode(), w)
+        assert {i % 2 for i in first_two.selection.indices} == {0, 1}
+        with pytest.raises(RuntimeError, match="excluded as duplicates"):
+            select_shared(d, Y, labels, 3, SelectionMode(), w)
 
 
 class TestSelectDedicated:
