@@ -25,11 +25,9 @@ from .sparse_coding import (
     load_dictionary,
     load_matrix,
     load_selection,
-    omp,
     omp_codes,
     pinv,
     rmse,
-    save_dictionary,
     save_matrix,
     save_selection,
     somp,
@@ -73,7 +71,6 @@ from .itdu import (
 from .classify import (
     EvalReport,
     LinearModel,
-    build_features,
     evaluate,
     predict,
     reconstruct_masked,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .info_measures import KdeConfig, bayes_bound, class_entropy, mi_codes_labels
-from .sparse_coding import SparseCodes, pinv, rmse
+from .sparse_coding import pinv, rmse
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,6 @@ class EvalReport:
     mi_estimate: float
     bayes_bound: float
     per_class_accuracy: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "rmse": self.rmse,
-            "mi_estimate": self.mi_estimate,
-            "bayes_bound": self.bayes_bound,
-            "per_class_accuracy": list(self.per_class_accuracy),
-        }
 
 
 def train_linear(
@@ -136,36 +127,18 @@ def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def build_features(mode: str, codes) -> np.ndarray:
-    """Classifier features from codes.
-
-    shared: the code columns themselves, one row per sample. dedicated:
-    per-sample concatenation of the codes under every class's dictionary,
-    in class order 0..p-1.
-    """
-    if mode == "shared":
-        coeffs = codes.coeffs if isinstance(codes, SparseCodes) else np.asarray(codes)
-        return np.ascontiguousarray(coeffs.T, dtype=np.float64)
-    if mode == "dedicated":
-        blocks = []
-        for entry in codes:
-            if entry is None:
-                raise ValueError("dedicated features need codes for every class")
-            coeffs = entry.coeffs if isinstance(entry, SparseCodes) else np.asarray(entry)
-            blocks.append(coeffs)
-        return np.ascontiguousarray(np.vstack(blocks).T, dtype=np.float64)
-    raise ValueError("mode must be 'shared' or 'dedicated'")
-
-
 def code_test_signals(atoms_by_class: list, signals: np.ndarray, shared: bool):
-    """Least-squares codes of the signals under each learned atom set."""
+    """Least-squares codes of the signals under each learned atom set.
+
+    Returns the classifier features, one row per signal, and the
+    (class_id, codes, atoms) of every set. The features are the codes of
+    the first set (shared) or the codes of every set stacked in class
+    order (dedicated).
+    """
     Y = np.asarray(signals, dtype=np.float64)
     per_class = [(class_id, pinv(atoms) @ Y, atoms) for class_id, atoms in atoms_by_class]
-    if shared:
-        _, coeffs, atoms = per_class[0]
-        features = build_features("shared", coeffs)
-    else:
-        features = build_features("dedicated", [c for _, c, _ in per_class])
+    coded = per_class[:1] if shared else per_class
+    features = np.ascontiguousarray(np.vstack([coeffs for _, coeffs, _ in coded]).T)
     return features, per_class
 
 

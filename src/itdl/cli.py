@@ -19,32 +19,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classify, dataset, itds, itdu, sparse_coding
 from .info_measures import KdeConfig, ResidualModel, build_gp_model, save_mi_trace
-
-CONFIG_KEYS = (
-    "mode",
-    "atoms",
-    "sparsity",
-    "ksvd_iters",
-    "sigma",
-    "sigma_r",
-    "rho",
-    "step",
-    "iters",
-    "tol",
-    "seed",
-    "ablation",
-    "lambda2",
-    "lambda3",
-    "normalize_signals",
-)
-
 
 class ConfigError(ValueError):
     """Invalid configuration: maps to exit code 2."""
@@ -96,6 +77,9 @@ class RunConfig:
         return self
 
 
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "mode":
@@ -122,13 +106,12 @@ def _parse_value(key: str, raw: str):
             return frozenset(itds.TERMS)
         terms = frozenset(tok.strip() for tok in raw.split(",") if tok.strip())
         return terms
-    if key == "normalize_signals":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"normalize_signals must be 0 or 1, got {raw!r}")
-    raise ConfigError(f"unknown config key {key!r}")
+    # normalize_signals
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"normalize_signals must be 0 or 1, got {raw!r}")
 
 
 def load_config(path) -> RunConfig:
@@ -176,10 +159,7 @@ def _load_dataset(path, normalize: bool) -> dataset.Dataset:
     if not normalize:
         return ds
     norms = np.linalg.norm(ds.signals, axis=0)
-    signals = ds.signals / np.where(norms > 0, norms, 1.0)
-    return dataset.Dataset(
-        signals=signals, labels=ds.labels, p=ds.p, class_counts=ds.class_counts
-    )
+    return replace(ds, signals=ds.signals / np.where(norms > 0, norms, 1.0))
 
 
 def _class_paths(cfg: RunConfig, out: Path, p: int, name: str) -> list[tuple[int | None, Path]]:
@@ -234,6 +214,10 @@ def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         if not path.exists():
             raise FileNotFoundError(f"missing selection artifact: {path}")
         sel = sparse_coding.load_selection(path)
+        if len(sel) != cfg.sparsity or max(sel.indices) >= d0.K:
+            raise ValueError(
+                f"{path}: expected {cfg.sparsity} atom indices below {d0.K}, got {list(sel.indices)}"
+            )
         selected.append((class_id, d0.atoms[:, list(sel.indices)]))
     results = itdu.update_all_classes(
         selected,
@@ -242,7 +226,7 @@ def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         step=cfg.step,
         max_iters=cfg.iters,
         tol=cfg.tol,
-        kde_cfg=None if cfg.sigma is None else KdeConfig(cfg.sigma),
+        sigma=cfg.sigma,
     )
     for (_, path), (_, trace), res in zip(
         _class_paths(cfg, out, train.p, "dict_updated.itdl"),
@@ -274,7 +258,7 @@ def stage_evaluate(
     report = classify.evaluate(
         model, atoms_by_class, test, shared=shared, kde_cfg=KdeConfig(cfg.sigma)
     )
-    _write_json(out / "eval_report.json", report.to_dict())
+    _write_json(out / "eval_report.json", asdict(report))
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -369,10 +353,13 @@ def _run_stages(args: argparse.Namespace, stages: list[str]) -> int:
             elif stage == "update":
                 stage_update(cfg, train, out)
             elif stage == "evaluate":
-                if test.p != train.p:  # each file maps its own labels to 0..p-1
-                    raise ValueError(
-                        f"test file {args.test} has {test.p} classes, the training file {train.p}"
-                    )
+                # each file maps its own labels to 0..p-1, so both need the same labels
+                only = sorted(set(train.label_values) ^ set(test.label_values))
+                if only:
+                    has, lacks = (args.train, args.test)
+                    if only[0] in test.label_values:
+                        has, lacks = lacks, has
+                    raise ValueError(f"label {only[0]} is in {has} but not in {lacks}")
                 stage_evaluate(cfg, train, test, out)
         except Exception as exc:
             print(f"error: stage {stage} failed: {exc}", file=sys.stderr)
@@ -385,21 +372,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        if args.command == "run-all":
-            return _run_stages(args, ["select", "update", "evaluate"])
-        if args.command == "select":
-            return _run_stages(args, ["select"])
-        if args.command == "update":
-            return _run_stages(args, ["update"])
-        if args.command == "evaluate":
-            return _run_stages(args, ["evaluate"])
+        run_all = args.command == "run-all"
+        return _run_stages(args, ["select", "update", "evaluate"] if run_all else [args.command])
     except ConfigError as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

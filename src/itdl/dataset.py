@@ -1,14 +1,15 @@
 """Datasets of labeled signal vectors: CSV I/O, synthesis, splits, masking.
 
 A dataset holds signals as the columns of an (n, N) matrix together with
-integer class labels remapped to a contiguous 0..p-1 range. All operations
-are pure given their inputs and seed; returned datasets are frozen.
+integer class labels remapped to a contiguous 0..p-1 range, and the raw
+label value of each class. All operations are pure given their inputs
+and seed; returned datasets are frozen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,12 +25,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Signals (n features x N samples) with labels in {0..p-1}."""
+    """Signals (n features x N samples) with labels in {0..p-1}; class c
+    has the raw label label_values[c] (c itself by default)."""
 
     signals: np.ndarray
     labels: np.ndarray
     p: int
     class_counts: np.ndarray
+    label_values: tuple | None = None
 
     def __post_init__(self):
         signals = _freeze(np.ascontiguousarray(self.signals, dtype=np.float64))
@@ -49,6 +52,10 @@ class Dataset:
             raise ValueError("every class needs at least one sample")
         if int(self.class_counts.sum()) != signals.shape[1]:
             raise ValueError("class counts must sum to the sample count")
+        values = tuple(range(self.p) if self.label_values is None else self.label_values)
+        object.__setattr__(self, "label_values", values)
+        if len(values) != self.p:
+            raise ValueError("need one raw label value per class")
 
     @property
     def n(self) -> int:
@@ -59,18 +66,19 @@ class Dataset:
         return self.signals.shape[1]
 
 
-def _make_dataset(signals: np.ndarray, labels: np.ndarray) -> Dataset:
+def _make_dataset(signals: np.ndarray, labels: np.ndarray, label_values=None) -> Dataset:
     labels = np.asarray(labels, dtype=np.int64)
     p = int(labels.max()) + 1 if labels.size else 0
     counts = np.bincount(labels, minlength=p)
-    return Dataset(signals=signals, labels=labels, p=p, class_counts=counts)
+    return Dataset(signals, labels, p, counts, label_values)
 
 
 def load_csv(path) -> Dataset:
     """Read rows of ``label, feature_1, ..., feature_n``.
 
     Raw labels may be arbitrary integers; they are remapped to 0..p-1 in
-    increasing order of value, so row order does not change the mapping.
+    increasing order of value, so row order does not change the mapping,
+    and the sorted values are kept as label_values.
     Raises LoadError naming the offending 1-based row for ragged,
     non-numeric, non-finite (nan/inf), all-zero-signal or empty input.
     """
@@ -104,9 +112,9 @@ def load_csv(path) -> Dataset:
             rows.append(feats)
     if not rows:
         raise LoadError("empty file: no data rows")
-    _, labels = np.unique(np.array(raw_labels, dtype=np.int64), return_inverse=True)
+    values, labels = np.unique(np.array(raw_labels, dtype=np.int64), return_inverse=True)
     signals = np.array(rows, dtype=np.float64).T
-    return _make_dataset(signals, labels)
+    return _make_dataset(signals, labels, tuple(values.tolist()))
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -162,8 +170,8 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     tr = np.concatenate(train_idx)
     te = np.concatenate(test_idx)
     return (
-        _make_dataset(ds.signals[:, tr], ds.labels[tr]),
-        _make_dataset(ds.signals[:, te], ds.labels[te]),
+        _make_dataset(ds.signals[:, tr], ds.labels[tr], ds.label_values),
+        _make_dataset(ds.signals[:, te], ds.labels[te], ds.label_values),
     )
 
 
@@ -185,10 +193,7 @@ def mask_pixels(ds: Dataset, missing_fraction: float, seed: int) -> tuple[Datase
         drop = rng.choice(ds.n, size=k, replace=False)
         mask[drop, i] = False
         signals[drop, i] = 0.0
-    return (
-        Dataset(signals=signals, labels=ds.labels, p=ds.p, class_counts=ds.class_counts),
-        _freeze(mask),
-    )
+    return replace(ds, signals=signals), _freeze(mask)
 
 
 def save_mask(mask: np.ndarray, path) -> None:

@@ -20,6 +20,7 @@ Entropies and MI are in nats throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +82,14 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KdeConfig:
-    """Kernel bandwidth: a fixed sigma > 0, or None to derive it from the
+    """Kernel bandwidth: a fixed finite sigma > 0, or None to derive it from the
     scored codes by bandwidth_rule."""
 
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError(f"bandwidth sigma must be positive or None, got {self.sigma!r}")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"bandwidth sigma must be finite and positive, got {self.sigma!r}")
 
     def resolve(self, codes: np.ndarray) -> float:
         if self.sigma is None:
@@ -179,8 +180,9 @@ class GpModel:
         return max(1e-12, 10.0 * self.jitter)
 
 
-def build_gp_model(atoms: np.ndarray, rho: float | None = None, jitter: float = 1e-8) -> GpModel:
-    """Squared-exponential covariance over atoms, length scale rho.
+def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
+    """Squared-exponential covariance over atoms, length scale rho, plus
+    GpModel's default jitter on the diagonal.
 
     rho defaults to the median pairwise atom distance, which keeps the
     covariance scale-free across dictionaries.
@@ -197,9 +199,9 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None, jitter: float = 
     elif rho <= 0:
         raise ValueError("rho must be positive")
     cov = np.exp(d2 / (-2.0 * rho * rho))
-    cov[np.diag_indices(K)] += jitter
+    cov[np.diag_indices(K)] += GpModel.jitter
     cov = 0.5 * (cov + cov.T)
-    return GpModel(cov=cov, jitter=jitter)
+    return GpModel(cov=cov)
 
 
 def gp_compact_gains(model: GpModel, selected: Selection, candidates: list[int]) -> np.ndarray:
@@ -241,13 +243,14 @@ class ResidualModel:
     sigma_r: float
 
     def __post_init__(self):
-        if self.sigma_r <= 0:
-            raise ValueError("sigma_r must be positive")
+        if not (math.isfinite(self.sigma_r) and self.sigma_r > 0):
+            raise ValueError(f"sigma_r must be finite and positive, got {self.sigma_r!r}")
 
     @staticmethod
-    def from_signals(signals: np.ndarray, factor: float = 0.1) -> "ResidualModel":
+    def from_signals(signals: np.ndarray) -> "ResidualModel":
+        """A tenth of the mean signal norm."""
         norms = np.linalg.norm(np.asarray(signals, dtype=np.float64), axis=0)
-        return ResidualModel(sigma_r=max(factor * float(norms.mean()), 1e-12))
+        return ResidualModel(sigma_r=max(0.1 * float(norms.mean()), 1e-12))
 
 
 def recon_gain(

@@ -37,15 +37,15 @@ class UpdateState:
     grad_norms: list = field(default_factory=list)
 
 
-def backtrack_step(phi, grad, nu0, objective, current, max_halvings: int = 30):
-    """Halve the step until the objective stops decreasing.
+def backtrack_step(phi, grad, nu0, objective, current):
+    """Halve the step, at most 30 times, until the objective stops decreasing.
 
     Returns (accepted step, objective value). A zero gradient accepts the
     configured step immediately (the iterate does not move); if no
     improving step exists the accepted step is 0.
     """
     nu = float(nu0)
-    for _ in range(max_halvings + 1):
+    for _ in range(31):
         value = objective(phi + nu * grad)
         if math.isfinite(value) and value >= current:
             return nu, value
@@ -66,16 +66,16 @@ def update_dictionary(
     step: float | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
-    kde_cfg: KdeConfig | None = None,
+    sigma: float | None = None,
 ) -> tuple[np.ndarray, UpdateState]:
     """Ascend the quadratic MI of the codes; return updated atoms and state.
 
     step=None sizes the initial step from the transform/gradient norm
-    ratio at the first iteration. kde_cfg=None uses the interaction-scale
-    bandwidth of the initial codes. If no step was ever accepted the
-    input atoms are returned untouched. Raises LinAlgError if the final
-    transform has lost rank, since its pseudoinverse would then not be
-    the dictionary whose codes were ascended.
+    ratio at the first iteration. sigma=None uses the interaction-scale
+    bandwidth of the initial codes (ascent_bandwidth). If no step was ever
+    accepted the input atoms are returned untouched. Raises LinAlgError if
+    the final transform has lost rank, since its pseudoinverse would then
+    not be the dictionary whose codes were ascended.
     """
     D = np.ascontiguousarray(dict_selected, dtype=np.float64)
     Y = np.asarray(signals, dtype=np.float64)
@@ -83,16 +83,14 @@ def update_dictionary(
     P = pinv(D)
     phi = np.ascontiguousarray(P.T)
     X = P @ Y
-    sigma = ascent_bandwidth(X) if kde_cfg is None else kde_cfg.resolve(X)
-    cfg = KdeConfig(sigma)
+    cfg = KdeConfig(ascent_bandwidth(X) if sigma is None else float(sigma))
     iq = qmi(X, labels, cfg)
-    state = UpdateState(transform=phi, step=0.0 if step is None else float(step), sigma=sigma)
+    state = UpdateState(transform=phi, step=0.0 if step is None else float(step), sigma=cfg.sigma)
     state.trace.append(iq)
 
     def objective(phi_trial):
         return qmi(phi_trial.T @ Y, labels, cfg)
 
-    took_step = False
     nu0 = None if step is None else float(step)
     for k in range(1, max_iters + 1):
         state.iteration = k
@@ -117,7 +115,6 @@ def update_dictionary(
         # (backtrack_step accepts only finite values). The call stays while
         # perfbench/test_perfbench.py pins the number of qmi calls.
         new_iq = qmi(X, labels, cfg)
-        took_step = True
         state.transform = phi
         state.accepted_steps.append(nu)
         state.grad_norms.append(gnorm)
@@ -128,7 +125,7 @@ def update_dictionary(
             state.converged = True
             break
 
-    if not took_step:
+    if not state.accepted_steps:
         return np.array(dict_selected, dtype=np.float64, copy=True), state
     sv = np.linalg.svd(phi, compute_uv=False)
     rank = int(np.count_nonzero((sv >= SVD_CUTOFF * sv[0]) & (sv > 0.0)))
@@ -155,7 +152,7 @@ def update_all_classes(
     step: float | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
-    kde_cfg: KdeConfig | None = None,
+    sigma: float | None = None,
 ) -> list[ClassUpdateResult]:
     """Run the atom update once per (class_id, atoms) entry.
 
@@ -175,7 +172,7 @@ def update_all_classes(
                 step=step,
                 max_iters=max_iters,
                 tol=tol,
-                kde_cfg=kde_cfg,
+                sigma=sigma,
             )
         except Exception as exc:
             raise RuntimeError(f"atom update failed for class {class_id}: {exc}") from exc

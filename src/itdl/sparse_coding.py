@@ -101,12 +101,6 @@ def pinv(mat: np.ndarray) -> np.ndarray:
 _OMP_BLOCK = 1024
 
 
-def omp(dictionary: Dictionary, y: np.ndarray, T: int) -> np.ndarray:
-    """Orthogonal matching pursuit for one signal: ``omp_codes`` on one column."""
-    y = np.asarray(y, dtype=np.float64).reshape(dictionary.n, 1)
-    return omp_codes(dictionary, y, T).coeffs[:, 0]
-
-
 def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> SparseCodes:
     """Orthogonal matching pursuit for every column of a signal matrix.
 
@@ -319,10 +313,6 @@ def load_matrix(path) -> np.ndarray:
     return np.ascontiguousarray(data.reshape((n, K), order="F"))
 
 
-def save_dictionary(d: Dictionary, path) -> None:
-    save_matrix(d.atoms, path)
-
-
 def load_dictionary(path) -> Dictionary:
     return Dictionary(atoms=load_matrix(path))
 
@@ -337,4 +327,7 @@ def load_selection(path) -> Selection:
         text = fh.read().strip()
     if not text:
         raise ValueError(f"{path}: empty selection file")
-    return Selection(indices=tuple(int(tok) for tok in text.replace("\n", ",").split(",") if tok))
+    try:
+        return Selection(indices=tuple(int(tok) for tok in text.replace("\n", ",").split(",") if tok))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad selection ({exc})") from None

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -5,14 +8,14 @@ from helpers import loop_reconstruct_masked, random_unit_dictionary, shared_styl
 from itdl.classify import (
     EvalReport,
     LinearModel,
-    build_features,
+    code_test_signals,
     evaluate,
     predict,
     reconstruct_masked,
     train_linear,
 )
 from itdl.dataset import Dataset, mask_pixels, synth_gaussian_classes
-from itdl.sparse_coding import Selection, SparseCodes, code_ls, pinv
+from itdl.sparse_coding import Selection, code_ls, pinv
 
 
 class TestTrainLinear:
@@ -93,27 +96,32 @@ class TestPredict:
 
 
 class TestBuildFeatures:
+    """Classifier features from code_test_signals."""
+
+    @staticmethod
+    def _atom_sets(p, k):
+        # class c owns the coordinate axes c*k .. c*k+k-1, so its codes of
+        # a signal are that signal's entries on those axes
+        eye = np.eye(p * k)
+        return [(c, eye[:, c * k : (c + 1) * k]) for c in range(p)]
+
     def test_dedicated_concatenation_length(self):
-        codes = [SparseCodes(coeffs=np.full((3, 5), float(c))) for c in range(2)]
-        F = build_features("dedicated", codes)
+        F, per_class = code_test_signals(self._atom_sets(2, 3), np.ones((6, 5)), shared=False)
         assert F.shape == (5, 6)
+        assert [c for c, _, _ in per_class] == [0, 1]
 
     def test_shared_length(self):
-        F = build_features("shared", SparseCodes(coeffs=np.ones((3, 5))))
+        # shared mode codes with the first atom set only
+        atom_sets = self._atom_sets(2, 3)
+        Y = np.arange(30.0).reshape(6, 5)
+        F, _ = code_test_signals(atom_sets, Y, shared=True)
         assert F.shape == (5, 3)
+        np.testing.assert_allclose(F, Y[:3].T, atol=1e-12)
 
     def test_class_order_convention(self):
-        codes = [SparseCodes(coeffs=np.full((2, 4), float(c + 1))) for c in range(3)]
-        F = build_features("dedicated", codes)
-        np.testing.assert_array_equal(F[0], [1, 1, 2, 2, 3, 3])
-
-    def test_missing_class_rejected(self):
-        with pytest.raises(ValueError):
-            build_features("dedicated", [SparseCodes(coeffs=np.ones((2, 4))), None])
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            build_features("other", None)
+        Y = np.repeat([[1.0], [1.0], [2.0], [2.0], [3.0], [3.0]], 4, axis=1)
+        F, _ = code_test_signals(self._atom_sets(3, 2), Y, shared=False)
+        np.testing.assert_allclose(F[0], [1, 1, 2, 2, 3, 3], atol=1e-12)
 
 
 def _perfect_setup(seed=0):
@@ -135,8 +143,6 @@ def _perfect_setup(seed=0):
 class TestEvaluate:
     def test_perfectly_separated_train_equals_test(self):
         ds, atom_sets = _perfect_setup()
-        from itdl.classify import code_test_signals
-
         features, _ = code_test_signals(atom_sets, ds.signals, shared=False)
         model = train_linear(features, ds.labels, seed=0)
         report = evaluate(model, atom_sets, ds, shared=False)
@@ -153,8 +159,6 @@ class TestEvaluate:
 
     def test_sample_order_invariance(self):
         ds, atom_sets = _perfect_setup(seed=2)
-        from itdl.classify import code_test_signals
-
         features, _ = code_test_signals(atom_sets, ds.signals, shared=False)
         model = train_linear(features, ds.labels, seed=0)
         r1 = evaluate(model, atom_sets, ds, shared=False)
@@ -185,8 +189,12 @@ class TestEvaluate:
         r = EvalReport(
             accuracy=0.5, rmse=0.1, mi_estimate=0.2, bayes_bound=0.3, per_class_accuracy=(1.0, 0.0)
         )
-        d = r.to_dict()
+        d = asdict(r)
         assert list(d) == ["accuracy", "rmse", "mi_estimate", "bayes_bound", "per_class_accuracy"]
+        assert json.dumps(d) == (
+            '{"accuracy": 0.5, "rmse": 0.1, "mi_estimate": 0.2, "bayes_bound": 0.3, '
+            '"per_class_accuracy": [1.0, 0.0]}'
+        )
 
 
 class TestReconstructMasked:

@@ -270,8 +270,48 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "stage evaluate failed" in err
-        assert str(two_class) in err and "2 classes" in err
+        assert f"label 1 is in {train_csv} but not in {two_class}" in err
         assert not (tmp_path / "x" / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("edit", ["relabel", "extra"])
+    def test_test_file_label_values_must_match_exit_1(self, tmp_path, capsys, edit):
+        # each file maps its labels to 0..p-1, so a 0,1,7 test file would
+        # otherwise be scored against the 0,1,2 classes of the training file
+        train_csv, test_csv = write_data(tmp_path)
+        rows = test_csv.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        if edit == "relabel":
+            bad.write_text("".join("7," + r[2:] if r.startswith("2,") else r for r in rows))
+            expected = f"label 2 is in {train_csv} but not in {bad}"
+        else:
+            bad.write_text("".join(rows) + "9," + rows[0].split(",", 1)[1])
+            expected = f"label 9 is in {bad} but not in {train_csv}"
+        cfg = write_config(tmp_path)
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(bad), "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage evaluate failed" in err and expected in err
+        assert not (tmp_path / "x" / "eval_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["1,3,5", "1", "1,a", "1,300", "1,10"],
+        ids=["too-many", "too-few", "non-integer", "out-of-range", "index-K"],
+    )
+    def test_bad_selection_artifact_exit_1_names_file(self, tmp_path, capsys, text):
+        train_csv, _ = write_data(tmp_path)
+        cfg = write_config(tmp_path, mode="dedicated")  # atoms=10, sparsity=2
+        out = tmp_path / "o"
+        assert main(["select", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)]) == 0
+        sel = out / "selection_c0.csv"
+        sel.write_text(text + "\n")
+        rc = main(["update", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage update failed" in err and str(sel) in err
+        assert not (out / "dict_updated_c0.itdl").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         train_csv, test_csv = write_data(tmp_path)

@@ -47,6 +47,7 @@ class TestLoadCsv:
         ds = load_csv(f)
         np.testing.assert_array_equal(ds.labels, [2, 0, 2, 1])
         assert ds.p == 3
+        assert ds.label_values == (-2, 5, 7)
         # the mapping does not depend on row order
         f.write_text("5,1,1\n7,2,2\n-2,0,1\n7,1,0\n")
         np.testing.assert_array_equal(load_csv(f).labels, [1, 2, 0, 2])
@@ -170,6 +171,18 @@ class TestSplit:
         for frac in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 split(ds, frac, 0)
+
+    def test_label_values_kept_by_split_and_mask(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("".join(f"{label},{i + 1},1\n" for i, label in enumerate([4, 9] * 3)))
+        ds = load_csv(f)
+        train, test = split(ds, 0.5, 0)
+        assert ds.label_values == train.label_values == test.label_values == (4, 9)
+        assert mask_pixels(ds, 0.5, 0)[0].label_values == (4, 9)
+
+    def test_label_values_need_one_per_class(self):
+        with pytest.raises(ValueError, match="raw label"):
+            Dataset(np.eye(2), np.array([0, 1]), 2, np.array([1, 1]), label_values=(3,))
 
     def test_tiny_class_rejected(self):
         ds = Dataset(

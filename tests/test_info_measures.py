@@ -216,6 +216,11 @@ class TestGpCompactness:
 
 
 class TestReconGain:
+    @pytest.mark.parametrize("sigma_r", [0.0, -1.0, float("nan"), float("inf")])
+    def test_residual_scale_must_be_finite_and_positive(self, sigma_r):
+        with pytest.raises(ValueError, match="sigma_r must be finite and positive"):
+            ResidualModel(sigma_r)
+
     def test_in_span_signals_zero_gain(self):
         d = random_unit_dictionary(12, 6, 8)
         sel = Selection(indices=(0, 1))
@@ -453,7 +458,7 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             KdeConfig(sigma=0.0)
 
-    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), float("-inf")])
     def test_negative_or_nan_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             KdeConfig(sigma=sigma)

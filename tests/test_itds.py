@@ -107,7 +107,7 @@ class TestSelectShared:
         assert res.selection.indices == (0, 1, 2)
 
     def test_full_objective_beats_compact_only_on_median(self):
-        from itdl.classify import build_features, predict, train_linear
+        from itdl.classify import predict, train_linear
         from itdl.sparse_coding import code_ls
 
         diffs = []
@@ -122,7 +122,7 @@ class TestSelectShared:
                 ("compact", SelectionMode(ablation=frozenset({"compact"})), SelectionWeights()),
             ):
                 res = select_shared(d, ds.signals, ds.labels, 3, mode, wts, initial_codes=codes)
-                feats = build_features("shared", code_ls(d, res.selection, ds.signals))
+                feats = np.ascontiguousarray(code_ls(d, res.selection, ds.signals).coeffs.T)
                 model = train_linear(feats, ds.labels, seed=seed)
                 accs[tag] = float((predict(model, feats) == ds.labels).mean())
             diffs.append(accs["full"] - accs["compact"])

@@ -10,30 +10,31 @@ from itdl.sparse_coding import (
     ksvd_init,
     load_dictionary,
     load_selection,
-    omp,
     omp_codes,
     pinv,
-    save_dictionary,
+    save_matrix,
     save_selection,
     somp,
 )
 
 
 class TestOmp:
+    """omp_codes on one signal column."""
+
     def test_identity_dictionary(self):
         d = Dictionary(atoms=np.eye(3))
-        x = omp(d, np.array([0.0, 2.0, 0.0]), 1)
+        x = omp_codes(d, np.array([[0.0], [2.0], [0.0]]), 1).coeffs[:, 0]
         np.testing.assert_allclose(x, [0.0, 2.0, 0.0], atol=1e-12)
 
     def test_exact_atom(self):
         d = random_unit_dictionary(3, 6, 4)
-        x = omp(d, d.atoms[:, 2], 1)
+        x = omp_codes(d, d.atoms[:, 2:3], 1).coeffs[:, 0]
         assert x[2] == pytest.approx(1.0, abs=1e-10)
         assert np.count_nonzero(x) == 1
 
     def test_zero_signal(self):
         d = random_unit_dictionary(3, 5, 4)
-        np.testing.assert_array_equal(omp(d, np.zeros(5), 2), np.zeros(4))
+        np.testing.assert_array_equal(omp_codes(d, np.zeros((5, 1)), 2).coeffs[:, 0], np.zeros(4))
 
     def test_against_naive_oracle(self):
         # rebuild the greedy from scratch each step: argmax |d^T r|,
@@ -49,7 +50,7 @@ class TestOmp:
             support.append(int(np.argmax(scores)))
             coef, *_ = np.linalg.lstsq(d.atoms[:, support], y, rcond=None)
             r = y - d.atoms[:, support] @ coef
-        x = omp(d, y, 2)
+        x = omp_codes(d, y[:, None], 2).coeffs[:, 0]
         assert set(np.flatnonzero(x)) == set(support)
         np.testing.assert_allclose(x[support], coef, atol=1e-9)
 
@@ -57,7 +58,7 @@ class TestOmp:
         rng = np.random.default_rng(6)
         d = random_unit_dictionary(7, 10, 20)
         y = rng.standard_normal(10)
-        x = omp(d, y, 4)
+        x = omp_codes(d, y[:, None], 4).coeffs[:, 0]
         sel = np.flatnonzero(x)
         resid = y - d.atoms @ x
         assert np.max(np.abs(d.atoms[:, sel].T @ resid)) < 1e-8
@@ -68,7 +69,7 @@ class TestOmp:
         y = rng.standard_normal(10)
         norms = []
         for T in range(1, 8):
-            x = omp(d, y, T)
+            x = omp_codes(d, y[:, None], T).coeffs[:, 0]
             norms.append(np.linalg.norm(y - d.atoms @ x))
         assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
 
@@ -76,7 +77,7 @@ class TestOmp:
         d = random_unit_dictionary(3, 5, 4)
         for T in (0, 6):
             with pytest.raises(ValueError):
-                omp(d, np.ones(5), T)
+                omp_codes(d, np.ones((5, 1)), T)
 
     def test_exact_tie_goes_to_lowest_index(self):
         rng = np.random.default_rng(12)
@@ -87,7 +88,7 @@ class TestOmp:
         b /= np.linalg.norm(b)
         # atoms 1 and 2 are identical: their scores tie exactly
         d = Dictionary(atoms=np.column_stack([b, a, a]))
-        x = omp(d, a * 3.0, 1)
+        x = omp_codes(d, 3.0 * a[:, None], 1).coeffs[:, 0]
         assert np.flatnonzero(x).tolist() == [1]
 
 
@@ -195,7 +196,7 @@ class TestSomp:
         d = random_unit_dictionary(9, 8, 16)
         y = rng.standard_normal(8)
         sel, codes = somp(d, y[:, None], 3)
-        assert set(sel.indices) == set(np.flatnonzero(omp(d, y, 3)))
+        assert set(sel.indices) == set(np.flatnonzero(omp_codes(d, y[:, None], 3).coeffs[:, 0]))
 
     def test_identical_signals_equal_atom(self):
         d = random_unit_dictionary(10, 6, 9)
@@ -364,14 +365,14 @@ class TestPersistence:
     def test_dictionary_round_trip(self, tmp_path):
         d = random_unit_dictionary(11, 7, 5)
         f = tmp_path / "d.itdl"
-        save_dictionary(d, f)
+        save_matrix(d.atoms, f)
         d2 = load_dictionary(f)
         np.testing.assert_array_equal(d.atoms, d2.atoms)
 
     def test_binary_layout(self, tmp_path):
         d = random_unit_dictionary(12, 3, 2)
         f = tmp_path / "d.itdl"
-        save_dictionary(d, f)
+        save_matrix(d.atoms, f)
         blob = f.read_bytes()
         assert blob[:4] == b"ITDL"
         assert blob[4] == 1
