@@ -19,7 +19,6 @@ from .dataset import (
 from .sparse_coding import (
     Dictionary,
     Selection,
-    SparseCodes,
     code_ls,
     ksvd_init,
     load_dictionary,
@@ -34,7 +33,6 @@ from .sparse_coding import (
 )
 from .info_measures import (
     GpModel,
-    KdeConfig,
     ResidualModel,
     ascent_bandwidth,
     bandwidth_rule,
@@ -50,7 +48,6 @@ from .info_measures import (
     recon_gain,
 )
 from .itds import (
-    SelectionMode,
     SelectionResult,
     SelectionWeights,
     WeightsError,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .info_measures import KdeConfig, bayes_bound, class_entropy, mi_codes_labels
+from .info_measures import bayes_bound, class_entropy, mi_codes_labels
 from .sparse_coding import pinv, rmse
 
 
@@ -148,13 +148,14 @@ def evaluate(
     test: Dataset,
     *,
     shared: bool,
-    kde_cfg: KdeConfig = KdeConfig(),
+    sigma: float | None = None,
 ) -> EvalReport:
     """Accuracy, reconstruction RMSE, MI estimate and Bayes bound on a test set.
 
     Reconstruction uses the shared atoms for every signal, or each
     signal's true-class atoms in dedicated mode (mirroring how training
-    reconstructions are defined per class).
+    reconstructions are defined per class). sigma is the bandwidth of the
+    MI estimate, None for bandwidth_rule.
     """
     features, per_class = code_test_signals(atoms_by_class, test.signals, shared)
     pred = predict(model, features)
@@ -176,7 +177,7 @@ def evaluate(
             recon[:, members] = atoms @ coeffs[:, members]
     err = rmse(test.signals, recon)
 
-    mi = mi_codes_labels(features.T, test.labels, kde_cfg)
+    mi = mi_codes_labels(features.T, test.labels, sigma)
     bound = bayes_bound(class_entropy(test.labels), mi)
     return EvalReport(
         accuracy=accuracy,

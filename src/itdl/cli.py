@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, dataset, itds, itdu, sparse_coding
-from .info_measures import KdeConfig, ResidualModel, build_gp_model, save_mi_trace
+from .info_measures import ResidualModel, build_gp_model, save_mi_trace
 
 class ConfigError(ValueError):
     """Invalid configuration: maps to exit code 2."""
@@ -190,12 +190,12 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         train.signals,
         train.labels,
         cfg.sparsity,
-        itds.SelectionMode(ablation=cfg.ablation),
+        cfg.ablation,
         weights,
         initial_codes=codes0,
         gp_model=gp,
         residual_model=None if cfg.sigma_r is None else ResidualModel(cfg.sigma_r),
-        kde_cfg=KdeConfig(cfg.sigma),
+        sigma=cfg.sigma,
     )
     if cfg.mode == "shared":
         results = [results]
@@ -255,9 +255,7 @@ def stage_evaluate(
     _atomic(out / "model_weights.itdl", lambda tmp: sparse_coding.save_matrix(weights, tmp))
     bias = ",".join(repr(float(v)) for v in model.bias) + "\n"
     _atomic(out / "model_bias.csv", lambda tmp: tmp.write_text(bias, encoding="ascii"))
-    report = classify.evaluate(
-        model, atoms_by_class, test, shared=shared, kde_cfg=KdeConfig(cfg.sigma)
-    )
+    report = classify.evaluate(model, atoms_by_class, test, shared=shared, sigma=cfg.sigma)
     _write_json(out / "eval_report.json", asdict(report))
 
 

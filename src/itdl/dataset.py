@@ -9,7 +9,7 @@ and seed; returned datasets are frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,36 +26,39 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Dataset:
     """Signals (n features x N samples) with labels in {0..p-1}; class c
-    has the raw label label_values[c] (c itself by default)."""
+    has the raw label label_values[c] (c itself by default).
+
+    p is the number of label values when they are given, else the largest
+    label plus one; class_counts is the per-class sample count.
+    """
 
     signals: np.ndarray
     labels: np.ndarray
-    p: int
-    class_counts: np.ndarray
     label_values: tuple | None = None
+    p: int = field(init=False)
+    class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         signals = _freeze(np.ascontiguousarray(self.signals, dtype=np.float64))
         labels = _freeze(np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(
-            self, "class_counts", _freeze(np.asarray(self.class_counts, dtype=np.int64))
-        )
         if signals.ndim != 2:
             raise ValueError("signals must be a 2-d matrix")
         if labels.shape != (signals.shape[1],):
             raise ValueError("labels length must match the number of signal columns")
-        if self.p < 1 or labels.min(initial=0) < 0 or (labels >= self.p).any():
+        top = int(labels.max(initial=-1)) + 1
+        values = tuple(range(top) if self.label_values is None else self.label_values)
+        if top < 1 or labels.min() < 0:
             raise ValueError("labels must lie in {0..p-1}")
-        if self.class_counts.shape != (self.p,) or (self.class_counts < 1).any():
-            raise ValueError("every class needs at least one sample")
-        if int(self.class_counts.sum()) != signals.shape[1]:
-            raise ValueError("class counts must sum to the sample count")
-        values = tuple(range(self.p) if self.label_values is None else self.label_values)
-        object.__setattr__(self, "label_values", values)
-        if len(values) != self.p:
+        if top > len(values):
             raise ValueError("need one raw label value per class")
+        counts = _freeze(np.bincount(labels, minlength=len(values)))
+        if (counts < 1).any():
+            raise ValueError("every class needs at least one sample")
+        object.__setattr__(self, "label_values", values)
+        object.__setattr__(self, "p", len(values))
+        object.__setattr__(self, "class_counts", counts)
 
     @property
     def n(self) -> int:
@@ -64,13 +67,6 @@ class Dataset:
     @property
     def size(self) -> int:
         return self.signals.shape[1]
-
-
-def _make_dataset(signals: np.ndarray, labels: np.ndarray, label_values=None) -> Dataset:
-    labels = np.asarray(labels, dtype=np.int64)
-    p = int(labels.max()) + 1 if labels.size else 0
-    counts = np.bincount(labels, minlength=p)
-    return Dataset(signals, labels, p, counts, label_values)
 
 
 def load_csv(path) -> Dataset:
@@ -114,15 +110,15 @@ def load_csv(path) -> Dataset:
         raise LoadError("empty file: no data rows")
     values, labels = np.unique(np.array(raw_labels, dtype=np.int64), return_inverse=True)
     signals = np.array(rows, dtype=np.float64).T
-    return _make_dataset(signals, labels, tuple(values.tolist()))
+    return Dataset(signals, labels, tuple(values.tolist()))
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write the dataset in load_csv's row format with round-trip floats."""
+    """Write the dataset in load_csv's row format, raw labels and round-trip floats."""
     with open(path, "w", encoding="ascii") as fh:
         for i in range(ds.size):
             feats = ",".join(repr(float(v)) for v in ds.signals[:, i])
-            fh.write(f"{int(ds.labels[i])},{feats}\n")
+            fh.write(f"{int(ds.label_values[ds.labels[i]])},{feats}\n")
 
 
 def synth_gaussian_classes(n: int, p: int, per_class: int, spread: float, seed: int) -> Dataset:
@@ -144,7 +140,7 @@ def synth_gaussian_classes(n: int, p: int, per_class: int, spread: float, seed: 
         block = means[c][:, None] + spread * rng.standard_normal((n, per_class))
         signals[:, c * per_class : (c + 1) * per_class] = block
         labels[c * per_class : (c + 1) * per_class] = c
-    return _make_dataset(signals, labels)
+    return Dataset(signals, labels)
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -170,8 +166,8 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     tr = np.concatenate(train_idx)
     te = np.concatenate(test_idx)
     return (
-        _make_dataset(ds.signals[:, tr], ds.labels[tr], ds.label_values),
-        _make_dataset(ds.signals[:, te], ds.labels[te], ds.label_values),
+        Dataset(ds.signals[:, tr], ds.labels[tr], ds.label_values),
+        Dataset(ds.signals[:, te], ds.labels[te], ds.label_values),
     )
 
 
@@ -179,11 +175,15 @@ def mask_pixels(ds: Dataset, missing_fraction: float, seed: int) -> tuple[Datase
     """Zero a uniformly random feature subset of each column.
 
     The mask is True where entries are kept; every column has exactly
-    round(missing_fraction * n) False entries.
+    round(missing_fraction * n) False entries, fewer than n.
     """
     if not 0.0 <= missing_fraction < 1.0:
         raise ValueError("missing_fraction must lie in [0, 1)")
     k = int(np.floor(missing_fraction * ds.n + 0.5))
+    if k >= ds.n:
+        raise ValueError(
+            f"missing_fraction {missing_fraction} drops {k} of n={ds.n} entries per signal"
+        )
     mask = np.ones_like(ds.signals, dtype=bool)
     if k == 0:
         return ds, _freeze(mask)

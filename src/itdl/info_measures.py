@@ -15,6 +15,11 @@ The quadratic mutual information (KL divergence replaced by the quadratic
 divergence) has an exact finite-sum form and an analytic gradient, both
 evaluated by the hot kernels in :mod:`itdl._kernels`.
 
+Every KDE measure takes its kernel bandwidth as a plain ``sigma``, which
+must be finite and positive. ``mi_codes_labels`` also takes None, which
+derives it from the scored codes by ``bandwidth_rule``; the quadratic MI
+and its gradients need a given sigma (the ascent uses ``ascent_bandwidth``).
+
 Entropies and MI are in nats throughout.
 """
 
@@ -80,21 +85,13 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
     return max(8.0 * median_pairwise_distance(codes), 1e-3)
 
 
-@dataclass(frozen=True)
-class KdeConfig:
-    """Kernel bandwidth: a fixed finite sigma > 0, or None to derive it from the
-    scored codes by bandwidth_rule."""
-
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"bandwidth sigma must be finite and positive, got {self.sigma!r}")
-
-    def resolve(self, codes: np.ndarray) -> float:
-        if self.sigma is None:
-            return bandwidth_rule(codes)
-        return float(self.sigma)
+def _kde_sigma(sigma: float | None, codes: np.ndarray) -> float:
+    """A given bandwidth, checked to be finite and positive, or bandwidth_rule(codes)."""
+    if sigma is None:
+        return bandwidth_rule(codes)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"bandwidth sigma must be finite and positive, got {sigma!r}")
+    return float(sigma)
 
 
 def _codes_matrix(codes: np.ndarray) -> np.ndarray:
@@ -110,18 +107,21 @@ def _label_counts(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, counts
 
 
-def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, cfg: KdeConfig) -> float:
+def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None = None) -> float:
     """Resubstitution estimate of I(codes; labels), clamped at zero.
+
+    sigma is the kernel bandwidth; None derives it from the codes by
+    bandwidth_rule.
 
     H(X) and H(X|c) use the same KDE evaluated at the samples themselves;
     the kernel normalization cancels in the difference, so only the
     class-conditional and marginal kernel sums are needed.
     """
     codes = _codes_matrix(codes)
+    sigma = _kde_sigma(sigma, codes)
     labels, counts = _label_counts(labels)
     if (counts > 0).sum() < 2:
         return 0.0
-    sigma = cfg.resolve(codes)
     x = np.ascontiguousarray(codes.T)
     s_all, s_own = class_kernel_sums(x, labels, sigma * sigma)
     n = x.shape[0]
@@ -196,8 +196,8 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
         else:
             rho = float(np.median(np.sqrt(d2[np.triu_indices(K, k=1)])))
         rho = max(rho, 1e-6)
-    elif rho <= 0:
-        raise ValueError("rho must be positive")
+    elif not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
     cov = np.exp(d2 / (-2.0 * rho * rho))
     cov[np.diag_indices(K)] += GpModel.jitter
     cov = 0.5 * (cov + cov.T)
@@ -296,36 +296,34 @@ def recon_gain(
 # quadratic mutual information and its gradient
 # ---------------------------------------------------------------------------
 
-def qmi(codes: np.ndarray, labels: np.ndarray, cfg: KdeConfig = KdeConfig()) -> float:
-    """Closed-form quadratic MI between codes and labels.
+def qmi(codes: np.ndarray, labels: np.ndarray, sigma: float) -> float:
+    """Closed-form quadratic MI between codes and labels at kernel bandwidth sigma.
 
     Exact finite sum over sample pairs with variance-doubled kernels; a
     single-class labeling gives exactly zero.
     """
     codes = _codes_matrix(codes)
+    sigma = _kde_sigma(float(sigma), codes)
     labels, counts = _label_counts(labels)
     if (counts > 0).sum() < 2:
         return 0.0
-    sigma = cfg.resolve(codes)
     x = np.ascontiguousarray(codes.T)
     return float(qmi_value(x, labels, counts, sigma * sigma))
 
 
-def qmi_grad_codes(
-    codes: np.ndarray, labels: np.ndarray, cfg: KdeConfig = KdeConfig()
-) -> np.ndarray:
+def qmi_grad_codes(codes: np.ndarray, labels: np.ndarray, sigma: float) -> np.ndarray:
     """Gradient of qmi with respect to every code column, shape (d, N)."""
     codes = _codes_matrix(codes)
+    sigma = _kde_sigma(float(sigma), codes)
     labels, counts = _label_counts(labels)
     if (counts > 0).sum() < 2:
         return np.zeros_like(codes)
-    sigma = cfg.resolve(codes)
     x = np.ascontiguousarray(codes.T)
     return np.ascontiguousarray(qmi_grad(x, labels, counts, sigma * sigma).T)
 
 
 def qmi_grad_phi(
-    phi: np.ndarray, signals: np.ndarray, labels: np.ndarray, cfg: KdeConfig = KdeConfig()
+    phi: np.ndarray, signals: np.ndarray, labels: np.ndarray, sigma: float
 ) -> np.ndarray:
     """Gradient of qmi(phi^T Y; labels) with respect to the coding map phi.
 
@@ -335,5 +333,5 @@ def qmi_grad_phi(
     phi = np.asarray(phi, dtype=np.float64)
     Y = np.asarray(signals, dtype=np.float64)
     codes = phi.T @ Y
-    grads = qmi_grad_codes(codes, labels, cfg)
+    grads = qmi_grad_codes(codes, labels, sigma)
     return Y @ grads.T

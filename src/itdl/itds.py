@@ -17,25 +17,29 @@ discrimination labels, own signals). Shared mode is the single group
 class, with one-vs-rest labels over all samples and only that class's
 signals for reconstruction. Each group estimates its own weights unless
 the caller fixes them.
+
+Both take the active terms as ``ablation``, a nonempty subset of TERMS
+(all three by default), and the discrimination bandwidth as ``sigma``
+(None derives it from the scored codes by bandwidth_rule).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
 from .info_measures import (
     GpModel,
-    KdeConfig,
     ResidualModel,
     build_gp_model,
     gp_compact_gains,
     mi_codes_labels,
     recon_gain,
 )
-from .sparse_coding import Dictionary, Selection, SparseCodes, omp_codes
+from .sparse_coding import Dictionary, Selection, omp_codes
 
 # Unused here. The import stays because the benchmark's tracer
 # (perfbench/tracing.py) patches itds.code_ls.
@@ -63,19 +67,6 @@ class SelectionWeights:
 
 
 @dataclass(frozen=True)
-class SelectionMode:
-    """The subset of active objective terms."""
-
-    ablation: frozenset = frozenset(TERMS)
-
-    def __post_init__(self):
-        ablation = frozenset(self.ablation)
-        object.__setattr__(self, "ablation", ablation)
-        if not ablation or not ablation <= set(TERMS):
-            raise ValueError(f"ablation must be a nonempty subset of {TERMS}")
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     """Chosen atom and its raw/weighted gains for one greedy round."""
 
@@ -97,33 +88,30 @@ class SelectionResult:
 
 def estimate_lambdas(
     dictionary: Dictionary,
-    codes: SparseCodes,
+    codes: np.ndarray,
     labels: np.ndarray,
     signals: np.ndarray,
-    gp_model: GpModel | None = None,
-    residual_model: ResidualModel | None = None,
-    kde_cfg: KdeConfig = KdeConfig(),
+    gp_model: GpModel,
+    residual_model: ResidualModel,
+    sigma: float | None = None,
 ) -> SelectionWeights:
     """Data-driven weights: best single-atom gain ratios.
 
     lambda2 and lambda3 are the maxima of the single-atom discrimination
     and reconstruction gains divided by the maximal single-atom
-    compactness gain (the first greedy step of each criterion).
+    compactness gain (the first greedy step of each criterion). codes
+    are the (K, N) coefficients over the whole dictionary; sigma is the
+    KDE bandwidth, None for bandwidth_rule.
     """
-    if gp_model is None:
-        gp_model = build_gp_model(dictionary.atoms)
-    if residual_model is None:
-        residual_model = ResidualModel.from_signals(signals)
     labels = np.asarray(labels, dtype=np.int64)
     K = dictionary.K
-    if codes.coeffs.shape[0] != K:
+    if codes.shape[0] != K:
         raise ValueError("weight estimation needs codes over the full initial dictionary")
     compact = gp_compact_gains(gp_model, Selection(), list(range(K)))
     denom = float(np.max(compact))
     if not math.isfinite(denom) or denom <= 1e-12:
         raise WeightsError("degenerate atom covariance: no compactness gain to normalize by")
-    X = codes.coeffs
-    discrim = max(mi_codes_labels(X[i : i + 1, :], labels, kde_cfg) for i in range(K))
+    discrim = max(mi_codes_labels(codes[i : i + 1, :], labels, sigma) for i in range(K))
     recon = float(np.max(recon_gain(dictionary, Selection(), range(K), signals, residual_model)))
     return SelectionWeights(lambda2=discrim / denom, lambda3=recon / denom)
 
@@ -134,11 +122,11 @@ def _greedy_select(
     discrim_labels: np.ndarray,
     recon_signals: np.ndarray,
     T: int,
-    ablation: frozenset,
+    ablation: Collection[str],
     weights: SelectionWeights,
     gp_model: GpModel,
     residual_model: ResidualModel,
-    kde_cfg: KdeConfig,
+    sigma: float | None,
 ) -> tuple[Selection, tuple[RoundRecord, ...]]:
     K = dictionary.K
     chosen: list[int] = []
@@ -159,7 +147,7 @@ def _greedy_select(
         discrim = np.zeros(cands.size)
         if "discriminative" in ablation:
             mi = [
-                mi_codes_labels(init_coeffs[chosen + [k], :], discrim_labels, kde_cfg)
+                mi_codes_labels(init_coeffs[chosen + [k], :], discrim_labels, sigma)
                 for k in cands
             ]
             discrim = np.array(mi) - mi_base
@@ -185,7 +173,9 @@ def _greedy_select(
     return Selection(indices=tuple(chosen)), tuple(records)
 
 
-def _check_select_args(dictionary: Dictionary, T: int) -> None:
+def _check_select_args(dictionary: Dictionary, T: int, ablation: Collection[str]) -> None:
+    if not ablation or not set(ablation) <= set(TERMS):
+        raise ValueError(f"ablation must be a nonempty subset of {TERMS}")
     if T < 1:
         raise ValueError("sparsity T must be at least 1")
     if T >= dictionary.K:
@@ -199,12 +189,12 @@ def _select_groups(
     signals: np.ndarray,
     groups: list[tuple[int | None, np.ndarray, np.ndarray]],
     T: int,
-    mode: SelectionMode,
+    ablation: Collection[str],
     weights: SelectionWeights | None,
-    initial_codes: SparseCodes | None,
+    initial_codes: np.ndarray | None,
     gp_model: GpModel | None,
     residual_model: ResidualModel | None,
-    kde_cfg: KdeConfig,
+    sigma: float | None,
 ) -> list[SelectionResult]:
     """One greedy selection per (class_id, discrimination labels, own signals) group.
 
@@ -212,7 +202,7 @@ def _select_groups(
     defaults to each group's own signals and the weights to each group's
     estimate.
     """
-    _check_select_args(dictionary, T)
+    _check_select_args(dictionary, T, ablation)
     if initial_codes is None:
         initial_codes = omp_codes(dictionary, signals, T)
     if gp_model is None:
@@ -223,11 +213,11 @@ def _select_groups(
         w = weights
         if w is None:
             w = estimate_lambdas(
-                dictionary, initial_codes, group_labels, group_signals, gp_model, res_model, kde_cfg
+                dictionary, initial_codes, group_labels, group_signals, gp_model, res_model, sigma
             )
         selection, records = _greedy_select(
-            dictionary, initial_codes.coeffs, group_labels, group_signals, T,
-            mode.ablation, w, gp_model, res_model, kde_cfg,
+            dictionary, initial_codes, group_labels, group_signals, T,
+            ablation, w, gp_model, res_model, sigma,
         )
         results.append(SelectionResult(selection, records, w, class_id))
     return results
@@ -238,13 +228,13 @@ def select_shared(
     signals: np.ndarray,
     labels: np.ndarray,
     T: int,
-    mode: SelectionMode,
+    ablation: Collection[str] = TERMS,
     weights: SelectionWeights | None = None,
     *,
-    initial_codes: SparseCodes | None = None,
+    initial_codes: np.ndarray | None = None,
     gp_model: GpModel | None = None,
     residual_model: ResidualModel | None = None,
-    kde_cfg: KdeConfig = KdeConfig(),
+    sigma: float | None = None,
 ) -> SelectionResult:
     """One common support of T atoms for all classes, scored on every signal.
 
@@ -253,8 +243,8 @@ def select_shared(
     Y = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     (result,) = _select_groups(
-        dictionary, Y, [(None, labels, Y)], T, mode, weights,
-        initial_codes, gp_model, residual_model, kde_cfg,
+        dictionary, Y, [(None, labels, Y)], T, ablation, weights,
+        initial_codes, gp_model, residual_model, sigma,
     )
     return result
 
@@ -264,13 +254,13 @@ def select_dedicated(
     signals: np.ndarray,
     labels: np.ndarray,
     T: int,
-    mode: SelectionMode,
+    ablation: Collection[str] = TERMS,
     weights: SelectionWeights | None = None,
     *,
-    initial_codes: SparseCodes | None = None,
+    initial_codes: np.ndarray | None = None,
     gp_model: GpModel | None = None,
     residual_model: ResidualModel | None = None,
-    kde_cfg: KdeConfig = KdeConfig(),
+    sigma: float | None = None,
 ) -> list[SelectionResult]:
     """An independent support of T atoms per class.
 
@@ -287,8 +277,8 @@ def select_dedicated(
         raise ValueError(f"class {bad} has fewer than 2 samples")
     groups = [(c, (labels == c).astype(np.int64), Y[:, labels == c]) for c in range(p)]
     return _select_groups(
-        dictionary, Y, groups, T, mode, weights,
-        initial_codes, gp_model, residual_model, kde_cfg,
+        dictionary, Y, groups, T, ablation, weights,
+        initial_codes, gp_model, residual_model, sigma,
     )
 
 

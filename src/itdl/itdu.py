@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info_measures import KdeConfig, ascent_bandwidth, qmi, qmi_grad_codes
+from .info_measures import ascent_bandwidth, qmi, qmi_grad_codes
 from .sparse_coding import SVD_CUTOFF, pinv
 
 
@@ -83,18 +83,18 @@ def update_dictionary(
     P = pinv(D)
     phi = np.ascontiguousarray(P.T)
     X = P @ Y
-    cfg = KdeConfig(ascent_bandwidth(X) if sigma is None else float(sigma))
-    iq = qmi(X, labels, cfg)
-    state = UpdateState(transform=phi, step=0.0 if step is None else float(step), sigma=cfg.sigma)
+    sigma = ascent_bandwidth(X) if sigma is None else float(sigma)
+    iq = qmi(X, labels, sigma)
+    state = UpdateState(transform=phi, step=0.0 if step is None else float(step), sigma=sigma)
     state.trace.append(iq)
 
     def objective(phi_trial):
-        return qmi(phi_trial.T @ Y, labels, cfg)
+        return qmi(phi_trial.T @ Y, labels, sigma)
 
     nu0 = None if step is None else float(step)
     for k in range(1, max_iters + 1):
         state.iteration = k
-        grads = qmi_grad_codes(X, labels, cfg)
+        grads = qmi_grad_codes(X, labels, sigma)
         grad_phi = Y @ grads.T
         gnorm = float(np.linalg.norm(grad_phi))
         if not math.isfinite(iq) or not math.isfinite(gnorm):
@@ -114,7 +114,7 @@ def update_dictionary(
         # Recomputes the accepted trial's value bit for bit, so it is finite
         # (backtrack_step accepts only finite values). The call stays while
         # perfbench/test_perfbench.py pins the number of qmi calls.
-        new_iq = qmi(X, labels, cfg)
+        new_iq = qmi(X, labels, sigma)
         state.transform = phi
         state.accepted_steps.append(nu)
         state.grad_norms.append(gnorm)

@@ -43,26 +43,6 @@ class Dictionary:
 
 
 @dataclass(frozen=True)
-class SparseCodes:
-    """Coefficient matrix, one column per signal.
-
-    sparsity is the per-column nonzero budget T; 0 marks dense codes
-    (least-squares coding on an already-selected support).
-    """
-
-    coeffs: np.ndarray
-    sparsity: int = 0
-
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.float64)
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.sparsity > 0:
-            nnz = (coeffs != 0).sum(axis=0)
-            if (nnz > self.sparsity).any():
-                raise ValueError("a column exceeds the sparsity budget")
-
-
-@dataclass(frozen=True)
 class Selection:
     """Ordered, distinct atom indices in greedy-selection order."""
 
@@ -101,8 +81,9 @@ def pinv(mat: np.ndarray) -> np.ndarray:
 _OMP_BLOCK = 1024
 
 
-def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> SparseCodes:
-    """Orthogonal matching pursuit for every column of a signal matrix.
+def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray:
+    """Orthogonal matching pursuit for every column of a signal matrix: the
+    (K, N) coefficients, at most T nonzeros per column.
 
     Greedy argmax of |d^T r| with lowest-index tie-break. A signal stops
     when its best score or its residual norm falls to 1e-12 x its norm; an
@@ -130,7 +111,7 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> SparseCode
             # (G, n, t) stack of each signal's chosen atoms, in pick order
             P = pinv(atoms.T[chosen].swapaxes(1, 2))
             coeffs[chosen, start + cols[:, None]] = (P @ block.T[cols, :, None])[..., 0]
-    return SparseCodes(coeffs=coeffs, sparsity=T)
+    return coeffs
 
 
 def _omp_supports(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +155,9 @@ def _omp_supports(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray,
     return support, size
 
 
-def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection, SparseCodes]:
-    """Simultaneous OMP: one shared support of size T for all signals.
+def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection, np.ndarray]:
+    """Simultaneous OMP: one shared support of size T for all signals, and
+    the coefficients of every signal on it.
 
     Each round scores atoms by the summed absolute correlation with all
     current residuals, then refits every signal on the shared support.
@@ -201,10 +183,10 @@ def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection
         sub = atoms[:, chosen]
         coef = pinv(sub) @ Y
         resid = Y - sub @ coef
-    return Selection(indices=tuple(chosen)), SparseCodes(coeffs=coef, sparsity=0)
+    return Selection(indices=tuple(chosen)), coef
 
 
-def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -> SparseCodes:
+def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of all signals on the selected atoms."""
     if len(selection) > dictionary.n:
         warnings.warn(
@@ -213,8 +195,7 @@ def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -
             stacklevel=2,
         )
     sub = dictionary.atoms[:, list(selection.indices)]
-    coeffs = pinv(sub) @ np.asarray(signals, dtype=np.float64)
-    return SparseCodes(coeffs=coeffs, sparsity=0)
+    return pinv(sub) @ np.asarray(signals, dtype=np.float64)
 
 
 def ksvd_init(
@@ -251,7 +232,7 @@ def ksvd_init(
 
     for _ in range(iters):
         d = Dictionary(atoms=atoms / np.linalg.norm(atoms, axis=0))
-        X = omp_codes(d, Y, T).coeffs
+        X = omp_codes(d, Y, T)
         atoms = d.atoms.copy()
         for k in range(K):
             support = np.flatnonzero(X[k, :] != 0.0)

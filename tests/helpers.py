@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from itdl.dataset import Dataset
-from itdl.info_measures import KdeConfig, qmi_grad_codes
+from itdl.info_measures import qmi_grad_codes
 from itdl.sparse_coding import Dictionary, pinv
 
 
@@ -43,7 +43,7 @@ def shared_style_dataset(n, p, per_class, seed, style=1.8, noise=0.08):
         )
         signals[:, c * per_class : (c + 1) * per_class] = block
         labels[c * per_class : (c + 1) * per_class] = c
-    return Dataset(signals=signals, labels=labels, p=p, class_counts=np.bincount(labels))
+    return Dataset(signals=signals, labels=labels)
 
 
 def planted_support_instance(seed, n=16, K=32, T=4, nsig=6, noise=0.05):
@@ -219,7 +219,7 @@ def gauss_kernel(x: np.ndarray, sigma2: float) -> float:
 
 
 def kde_class_density(
-    codes: np.ndarray, labels: np.ndarray, c: int, x: np.ndarray, cfg: KdeConfig
+    codes: np.ndarray, labels: np.ndarray, c: int, x: np.ndarray, sigma: float
 ) -> float:
     """KDE estimate of p(x | class c) over the class-c code columns."""
     codes = np.asarray(codes, dtype=np.float64)
@@ -229,7 +229,7 @@ def kde_class_density(
     members = codes[:, labels == c]
     if members.shape[1] == 0:
         raise ValueError(f"class {c} has no samples")
-    sigma2 = cfg.resolve(codes) ** 2
+    sigma2 = sigma**2
     x = np.asarray(x, dtype=np.float64).ravel()
     total = sum(gauss_kernel(x - members[:, j], sigma2) for j in range(members.shape[1]))
     return total / members.shape[1]
@@ -300,13 +300,13 @@ def gp_total_mi(model, subset):
 
 
 def qmi_grad_x(
-    codes: np.ndarray, labels: np.ndarray, i: int, c: int, cfg: KdeConfig = KdeConfig()
+    codes: np.ndarray, labels: np.ndarray, i: int, c: int, sigma: float
 ) -> np.ndarray:
     """Gradient of qmi with respect to the code of sample i (class c)."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels[i] != c:
         raise ValueError(f"sample {i} does not belong to class {c}")
-    return qmi_grad_codes(codes, labels, cfg)[:, i].copy()
+    return qmi_grad_codes(codes, labels, sigma)[:, i].copy()
 
 
 def kl_qd_check(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:

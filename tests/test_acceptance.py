@@ -23,7 +23,6 @@ from itdl.classify import code_test_signals, predict, reconstruct_masked, train_
 from itdl.cli import main
 from itdl.dataset import mask_pixels, save_csv, split, synth_gaussian_classes
 from itdl.info_measures import (
-    KdeConfig,
     bayes_bound,
     build_gp_model,
     class_entropy,
@@ -33,7 +32,7 @@ from itdl.info_measures import (
     qmi_grad_codes,
     qmi_grad_phi,
 )
-from itdl.itds import SelectionMode, SelectionWeights, select_dedicated, select_shared
+from itdl.itds import SelectionWeights, select_dedicated, select_shared
 from itdl.itdu import update_all_classes, update_dictionary
 from itdl.sparse_coding import Selection, ksvd_init, pinv, somp
 
@@ -55,28 +54,28 @@ def test_criterion_1_gradient_matches_finite_differences():
         p = int(rng.integers(2, 5))
         labels = _random_labels(rng, n, p)
         codes = rng.standard_normal((d, n))
-        cfg = KdeConfig(float(rng.uniform(0.4, 1.2)))
-        grads = qmi_grad_codes(codes, labels, cfg)
+        sigma = float(rng.uniform(0.4, 1.2))
+        grads = qmi_grad_codes(codes, labels, sigma)
         h = 1e-5
         for i in range(n):
             for k in range(d):
                 cp, cm = codes.copy(), codes.copy()
                 cp[k, i] += h
                 cm[k, i] -= h
-                fd = (qmi(cp, labels, cfg) - qmi(cm, labels, cfg)) / (2 * h)
+                fd = (qmi(cp, labels, sigma) - qmi(cm, labels, sigma)) / (2 * h)
                 err = abs(grads[k, i] - fd) / max(abs(fd), 1e-12)
                 worst = max(worst, err)
         # transform gradient at five random coordinates
         dim = int(rng.integers(2, 5))
         Y = rng.standard_normal((dim, n))
         phi = rng.standard_normal((dim, d))
-        grad_phi = qmi_grad_phi(phi, Y, labels, cfg)
+        grad_phi = qmi_grad_phi(phi, Y, labels, sigma)
         for _ in range(5):
             r, c = int(rng.integers(0, dim)), int(rng.integers(0, d))
             pp, pm = phi.copy(), phi.copy()
             pp[r, c] += h
             pm[r, c] -= h
-            fd = (qmi(pp.T @ Y, labels, cfg) - qmi(pm.T @ Y, labels, cfg)) / (2 * h)
+            fd = (qmi(pp.T @ Y, labels, sigma) - qmi(pm.T @ Y, labels, sigma)) / (2 * h)
             err = abs(grad_phi[r, c] - fd) / max(abs(fd), 1e-12)
             worst = max(worst, err)
         instances += 1
@@ -96,7 +95,7 @@ def test_criterion_2_closed_form_matches_quadrature():
         labels = _random_labels(rng, n, 2)
         codes = rng.standard_normal((1, n)) * 1.5
         sigma = float(rng.uniform(0.3, 0.8))
-        got = qmi(codes, labels, KdeConfig(sigma))
+        got = qmi(codes, labels, sigma)
         want = qmi_quadrature(codes, labels, sigma)
         worst = max(worst, abs(got - want) / abs(want))
     for _ in range(3):
@@ -104,13 +103,13 @@ def test_criterion_2_closed_form_matches_quadrature():
         labels = _random_labels(rng, n, 2)
         codes = rng.standard_normal((2, n))
         sigma = float(rng.uniform(0.4, 0.8))
-        got = qmi(codes, labels, KdeConfig(sigma))
+        got = qmi(codes, labels, sigma)
         want = qmi_quadrature(codes, labels, sigma, pad=8.0)
         worst = max(worst, abs(got - want) / abs(want))
     # single-class instances collapse exactly
     for _ in range(5):
         codes = rng.standard_normal((2, 8))
-        assert qmi(codes, np.zeros(8, dtype=int), KdeConfig(0.5)) == 0.0
+        assert qmi(codes, np.zeros(8, dtype=int), 0.5) == 0.0
     elapsed = time.perf_counter() - start
     assert worst < 1e-3
     assert elapsed < 30.0
@@ -171,7 +170,7 @@ def test_criterion_5_reconstruction_selection_tracks_somp():
         d, Y, _ = planted_support_instance(seed, n=16, K=32, T=4, nsig=6, noise=0.05)
         labels = np.zeros(Y.shape[1], dtype=int)
         labels[: Y.shape[1] // 2] = 1
-        mode = SelectionMode(ablation=frozenset({"reconstructive"}))
+        mode = frozenset({"reconstructive"})
         res = select_shared(d, Y, labels, 4, mode, SelectionWeights(lambda3=1.0))
         baseline, _ = somp(d, Y, 4)
         matches += set(res.selection.indices) == set(baseline.indices)
@@ -213,9 +212,7 @@ def test_criterion_7_update_improves_dedicated_accuracy():
         ds = synth_gaussian_classes(16, 4, 60, 0.6, seed)
         train, test = split(ds, 0.5, seed + 77)
         d0 = ksvd_init(train.signals, 10, 2, 1, seed + 123)
-        res = select_dedicated(
-            d0, train.signals, train.labels, 2, SelectionMode()
-        )
+        res = select_dedicated(d0, train.signals, train.labels, 2)
         pre_atoms = [(r.class_id, d0.atoms[:, list(r.selection.indices)]) for r in res]
         upd = update_all_classes(
             pre_atoms, train.signals, train.labels, max_iters=30
@@ -264,11 +261,11 @@ def test_criterion_9_bayes_bound_sanity():
         ]
     )
     labels = np.array([0] * n_half + [1] * n_half)
-    cfg = KdeConfig(1.0)
+    sigma = 1.0
     h_c = class_entropy(labels)
-    separated = bayes_bound(h_c, mi_codes_labels(codes, labels, cfg))
+    separated = bayes_bound(h_c, mi_codes_labels(codes, labels, sigma))
     shuffled_labels = rng.permutation(labels)
-    shuffled = bayes_bound(h_c, mi_codes_labels(codes, shuffled_labels, cfg))
+    shuffled = bayes_bound(h_c, mi_codes_labels(codes, shuffled_labels, sigma))
     assert separated <= 0.05
     assert shuffled >= 0.9 * 0.5 * h_c
     print(f"ACCEPTANCE 9 PASS: Bayes bound {separated:.4f} nats on separated codes, "
@@ -282,9 +279,7 @@ def test_criterion_10_masked_reconstruction_trend():
         ds = shared_style_dataset(16, 4, 60, seed)
         train, test = split(ds, 0.5, seed + 77)
         d0 = ksvd_init(train.signals, 12, 2, 1, seed + 123)
-        res = select_dedicated(
-            d0, train.signals, train.labels, 2, SelectionMode()
-        )
+        res = select_dedicated(d0, train.signals, train.labels, 2)
         pre_atoms = [(r.class_id, d0.atoms[:, list(r.selection.indices)]) for r in res]
         upd = update_all_classes(
             pre_atoms, train.signals, train.labels, max_iters=30

@@ -135,7 +135,7 @@ def _perfect_setup(seed=0):
         ]
     )
     labels = np.array([0] * 10 + [1] * 10)
-    ds = Dataset(signals=signals, labels=labels, p=2, class_counts=np.array([10, 10]))
+    ds = Dataset(signals=signals, labels=labels)
     atom_sets = [(0, basis[:, :2]), (1, basis[:, 2:4])]
     return ds, atom_sets
 
@@ -163,12 +163,7 @@ class TestEvaluate:
         model = train_linear(features, ds.labels, seed=0)
         r1 = evaluate(model, atom_sets, ds, shared=False)
         perm = np.random.default_rng(3).permutation(ds.size)
-        shuffled = Dataset(
-            signals=ds.signals[:, perm],
-            labels=ds.labels[perm],
-            p=ds.p,
-            class_counts=ds.class_counts,
-        )
+        shuffled = Dataset(signals=ds.signals[:, perm], labels=ds.labels[perm])
         r2 = evaluate(model, atom_sets, shuffled, shared=False)
         assert r1.accuracy == r2.accuracy
         assert r1.rmse == pytest.approx(r2.rmse, rel=1e-12)
@@ -223,8 +218,6 @@ class TestReconstructMasked:
         ds = Dataset(
             signals=np.hstack([y, basis[:, 3:6] @ rng.standard_normal((3, 4))]),
             labels=np.array([0] * 4 + [1] * 4),
-            p=2,
-            class_counts=np.array([4, 4]),
         )
         masked, mask = mask_pixels(ds, 0.3, 7)
         recon, pred = reconstruct_masked(atom_sets, masked, mask)
@@ -248,7 +241,7 @@ class TestReconstructMasked:
         mask[:, 6] = False  # nothing observed
         signals = np.where(mask, rng.standard_normal((n, N)), 0.0)
         labels = np.arange(N) % 3
-        ds = Dataset(signals=signals, labels=labels, p=3, class_counts=np.bincount(labels))
+        ds = Dataset(signals=signals, labels=labels)
         recon, pred = reconstruct_masked(atom_sets, ds, mask)
         want_recon, want_pred = loop_reconstruct_masked(atom_sets, signals, mask)
         np.testing.assert_array_equal(pred, want_pred)

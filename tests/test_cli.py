@@ -325,6 +325,42 @@ class TestCliErrors:
         report = json.loads((out / "update_report.json").read_text())
         assert report["updates"][0]["iterations"] == 0
 
+    @pytest.mark.parametrize("mode", ["shared", "dedicated"])
+    def test_fixed_sigma_reaches_every_stage(self, tmp_path, mode):
+        from itdl.classify import code_test_signals
+        from itdl.info_measures import mi_codes_labels
+
+        train_csv, test_csv = write_data(tmp_path)
+        out = tmp_path / "o"
+        rc = main([
+            "run-all", "--config", str(write_config(tmp_path, mode=mode)), "--train",
+            str(train_csv), "--test", str(test_csv), "--out", str(out), "--sigma", "0.5",
+        ])
+        assert rc == 0
+        train, test = load_csv(train_csv), load_csv(test_csv)
+        # selection: round 1 discrimination is the MI of the picked atom's codes
+        codes = sparse_coding.omp_codes(
+            sparse_coding.load_dictionary(out / "dict_initial.itdl"), train.signals, 2
+        )
+        for entry in json.loads((out / "selection_report.json").read_text())["selections"]:
+            c = entry["class"]
+            labels = train.labels if c is None else (train.labels == c).astype(np.int64)
+            first = entry["rounds"][0]
+            want = mi_codes_labels(codes[[first["index"]]], labels, 0.5)
+            assert first["gain_discrim"] == want
+        # update: the ascent runs at the given bandwidth
+        updates = json.loads((out / "update_report.json").read_text())["updates"]
+        assert [u["sigma"] for u in updates] == [0.5] * len(updates)
+        # evaluation: the MI estimate uses it too
+        names = ["dict_updated.itdl"] if mode == "shared" else [
+            f"dict_updated_c{c}.itdl" for c in range(3)
+        ]
+        atoms = [(None if mode == "shared" else c, load_matrix(out / name))
+                 for c, name in enumerate(names)]
+        features, _ = code_test_signals(atoms, test.signals, mode == "shared")
+        report = json.loads((out / "eval_report.json").read_text())
+        assert report["mi_estimate"] == mi_codes_labels(features.T, test.labels, 0.5)
+
 
 class TestNormalizeFlag:
     def test_normalized_signals_flow_through(self, tmp_path):

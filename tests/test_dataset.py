@@ -85,6 +85,14 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds1.signals, ds2.signals)
         np.testing.assert_array_equal(ds1.labels, ds2.labels)
 
+    def test_round_trip_keeps_raw_labels(self, tmp_path):
+        f = tmp_path / "a.csv"
+        f.write_text("3,1.0\n9,2.0\n5,3.0\n")
+        g = tmp_path / "b.csv"
+        save_csv(load_csv(f), g)
+        assert g.read_text() == f.read_text()
+        assert load_csv(g).label_values == (3, 5, 9)
+
     def test_round_trip_synth(self, tmp_path):
         ds1 = synth_gaussian_classes(5, 3, 4, 0.2, 11)
         f = tmp_path / "s.csv"
@@ -182,12 +190,31 @@ class TestSplit:
 
     def test_label_values_need_one_per_class(self):
         with pytest.raises(ValueError, match="raw label"):
-            Dataset(np.eye(2), np.array([0, 1]), 2, np.array([1, 1]), label_values=(3,))
+            Dataset(np.eye(2), np.array([0, 1]), label_values=(3,))
+
+    def test_class_count_and_counts_derived_from_labels(self):
+        ds = Dataset(np.eye(4), np.array([2, 0, 2, 1]))
+        assert ds.p == 3 and ds.label_values == (0, 1, 2)
+        assert list(ds.class_counts) == [1, 1, 2]
+        assert Dataset(np.eye(2), np.array([1, 0]), label_values=(4, 7)).p == 2
+        with pytest.raises(TypeError):
+            Dataset(np.eye(2), np.array([0, 1]), p=2)
+
+    @pytest.mark.parametrize(
+        "labels, values, message",
+        [
+            ([0, -1], None, "labels must lie"),
+            ([0, 2], None, "at least one sample"),
+            ([0, 1], (3, 4, 5), "at least one sample"),
+            ([], None, "labels must lie"),
+        ],
+    )
+    def test_bad_labels_rejected(self, labels, values, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.ones((1, len(labels))), np.array(labels, dtype=int), label_values=values)
 
     def test_tiny_class_rejected(self):
-        ds = Dataset(
-            signals=np.eye(3), labels=np.array([0, 0, 1]), p=2, class_counts=np.array([2, 1])
-        )
+        ds = Dataset(signals=np.eye(3), labels=np.array([0, 0, 1]))
         with pytest.raises(ValueError):
             split(ds, 0.5, 0)
 
@@ -241,3 +268,9 @@ class TestMaskPixels:
         ds = synth_gaussian_classes(8, 2, 3, 0.2, 4)
         with pytest.raises(ValueError):
             mask_pixels(ds, 1.0, 0)
+
+    def test_fraction_rounding_to_every_entry_rejected(self):
+        ds = synth_gaussian_classes(3, 2, 3, 0.2, 4)
+        with pytest.raises(ValueError, match="drops 3 of n=3"):
+            mask_pixels(ds, 0.9, 0)
+        assert (mask_pixels(ds, 0.8, 0)[1].sum(axis=0) == 1).all()

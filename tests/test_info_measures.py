@@ -21,7 +21,6 @@ from helpers import (
 )
 from itdl.info_measures import (
     GpModel,
-    KdeConfig,
     ResidualModel,
     bandwidth_rule,
     bayes_bound,
@@ -62,16 +61,16 @@ class TestGaussKernel:
 class TestKdeClassDensity:
     def test_single_sample(self):
         codes = np.array([[0.3], [1.0]])
-        cfg = KdeConfig(0.7)
-        got = kde_class_density(codes, np.array([0]), 0, codes[:, 0], cfg)
+        sigma = 0.7
+        got = kde_class_density(codes, np.array([0]), 0, codes[:, 0], sigma)
         assert got == pytest.approx(gauss_kernel(np.zeros(2), 0.49), rel=1e-12)
 
     def test_symmetry(self):
         codes = np.array([[1.0, -1.0, 2.0, -2.0]])
         labels = np.zeros(4, dtype=int)
-        cfg = KdeConfig(0.5)
-        a = kde_class_density(codes, labels, 0, np.array([0.7]), cfg)
-        b = kde_class_density(codes, labels, 0, np.array([-0.7]), cfg)
+        sigma = 0.5
+        a = kde_class_density(codes, labels, 0, np.array([0.7]), sigma)
+        b = kde_class_density(codes, labels, 0, np.array([-0.7]), sigma)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_mixture_identity(self):
@@ -79,12 +78,12 @@ class TestKdeClassDensity:
         codes = rng.standard_normal((2, 12))
         labels = rng.integers(0, 3, 12)
         labels[:3] = [0, 1, 2]
-        cfg = KdeConfig(0.6)
+        sigma = 0.6
         n = labels.size
         for _ in range(5):
             x = rng.standard_normal(2)
             mix = sum(
-                kde_class_density(codes, labels, c, x, cfg) * (labels == c).sum() / n
+                kde_class_density(codes, labels, c, x, sigma) * (labels == c).sum() / n
                 for c in range(3)
             )
             marginal = sum(
@@ -95,20 +94,20 @@ class TestKdeClassDensity:
     def test_empty_class(self):
         codes = np.ones((1, 3))
         with pytest.raises(ValueError):
-            kde_class_density(codes, np.zeros(3, dtype=int), 1, np.array([0.0]), KdeConfig(1.0))
+            kde_class_density(codes, np.zeros(3, dtype=int), 1, np.array([0.0]), 1.0)
 
 
 class TestMiCodesLabels:
     def test_identical_conditionals(self):
         pts = np.array([[0.0, 1.0, 2.0, 0.0, 1.0, 2.0]])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        assert mi_codes_labels(pts, labels, KdeConfig(0.5)) <= 1e-6
+        assert mi_codes_labels(pts, labels, 0.5) <= 1e-6
 
     def test_against_quadrature(self):
         codes = np.array([[-10.0, -10.3, -9.7, 10.0, 10.4, 9.8]])
         labels = np.array([0, 0, 0, 1, 1, 1])
         sigma = 0.5
-        got = mi_codes_labels(codes, labels, KdeConfig(sigma))
+        got = mi_codes_labels(codes, labels, sigma)
         want = mi_quadrature_1d(codes, labels, sigma)
         assert got == pytest.approx(want, rel=0.02)
 
@@ -117,10 +116,10 @@ class TestMiCodesLabels:
         codes = rng.standard_normal((2, 14))
         labels = rng.integers(0, 2, 14)
         labels[:2] = [0, 1]
-        cfg = KdeConfig(0.8)
-        base = mi_codes_labels(codes, labels, cfg)
+        sigma = 0.8
+        base = mi_codes_labels(codes, labels, sigma)
         perm = rng.permutation(14)
-        assert mi_codes_labels(codes[:, perm], labels[perm], cfg) == pytest.approx(base, rel=1e-12)
+        assert mi_codes_labels(codes[:, perm], labels[perm], sigma) == pytest.approx(base, rel=1e-12)
 
     def test_bounds_on_random_instances(self):
         rng = np.random.default_rng(4)
@@ -131,13 +130,13 @@ class TestMiCodesLabels:
             labels = rng.integers(0, int(rng.integers(2, 4)), n)
             if len(np.unique(labels)) < 2:
                 continue
-            mi = mi_codes_labels(codes, labels, KdeConfig())
+            mi = mi_codes_labels(codes, labels, None)
             assert mi >= 0.0
             assert mi <= class_entropy(labels) + 0.05
 
     def test_single_class_zero(self):
         codes = np.random.default_rng(5).standard_normal((2, 8))
-        assert mi_codes_labels(codes, np.zeros(8, dtype=int), KdeConfig()) == 0.0
+        assert mi_codes_labels(codes, np.zeros(8, dtype=int), None) == 0.0
 
 
 class TestGpCompactness:
@@ -145,6 +144,11 @@ class TestGpCompactness:
         model = GpModel(cov=np.eye(7), jitter=0.0)
         gains = gp_compact_gains(model, Selection(), list(range(7)))
         np.testing.assert_allclose(gains, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            build_gp_model(random_unit_dictionary(7, 6, 9).atoms, rho=rho)
 
     def test_duplicate_atom_hits_sentinel(self):
         rng = np.random.default_rng(6)
@@ -301,13 +305,13 @@ class TestReconGain:
 class TestQmi:
     def test_single_class_exact_zero(self):
         codes = np.random.default_rng(15).standard_normal((3, 9))
-        assert qmi(codes, np.zeros(9, dtype=int), KdeConfig(0.5)) == 0.0
+        assert qmi(codes, np.zeros(9, dtype=int), 0.5) == 0.0
 
     def test_against_quadrature_1d(self):
         codes = np.array([[-1.0, 0.2, 0.9, -0.4, 1.4, 0.1]])
         labels = np.array([0, 0, 0, 1, 1, 1])
         sigma = 0.5
-        got = qmi(codes, labels, KdeConfig(sigma))
+        got = qmi(codes, labels, sigma)
         want = qmi_quadrature(codes, labels, sigma)
         assert got == pytest.approx(want, rel=1e-3)
 
@@ -316,18 +320,18 @@ class TestQmi:
         codes = rng.standard_normal((2, 10))
         labels = rng.integers(0, 2, 10)
         labels[:2] = [0, 1]
-        cfg = KdeConfig(0.6)
+        sigma = 0.6
         shifted = codes + np.array([[3.5], [-2.0]])
-        assert qmi(shifted, labels, cfg) == pytest.approx(qmi(codes, labels, cfg), rel=1e-12)
+        assert qmi(shifted, labels, sigma) == pytest.approx(qmi(codes, labels, sigma), rel=1e-12)
 
     def test_class_relabeling_invariance(self):
         rng = np.random.default_rng(17)
         codes = rng.standard_normal((2, 12))
         labels = rng.integers(0, 3, 12)
         labels[:3] = [0, 1, 2]
-        cfg = KdeConfig(0.7)
+        sigma = 0.7
         swapped = np.array([2, 0, 1])[labels]
-        assert qmi(codes, swapped, cfg) == pytest.approx(qmi(codes, labels, cfg), rel=1e-12)
+        assert qmi(codes, swapped, sigma) == pytest.approx(qmi(codes, labels, sigma), rel=1e-12)
 
     def test_nonnegative_on_random_instances(self):
         rng = np.random.default_rng(18)
@@ -335,7 +339,7 @@ class TestQmi:
             n = int(rng.integers(5, 20))
             codes = rng.standard_normal((2, n))
             labels = rng.integers(0, 3, n)
-            assert qmi(codes, labels, KdeConfig()) >= 0.0
+            assert qmi(codes, labels, bandwidth_rule(codes)) >= 0.0
 
 
 class TestQmiGradients:
@@ -343,7 +347,7 @@ class TestQmiGradients:
         codes = np.ones((2, 6))
         labels = np.array([0, 0, 0, 1, 1, 1])
         np.testing.assert_allclose(
-            qmi_grad_codes(codes, labels, KdeConfig(0.5)), 0.0, atol=1e-15
+            qmi_grad_codes(codes, labels, 0.5), 0.0, atol=1e-15
         )
 
     def test_grad_x_matches_finite_differences(self):
@@ -351,29 +355,29 @@ class TestQmiGradients:
         codes = rng.standard_normal((2, 9))
         labels = rng.integers(0, 2, 9)
         labels[:2] = [0, 1]
-        cfg = KdeConfig(0.7)
+        sigma = 0.7
         i = 3
-        got = qmi_grad_x(codes, labels, i, int(labels[i]), cfg)
+        got = qmi_grad_x(codes, labels, i, int(labels[i]), sigma)
         h = 1e-5
         for k in range(2):
             cp, cm = codes.copy(), codes.copy()
             cp[k, i] += h
             cm[k, i] -= h
-            fd = (qmi(cp, labels, cfg) - qmi(cm, labels, cfg)) / (2 * h)
+            fd = (qmi(cp, labels, sigma) - qmi(cm, labels, sigma)) / (2 * h)
             assert got[k] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
     def test_wrong_class_rejected(self):
         codes = np.zeros((1, 4))
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(ValueError):
-            qmi_grad_x(codes, labels, 0, 1)
+            qmi_grad_x(codes, labels, 0, 1, 0.5)
 
     def test_two_point_antisymmetry(self):
         codes = np.array([[1.5, -1.5], [0.5, -0.5]])
         labels = np.array([0, 1])
-        cfg = KdeConfig(0.8)
-        g0 = qmi_grad_x(codes, labels, 0, 0, cfg)
-        g1 = qmi_grad_x(codes, labels, 1, 1, cfg)
+        sigma = 0.8
+        g0 = qmi_grad_x(codes, labels, 0, 0, sigma)
+        g1 = qmi_grad_x(codes, labels, 1, 1, sigma)
         np.testing.assert_allclose(g0, -g1, atol=1e-14)
 
     def test_grad_phi_zero_for_identical_signals(self):
@@ -381,7 +385,7 @@ class TestQmiGradients:
         phi = np.random.default_rng(20).standard_normal((3, 2))
         labels = np.array([0, 0, 0, 1, 1, 1])
         np.testing.assert_allclose(
-            qmi_grad_phi(phi, Y, labels, KdeConfig(0.5)), 0.0, atol=1e-12
+            qmi_grad_phi(phi, Y, labels, 0.5), 0.0, atol=1e-12
         )
 
     def test_grad_phi_matches_finite_differences(self):
@@ -390,15 +394,15 @@ class TestQmiGradients:
         phi = rng.standard_normal((4, 2))
         labels = rng.integers(0, 2, 10)
         labels[:2] = [0, 1]
-        cfg = KdeConfig(0.9)
-        grad = qmi_grad_phi(phi, Y, labels, cfg)
+        sigma = 0.9
+        grad = qmi_grad_phi(phi, Y, labels, sigma)
         h = 1e-6
         for _ in range(5):
             r, c = int(rng.integers(0, 4)), int(rng.integers(0, 2))
             pp, pm = phi.copy(), phi.copy()
             pp[r, c] += h
             pm[r, c] -= h
-            fd = (qmi(pp.T @ Y, labels, cfg) - qmi(pm.T @ Y, labels, cfg)) / (2 * h)
+            fd = (qmi(pp.T @ Y, labels, sigma) - qmi(pm.T @ Y, labels, sigma)) / (2 * h)
             assert grad[r, c] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
     def test_grad_phi_chain_rule_under_signal_scaling(self):
@@ -407,10 +411,10 @@ class TestQmiGradients:
         phi = rng.standard_normal((3, 2))
         labels = rng.integers(0, 2, 8)
         labels[:2] = [0, 1]
-        cfg = KdeConfig(1.1)
+        sigma = 1.1
         alpha = 1.7
-        grad_scaled = qmi_grad_phi(phi, alpha * Y, labels, cfg)
-        want = alpha * Y @ qmi_grad_codes(phi.T @ (alpha * Y), labels, cfg).T
+        grad_scaled = qmi_grad_phi(phi, alpha * Y, labels, sigma)
+        want = alpha * Y @ qmi_grad_codes(phi.T @ (alpha * Y), labels, sigma).T
         np.testing.assert_allclose(grad_scaled, want, rtol=1e-12)
 
 
@@ -455,19 +459,31 @@ class TestBandwidth:
         assert bandwidth_rule(np.zeros((2, 1))) == 1e-3
 
     def test_fixed_config_requires_positive(self):
+        codes, labels = np.ones((1, 4)), np.array([0, 0, 1, 1])
         with pytest.raises(ValueError):
-            KdeConfig(sigma=0.0)
+            mi_codes_labels(codes, labels, 0.0)
+        with pytest.raises(ValueError):
+            qmi(codes, labels, 0.0)
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), float("-inf")])
     def test_negative_or_nan_sigma_rejected(self, sigma):
+        codes, labels = np.ones((1, 4)), np.array([0, 0, 1, 1])
+        for measure in (mi_codes_labels, qmi, qmi_grad_codes):
+            with pytest.raises(ValueError, match="sigma"):
+                measure(codes, labels, sigma)
+        # a bad bandwidth is rejected even where one class makes the value 0
         with pytest.raises(ValueError, match="sigma"):
-            KdeConfig(sigma=sigma)
+            mi_codes_labels(codes, np.zeros(4, dtype=int), sigma)
 
     def test_given_sigma_is_used_and_none_means_rule(self):
         codes = np.random.default_rng(0).standard_normal((2, 40))
-        assert KdeConfig(sigma=0.05).resolve(codes) == 0.05
-        assert KdeConfig().resolve(codes) == bandwidth_rule(codes)
         labels = np.repeat([0, 1], 20)
-        assert qmi(codes, labels, KdeConfig(sigma=0.05)) == pytest.approx(
+        rule = bandwidth_rule(codes)
+        assert mi_codes_labels(codes, labels, None) == mi_codes_labels(codes, labels, rule)
+        assert mi_codes_labels(codes, labels, 0.05) != mi_codes_labels(codes, labels, rule)
+        # the quadratic MI has no default bandwidth
+        with pytest.raises(TypeError):
+            qmi(codes, labels, None)
+        assert qmi(codes, labels, 0.05) == pytest.approx(
             qmi_quadrature(codes, labels, 0.05), rel=1e-3
         )

@@ -10,13 +10,12 @@ from helpers import (
 from itdl.dataset import synth_gaussian_classes
 from itdl.info_measures import (
     GpModel,
-    KdeConfig,
     ResidualModel,
     build_gp_model,
     mi_codes_labels,
 )
 from itdl.itds import (
-    SelectionMode,
+    TERMS,
     SelectionWeights,
     WeightsError,
     estimate_lambdas,
@@ -48,12 +47,11 @@ class TestWeights:
         ds, d, codes = small_problem(seed=3)
         gp = build_gp_model(d.atoms)
         res_model = ResidualModel.from_signals(ds.signals)
-        cfg = KdeConfig()
-        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model, cfg)
+        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
         # literally run the three separate first greedy steps
         compact = max(gp_compact_gain(gp, Selection(), i) for i in range(d.K))
         discrim = max(
-            mi_codes_labels(codes.coeffs[i : i + 1], ds.labels, cfg) for i in range(d.K)
+            mi_codes_labels(codes[i : i + 1], ds.labels) for i in range(d.K)
         )
         recon = max(
             loop_recon_gain(d, Selection(), i, ds.signals, res_model) for i in range(d.K)
@@ -65,15 +63,13 @@ class TestWeights:
         ds, d, codes = small_problem(seed=4)
         gp = GpModel(cov=np.eye(d.K), jitter=0.0)
         with pytest.raises(WeightsError):
-            estimate_lambdas(d, codes, ds.labels, ds.signals, gp)
+            estimate_lambdas(d, codes, ds.labels, ds.signals, gp, ResidualModel(1.0))
 
     def test_codes_must_cover_dictionary(self):
         ds, d, codes = small_problem(seed=5)
-        from itdl.sparse_coding import SparseCodes
-
-        short = SparseCodes(coeffs=codes.coeffs[:3])
+        gp, res_model = build_gp_model(d.atoms), ResidualModel.from_signals(ds.signals)
         with pytest.raises(ValueError):
-            estimate_lambdas(d, short, ds.labels, ds.signals)
+            estimate_lambdas(d, codes[:3], ds.labels, ds.signals, gp, res_model)
 
 
 class TestSelectShared:
@@ -85,7 +81,7 @@ class TestSelectShared:
             d, Y, _ = planted_support_instance(seed)
             labels = np.zeros(Y.shape[1], dtype=int)
             labels[: Y.shape[1] // 2] = 1
-            mode = SelectionMode(ablation=frozenset({"reconstructive"}))
+            mode = frozenset({"reconstructive"})
             res = select_shared(d, Y, labels, 4, mode, SelectionWeights(lambda3=1.0))
             sel, _ = somp(d, Y, 4)
             hits += set(res.selection.indices) == set(sel.indices)
@@ -93,7 +89,7 @@ class TestSelectShared:
 
     def test_compact_only_identity_covariance_ties(self):
         ds, d, codes = small_problem(seed=6)
-        mode = SelectionMode(ablation=frozenset({"compact"}))
+        mode = frozenset({"compact"})
         res = select_shared(
             d,
             ds.signals,
@@ -115,14 +111,15 @@ class TestSelectShared:
             ds = synth_gaussian_classes(16, 4, 30, 0.35, seed)
             d = ksvd_init(ds.signals, 24, 3, 2, seed + 50)
             codes = omp_codes(d, ds.signals, 3)
-            w = estimate_lambdas(d, codes, ds.labels, ds.signals)
+            gp, res_model = build_gp_model(d.atoms), ResidualModel.from_signals(ds.signals)
+            w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
             accs = {}
             for tag, mode, wts in (
-                ("full", SelectionMode(), w),
-                ("compact", SelectionMode(ablation=frozenset({"compact"})), SelectionWeights()),
+                ("full", TERMS, w),
+                ("compact", frozenset({"compact"}), SelectionWeights()),
             ):
                 res = select_shared(d, ds.signals, ds.labels, 3, mode, wts, initial_codes=codes)
-                feats = np.ascontiguousarray(code_ls(d, res.selection, ds.signals).coeffs.T)
+                feats = np.ascontiguousarray(code_ls(d, res.selection, ds.signals).T)
                 model = train_linear(feats, ds.labels, seed=seed)
                 accs[tag] = float((predict(model, feats) == ds.labels).mean())
             diffs.append(accs["full"] - accs["compact"])
@@ -132,23 +129,23 @@ class TestSelectShared:
         ds, d, codes = small_problem(seed=7)
         gp = build_gp_model(d.atoms)
         res_model = ResidualModel.from_signals(ds.signals)
-        cfg = KdeConfig()
-        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model, cfg)
+        sigma = 0.3
+        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model, sigma)
         res = select_shared(
-            d, ds.signals, ds.labels, 3, SelectionMode(), w,
-            initial_codes=codes, gp_model=gp, residual_model=res_model, kde_cfg=cfg,
+            d, ds.signals, ds.labels, 3, TERMS, w,
+            initial_codes=codes, gp_model=gp, residual_model=res_model, sigma=sigma,
         )
         chosen = []
         for record in res.rounds:
             sel = Selection(indices=tuple(chosen))
             mi_base = (
-                mi_codes_labels(codes.coeffs[chosen, :], ds.labels, cfg) if chosen else 0.0
+                mi_codes_labels(codes[chosen, :], ds.labels, sigma) if chosen else 0.0
             )
             for cand in range(d.K):
                 if cand in chosen:
                     continue
                 gc = gp_compact_gain(gp, sel, cand)
-                gd = mi_codes_labels(codes.coeffs[chosen + [cand], :], ds.labels, cfg) - mi_base
+                gd = mi_codes_labels(codes[chosen + [cand], :], ds.labels, sigma) - mi_base
                 gr = loop_recon_gain(d, sel, cand, ds.signals, res_model)
                 total = gc + w.lambda2 * gd + w.lambda3 * gr
                 assert record.gain_total >= total - 1e-9
@@ -159,9 +156,9 @@ class TestSelectShared:
         gp = build_gp_model(d.atoms)
         res_model = ResidualModel.from_signals(ds.signals)
         kw = dict(initial_codes=codes, gp_model=gp, residual_model=res_model)
-        auto = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), **kw)
+        auto = select_shared(d, ds.signals, ds.labels, 3, TERMS, **kw)
         w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
-        given = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), w, **kw)
+        given = select_shared(d, ds.signals, ds.labels, 3, TERMS, w, **kw)
         assert auto.weights == w
         assert auto.selection == given.selection
         assert auto.rounds == given.rounds
@@ -169,21 +166,21 @@ class TestSelectShared:
     def test_sparsity_validation(self):
         ds, d, codes = small_problem(seed=9)
         with pytest.raises(ValueError):
-            select_shared(d, ds.signals, ds.labels, d.K, SelectionMode(), SelectionWeights())
+            select_shared(d, ds.signals, ds.labels, d.K, TERMS, SelectionWeights())
         with pytest.raises(ValueError):
-            select_shared(d, ds.signals, ds.labels, 0, SelectionMode(), SelectionWeights())
+            select_shared(d, ds.signals, ds.labels, 0, TERMS, SelectionWeights())
 
     def test_deterministic(self):
         ds, d, codes = small_problem(seed=10)
         w = SelectionWeights(lambda2=0.3, lambda3=0.7)
-        a = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), w, initial_codes=codes)
-        b = select_shared(d, ds.signals, ds.labels, 3, SelectionMode(), w, initial_codes=codes)
+        a = select_shared(d, ds.signals, ds.labels, 3, TERMS, w, initial_codes=codes)
+        b = select_shared(d, ds.signals, ds.labels, 3, TERMS, w, initial_codes=codes)
         assert a.selection.indices == b.selection.indices
         assert a.rounds == b.rounds
 
     def test_compact_only_accepted_gains_nonincreasing(self):
         ds, d, codes = small_problem(seed=15, T=4)
-        mode = SelectionMode(ablation=frozenset({"compact"}))
+        mode = frozenset({"compact"})
         res = select_shared(d, ds.signals, ds.labels, 4, mode, SelectionWeights(), initial_codes=codes)
         gains = [r.gain_total for r in res.rounds]
         assert all(b <= a + 1e-9 for a, b in zip(gains, gains[1:]))
@@ -196,7 +193,7 @@ class TestSelectShared:
         d = Dictionary(atoms=atoms)
         Y = rng.standard_normal((8, 10))
         labels = np.array([0] * 5 + [1] * 5)
-        mode = SelectionMode(ablation=frozenset({"compact"}))
+        mode = frozenset({"compact"})
         res = select_shared(d, Y, labels, 4, mode, SelectionWeights())
         picked = set(res.selection.indices)
         assert not {0, 5} <= picked
@@ -210,10 +207,10 @@ class TestSelectShared:
         Y = rng.standard_normal((4, 6))
         labels = np.array([0] * 3 + [1] * 3)
         w = SelectionWeights(lambda2=1.0, lambda3=1.0)
-        first_two = select_shared(d, Y, labels, 2, SelectionMode(), w)
+        first_two = select_shared(d, Y, labels, 2, TERMS, w)
         assert {i % 2 for i in first_two.selection.indices} == {0, 1}
         with pytest.raises(RuntimeError, match="excluded as duplicates"):
-            select_shared(d, Y, labels, 3, SelectionMode(), w)
+            select_shared(d, Y, labels, 3, TERMS, w)
 
 
 class TestSelectDedicated:
@@ -223,8 +220,8 @@ class TestSelectDedicated:
         Y = rng.standard_normal((8, 8))
         labels = np.zeros(8, dtype=int)
         w = SelectionWeights(lambda2=0.4, lambda3=0.6)
-        ded = select_dedicated(d, Y, labels, 3, SelectionMode(), w)
-        sh = select_shared(d, Y, labels, 3, SelectionMode(), w)
+        ded = select_dedicated(d, Y, labels, 3, TERMS, w)
+        sh = select_shared(d, Y, labels, 3, TERMS, w)
         assert len(ded) == 1
         assert ded[0].selection.indices == sh.selection.indices
         assert all(abs(r.gain_discrim) < 1e-9 for r in ded[0].rounds)
@@ -237,7 +234,7 @@ class TestSelectDedicated:
         Y1 = basis[:, 4:7] @ np.abs(rng.standard_normal((3, 20)))
         Y = np.hstack([Y0, Y1])
         labels = np.array([0] * 20 + [1] * 20)
-        res = select_dedicated(d, Y, labels, 3, SelectionMode())
+        res = select_dedicated(d, Y, labels, 3)
         g0 = set(res[0].selection.indices)
         g1 = set(res[1].selection.indices)
         assert g0 == {0, 1, 2} and g1 == {4, 5, 6}
@@ -245,7 +242,7 @@ class TestSelectDedicated:
 
     def test_selection_lengths_and_distinctness(self):
         ds, d, codes = small_problem(seed=12)
-        res = select_dedicated(d, ds.signals, ds.labels, 3, SelectionMode(), initial_codes=codes)
+        res = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes)
         assert [r.class_id for r in res] == [0, 1, 2]
         for r in res:
             assert len(r.selection) == 3
@@ -256,13 +253,13 @@ class TestSelectDedicated:
         Y = np.random.default_rng(33).standard_normal((6, 5))
         labels = np.array([0, 0, 0, 0, 1])
         with pytest.raises(ValueError, match="class 1"):
-            select_dedicated(d, Y, labels, 2, SelectionMode())
+            select_dedicated(d, Y, labels, 2)
 
     def test_per_class_reconstruction_uses_own_signals(self):
         # reconstruction-only: each class's support is the shared selection
         # run on that class's signals alone
         ds, d, codes = small_problem(seed=13)
-        mode = SelectionMode(ablation=frozenset({"reconstructive"}))
+        mode = frozenset({"reconstructive"})
         w = SelectionWeights(lambda3=1.0)
         res = select_dedicated(d, ds.signals, ds.labels, 3, mode, w, initial_codes=codes)
         for r in res:
@@ -274,7 +271,7 @@ class TestSelectDedicated:
     def test_single_weights_apply_to_every_class(self):
         ds, d, codes = small_problem(seed=16)
         w = SelectionWeights(lambda2=0.3, lambda3=0.7)
-        res = select_dedicated(d, ds.signals, ds.labels, 3, SelectionMode(), w, initial_codes=codes)
+        res = select_dedicated(d, ds.signals, ds.labels, 3, TERMS, w, initial_codes=codes)
         assert len(res) == ds.p
         assert all(r.weights is w for r in res)
         for r in res:
@@ -285,19 +282,18 @@ class TestSelectDedicated:
     def test_no_weights_estimates_per_class(self):
         ds, d, codes = small_problem(seed=17)
         gp = build_gp_model(d.atoms)
-        res = select_dedicated(
-            d, ds.signals, ds.labels, 3, SelectionMode(), initial_codes=codes, gp_model=gp
-        )
+        res = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes, gp_model=gp)
         for r in res:
             own = ds.signals[:, ds.labels == r.class_id]
             labels01 = (ds.labels == r.class_id).astype(np.int64)
-            assert r.weights == estimate_lambdas(d, codes, labels01, own, gp)
+            res_model = ResidualModel.from_signals(own)
+            assert r.weights == estimate_lambdas(d, codes, labels01, own, gp, res_model)
 
 
 class TestSelectionReport:
     def test_report_structure_and_ablation_zeroes(self):
         ds, d, codes = small_problem(seed=14)
-        mode = SelectionMode(ablation=frozenset({"compact"}))
+        mode = frozenset({"compact"})
         res = select_shared(d, ds.signals, ds.labels, 3, mode, SelectionWeights(), initial_codes=codes)
         report = selection_report([res])
         entry = report["selections"][0]
@@ -308,7 +304,8 @@ class TestSelectionReport:
             assert row["weighted_recon"] == 0.0
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            SelectionMode(ablation=frozenset())
-        with pytest.raises(ValueError):
-            SelectionMode(ablation=frozenset({"bogus"}))
+        ds, d, codes = small_problem(seed=14)
+        for ablation in (frozenset(), frozenset({"bogus"}), "compact"):
+            for select in (select_shared, select_dedicated):
+                with pytest.raises(ValueError, match="ablation"):
+                    select(d, ds.signals, ds.labels, 3, ablation, initial_codes=codes)

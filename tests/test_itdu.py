@@ -3,8 +3,7 @@ import pytest
 
 from helpers import shared_style_dataset
 from itdl.dataset import split, synth_gaussian_classes
-from itdl.info_measures import KdeConfig
-from itdl.itds import SelectionMode, select_dedicated
+from itdl.itds import select_dedicated
 from itdl.itdu import (
     backtrack_step,
     renormalize_atoms,
@@ -111,7 +110,7 @@ class TestUpdateDictionary:
         raw_codes = pinv(raw_atoms) @ Y
         from itdl.info_measures import qmi
 
-        assert qmi(raw_codes, labels, KdeConfig(state.sigma)) == pytest.approx(
+        assert qmi(raw_codes, labels, state.sigma) == pytest.approx(
             state.trace[-1], rel=1e-8
         )
         # renormalization rescales code rows inversely: reconstruction intact
@@ -148,8 +147,7 @@ class TestUpdateDictionary:
         _, state = update_dictionary(atoms, Y, labels, max_iters=10)
         from itdl.info_measures import qmi
 
-        cfg = KdeConfig(state.sigma)
-        assert qmi(state.transform.T @ Y, labels, cfg) == state.trace[-1]
+        assert qmi(state.transform.T @ Y, labels, state.sigma) == state.trace[-1]
 
     def test_rank_deficient_transform_raises_named_error(self):
         # twin atoms give a rank-1 transform whose columns stay equal under
@@ -201,7 +199,7 @@ class TestUpdateAllClasses:
         monkeypatch.setattr(itdu_mod, "update_dictionary", counting)
         ds = shared_style_dataset(12, 3, 10, seed=8)
         d = ksvd_init(ds.signals, 8, 2, 1, 8)
-        sel = select_dedicated(d, ds.signals, ds.labels, 2, SelectionMode())
+        sel = select_dedicated(d, ds.signals, ds.labels, 2)
         atom_sets = [(r.class_id, d.atoms[:, list(r.selection.indices)]) for r in sel]
         results = update_all_classes(atom_sets, ds.signals, ds.labels, max_iters=2)
         assert len(calls) == 3
@@ -239,7 +237,7 @@ class TestUpdateAllClasses:
         # reduced intra-class variation)
         train, _ = split(shared_style_dataset(16, 4, 60, seed=0), 0.5, 77)
         d = ksvd_init(train.signals, 12, 2, 1, 123)
-        sel = select_dedicated(d, train.signals, train.labels, 2, SelectionMode())
+        sel = select_dedicated(d, train.signals, train.labels, 2)
         pre = [(r.class_id, d.atoms[:, list(r.selection.indices)]) for r in sel]
         post = update_all_classes(pre, train.signals, train.labels, max_iters=30)
 

@@ -23,18 +23,18 @@ class TestOmp:
 
     def test_identity_dictionary(self):
         d = Dictionary(atoms=np.eye(3))
-        x = omp_codes(d, np.array([[0.0], [2.0], [0.0]]), 1).coeffs[:, 0]
+        x = omp_codes(d, np.array([[0.0], [2.0], [0.0]]), 1)[:, 0]
         np.testing.assert_allclose(x, [0.0, 2.0, 0.0], atol=1e-12)
 
     def test_exact_atom(self):
         d = random_unit_dictionary(3, 6, 4)
-        x = omp_codes(d, d.atoms[:, 2:3], 1).coeffs[:, 0]
+        x = omp_codes(d, d.atoms[:, 2:3], 1)[:, 0]
         assert x[2] == pytest.approx(1.0, abs=1e-10)
         assert np.count_nonzero(x) == 1
 
     def test_zero_signal(self):
         d = random_unit_dictionary(3, 5, 4)
-        np.testing.assert_array_equal(omp_codes(d, np.zeros((5, 1)), 2).coeffs[:, 0], np.zeros(4))
+        np.testing.assert_array_equal(omp_codes(d, np.zeros((5, 1)), 2)[:, 0], np.zeros(4))
 
     def test_against_naive_oracle(self):
         # rebuild the greedy from scratch each step: argmax |d^T r|,
@@ -50,7 +50,7 @@ class TestOmp:
             support.append(int(np.argmax(scores)))
             coef, *_ = np.linalg.lstsq(d.atoms[:, support], y, rcond=None)
             r = y - d.atoms[:, support] @ coef
-        x = omp_codes(d, y[:, None], 2).coeffs[:, 0]
+        x = omp_codes(d, y[:, None], 2)[:, 0]
         assert set(np.flatnonzero(x)) == set(support)
         np.testing.assert_allclose(x[support], coef, atol=1e-9)
 
@@ -58,7 +58,7 @@ class TestOmp:
         rng = np.random.default_rng(6)
         d = random_unit_dictionary(7, 10, 20)
         y = rng.standard_normal(10)
-        x = omp_codes(d, y[:, None], 4).coeffs[:, 0]
+        x = omp_codes(d, y[:, None], 4)[:, 0]
         sel = np.flatnonzero(x)
         resid = y - d.atoms @ x
         assert np.max(np.abs(d.atoms[:, sel].T @ resid)) < 1e-8
@@ -69,7 +69,7 @@ class TestOmp:
         y = rng.standard_normal(10)
         norms = []
         for T in range(1, 8):
-            x = omp_codes(d, y[:, None], T).coeffs[:, 0]
+            x = omp_codes(d, y[:, None], T)[:, 0]
             norms.append(np.linalg.norm(y - d.atoms @ x))
         assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
 
@@ -88,7 +88,7 @@ class TestOmp:
         b /= np.linalg.norm(b)
         # atoms 1 and 2 are identical: their scores tie exactly
         d = Dictionary(atoms=np.column_stack([b, a, a]))
-        x = omp_codes(d, 3.0 * a[:, None], 1).coeffs[:, 0]
+        x = omp_codes(d, 3.0 * a[:, None], 1)[:, 0]
         assert np.flatnonzero(x).tolist() == [1]
 
 
@@ -99,7 +99,7 @@ class TestBatchedOmp:
     def test_matches_loop_oracle(self, seed, n, K, N, T):
         d = random_unit_dictionary(seed, n, K)
         Y = np.random.default_rng(seed + 100).standard_normal((n, N))
-        got = omp_codes(d, Y, T).coeffs
+        got = omp_codes(d, Y, T)
         want = loop_omp_codes(d, Y, T)
         np.testing.assert_array_equal(got != 0, want != 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -124,7 +124,7 @@ class TestBatchedOmp:
             ]
         )
         T = min(n, K)
-        got = omp_codes(d, Y, T).coeffs
+        got = omp_codes(d, Y, T)
         want = loop_omp_codes(d, Y, T)
         np.testing.assert_array_equal(got != 0, want != 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -137,7 +137,7 @@ class TestBatchedOmp:
         # atoms 1 = 2 and 3 = 4 are identical: their scores tie exactly
         d = Dictionary(atoms=np.column_stack([c, a, a, b, b]))
         Y = np.column_stack([3.0 * a, -2.0 * b, a + 0.5 * b, 0.25 * b + a])
-        got = omp_codes(d, Y, 2).coeffs
+        got = omp_codes(d, Y, 2)
         assert [np.flatnonzero(col).tolist() for col in got.T] == [[1], [3], [1, 3], [1, 3]]
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
@@ -159,7 +159,7 @@ class TestBatchedOmp:
                     rng.standard_normal((n, 30)),
                 ]
             )
-            got = omp_codes(d, Y, T).coeffs
+            got = omp_codes(d, Y, T)
             want = loop_omp_codes(d, Y, T)
             np.testing.assert_allclose(
                 np.linalg.norm(Y - d.atoms @ got, axis=0),
@@ -180,7 +180,7 @@ class TestBatchedOmp:
             atoms=np.column_stack([a, g, twin / np.linalg.norm(twin), weak / np.linalg.norm(weak)])
         )
         y = (a + 3.0 * e)[:, None]
-        got = omp_codes(d, y, 3).coeffs
+        got = omp_codes(d, y, 3)
         assert np.flatnonzero(got).tolist() == [0, 2, 3]
         np.testing.assert_array_equal(got, loop_omp_codes(d, y, 3))
 
@@ -196,14 +196,14 @@ class TestSomp:
         d = random_unit_dictionary(9, 8, 16)
         y = rng.standard_normal(8)
         sel, codes = somp(d, y[:, None], 3)
-        assert set(sel.indices) == set(np.flatnonzero(omp_codes(d, y[:, None], 3).coeffs[:, 0]))
+        assert set(sel.indices) == set(np.flatnonzero(omp_codes(d, y[:, None], 3)[:, 0]))
 
     def test_identical_signals_equal_atom(self):
         d = random_unit_dictionary(10, 6, 9)
         Y = np.tile(d.atoms[:, 4][:, None], (1, 5))
         sel, codes = somp(d, Y, 2)
         assert sel.indices[0] == 4
-        np.testing.assert_allclose(codes.coeffs[0], np.ones(5), atol=1e-10)
+        np.testing.assert_allclose(codes[0], np.ones(5), atol=1e-10)
 
     def test_against_naive_greedy_oracle(self):
         rng = np.random.default_rng(9)
@@ -218,7 +218,7 @@ class TestSomp:
             coef, *_ = np.linalg.lstsq(d.atoms[:, support], Y, rcond=None)
             R = Y - d.atoms[:, support] @ coef
         sel, codes = somp(d, Y, 2)
-        resid = np.linalg.norm(Y - d.atoms[:, list(sel.indices)] @ codes.coeffs)
+        resid = np.linalg.norm(Y - d.atoms[:, list(sel.indices)] @ codes)
         assert resid <= (1 + 1e-9) * np.linalg.norm(R)
         assert list(sel.indices) == support
 
@@ -230,7 +230,7 @@ class TestKsvd:
         Y = np.hstack([basis * s for s in (1.0, 2.0, -1.5)])
         d = ksvd_init(Y, 4, 1, 8, 0)
         codes = omp_codes(d, Y, 1)
-        rmse = np.linalg.norm(Y - d.atoms @ codes.coeffs) / np.sqrt(Y.size)
+        rmse = np.linalg.norm(Y - d.atoms @ codes) / np.sqrt(Y.size)
         assert rmse < 1e-8
 
     def test_iters_validation(self):
@@ -320,7 +320,7 @@ class TestCodeLs:
         rng = np.random.default_rng(4)
         Y = d.atoms[:, list(sel.indices)] @ rng.standard_normal((3, 6))
         codes = code_ls(d, sel, Y)
-        recon = d.atoms[:, list(sel.indices)] @ codes.coeffs
+        recon = d.atoms[:, list(sel.indices)] @ codes
         assert np.linalg.norm(Y - recon) < 1e-8
 
     def test_single_atom_ones(self):
@@ -328,7 +328,7 @@ class TestCodeLs:
         sel = Selection(indices=(3,))
         Y = np.tile(d.atoms[:, 3][:, None], (1, 4))
         codes = code_ls(d, sel, Y)
-        np.testing.assert_allclose(codes.coeffs, np.ones((1, 4)), atol=1e-10)
+        np.testing.assert_allclose(codes, np.ones((1, 4)), atol=1e-10)
 
     def test_least_squares_optimality_via_perturbations(self):
         rng = np.random.default_rng(6)
@@ -337,10 +337,10 @@ class TestCodeLs:
         Y = rng.standard_normal((9, 10))
         codes = code_ls(d, sel, Y)
         sub = d.atoms[:, list(sel.indices)]
-        base = np.linalg.norm(Y - sub @ codes.coeffs)
+        base = np.linalg.norm(Y - sub @ codes)
         for _ in range(100):
-            delta = 1e-3 * rng.standard_normal(codes.coeffs.shape)
-            assert base <= np.linalg.norm(Y - sub @ (codes.coeffs + delta)) + 1e-12
+            delta = 1e-3 * rng.standard_normal(codes.shape)
+            assert base <= np.linalg.norm(Y - sub @ (codes + delta)) + 1e-12
 
     def test_residual_matches_independent_projector(self):
         rng = np.random.default_rng(7)
@@ -349,7 +349,7 @@ class TestCodeLs:
         Y = rng.standard_normal((9, 11))
         codes = code_ls(d, sel, Y)
         sub = d.atoms[:, list(sel.indices)]
-        got = np.linalg.norm(Y - sub @ codes.coeffs)
+        got = np.linalg.norm(Y - sub @ codes)
         q = np.linalg.qr(sub)[0]
         want = np.linalg.norm(Y - q @ (q.T @ Y))
         assert got == pytest.approx(want, abs=1e-8)

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import dense_class_kernel_sums, dense_median_pairwise_distance, dense_mi_codes_labels
 from itdl._kernels import class_kernel_sums
-from itdl.info_measures import KdeConfig, bandwidth_rule, median_pairwise_distance, mi_codes_labels
+from itdl.info_measures import bandwidth_rule, median_pairwise_distance, mi_codes_labels
 
 FLOOR = 1e-3
 # Nonzero quarter steps: every product and sum of a few of them is exact,
@@ -166,16 +166,16 @@ class TestMiCodesLabels:
         d, n = codes.shape
         sigma = max(dense_median_pairwise_distance(codes) * n ** (-1.0 / (d + 4)), FLOOR)
         want = dense_mi_codes_labels(codes, labels, sigma)
-        assert mi_codes_labels(codes, labels, KdeConfig()) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert mi_codes_labels(codes, labels, None) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @PROPERTY
     @given(coded_labels(), st.floats(0.1, 3.0))
     def test_fixed_sigma_matches_dense(self, data, sigma):
         codes, labels = data
         want = dense_mi_codes_labels(codes, labels, sigma)
-        got = mi_codes_labels(codes, labels, KdeConfig(sigma))
+        got = mi_codes_labels(codes, labels, sigma)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_single_class_labeling(self):
         codes = codes_with_zero_columns(12, 9, seed=2)
-        assert mi_codes_labels(codes, np.zeros(12, dtype=np.int64), KdeConfig()) == 0.0
+        assert mi_codes_labels(codes, np.zeros(12, dtype=np.int64), None) == 0.0
