@@ -29,7 +29,7 @@ from .sparse_coding import (
     rmse,
     save_matrix,
     save_selection,
-    somp,
+    unit_columns,
 )
 from .info_measures import (
     GpModel,
@@ -44,7 +44,6 @@ from .info_measures import (
     mi_codes_labels,
     qmi,
     qmi_grad_codes,
-    qmi_grad_phi,
     recon_gain,
 )
 from .itds import (
@@ -60,7 +59,7 @@ from .itdu import (
     ClassUpdateResult,
     UpdateState,
     backtrack_step,
-    renormalize_atoms,
+    qmi_grad_phi,
     update_all_classes,
     update_dictionary,
     update_report,

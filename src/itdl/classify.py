@@ -18,7 +18,7 @@ from .info_measures import bayes_bound, class_entropy, mi_codes_labels
 from .sparse_coding import pinv, rmse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """One-vs-rest linear scores: weights (p, F) and bias (p,)."""
 

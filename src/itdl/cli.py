@@ -54,6 +54,8 @@ class RunConfig:
             raise ConfigError("mode must be 'shared' or 'dedicated'")
         if self.seed is None:
             raise ConfigError("seed is mandatory")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.sparsity >= self.atoms:
             raise ConfigError(
                 f"sparsity ({self.sparsity}) must be smaller than atoms ({self.atoms})"
@@ -158,8 +160,7 @@ def _load_dataset(path, normalize: bool) -> dataset.Dataset:
     ds = dataset.load_csv(path)
     if not normalize:
         return ds
-    norms = np.linalg.norm(ds.signals, axis=0)
-    return replace(ds, signals=ds.signals / np.where(norms > 0, norms, 1.0))
+    return replace(ds, signals=sparse_coding.unit_columns(ds.signals))
 
 
 def _class_paths(cfg: RunConfig, out: Path, p: int, name: str) -> list[tuple[int | None, Path]]:
@@ -315,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     try:
         ds = dataset.synth_gaussian_classes(
             args.dim, args.classes, args.per_class, args.spread, args.seed

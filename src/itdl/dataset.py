@@ -23,7 +23,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Signals (n features x N samples) with labels in {0..p-1}; class c
     has the raw label label_values[c] (c itself by default).

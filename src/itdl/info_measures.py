@@ -12,8 +12,10 @@ Three families of measures drive atom selection and update:
   an extra atom improves signal reconstruction.
 
 The quadratic mutual information (KL divergence replaced by the quadratic
-divergence) has an exact finite-sum form and an analytic gradient, both
-evaluated by the hot kernels in :mod:`itdl._kernels`.
+divergence) has an exact finite-sum form and an analytic gradient with
+respect to the codes, both evaluated by the hot kernels in
+:mod:`itdl._kernels`. The gradient with respect to the coding transform
+is the ascent's, ``itdu.qmi_grad_phi``.
 
 Every KDE measure takes its kernel bandwidth as a plain ``sigma``, which
 must be finite and positive. ``mi_codes_labels`` also takes None, which
@@ -153,12 +155,14 @@ def save_mi_trace(values, path) -> None:
 # Gaussian-process compactness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+GP_JITTER = 1e-8  # on the built covariance's diagonal: duplicate atoms stay SPD
+
+
+@dataclass(frozen=True, eq=False)
 class GpModel:
     """SPD covariance over the atom pool, jitter already on the diagonal."""
 
     cov: np.ndarray
-    jitter: float = 1e-8
 
     def __post_init__(self):
         cov = np.ascontiguousarray(self.cov, dtype=np.float64)
@@ -176,30 +180,24 @@ class GpModel:
     @property
     def var_floor(self) -> float:
         # Exact duplicate atoms leave a conditional variance of about
-        # 2 * jitter, so the "fully explained" sentinel must sit above it.
-        return max(1e-12, 10.0 * self.jitter)
+        # 2 * GP_JITTER, so the "fully explained" sentinel must sit above it.
+        return 10.0 * GP_JITTER
 
 
 def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
     """Squared-exponential covariance over atoms, length scale rho, plus
-    GpModel's default jitter on the diagonal.
+    GP_JITTER on the diagonal.
 
-    rho defaults to the median pairwise atom distance, which keeps the
-    covariance scale-free across dictionaries.
+    rho defaults to the median pairwise atom distance (floored at 1e-6),
+    which keeps the covariance scale-free across dictionaries.
     """
     atoms = np.asarray(atoms, dtype=np.float64)
-    K = atoms.shape[1]
-    d2 = _sq_dist_matrix(atoms.T)
     if rho is None:
-        if K < 2:
-            rho = 1.0
-        else:
-            rho = float(np.median(np.sqrt(d2[np.triu_indices(K, k=1)])))
-        rho = max(rho, 1e-6)
+        rho = max(median_pairwise_distance(atoms), 1e-6)
     elif not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho!r}")
-    cov = np.exp(d2 / (-2.0 * rho * rho))
-    cov[np.diag_indices(K)] += GpModel.jitter
+    cov = np.exp(_sq_dist_matrix(atoms.T) / (-2.0 * rho * rho))
+    cov[np.diag_indices(atoms.shape[1])] += GP_JITTER
     cov = 0.5 * (cov + cov.T)
     return GpModel(cov=cov)
 
@@ -320,18 +318,3 @@ def qmi_grad_codes(codes: np.ndarray, labels: np.ndarray, sigma: float) -> np.nd
         return np.zeros_like(codes)
     x = np.ascontiguousarray(codes.T)
     return np.ascontiguousarray(qmi_grad(x, labels, counts, sigma * sigma).T)
-
-
-def qmi_grad_phi(
-    phi: np.ndarray, signals: np.ndarray, labels: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Gradient of qmi(phi^T Y; labels) with respect to the coding map phi.
-
-    Chain rule through X = phi^T Y: the per-sample code gradients are
-    weighted by the corresponding signals, giving a matrix shaped like phi.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    Y = np.asarray(signals, dtype=np.float64)
-    codes = phi.T @ Y
-    grads = qmi_grad_codes(codes, labels, sigma)
-    return Y @ grads.T

@@ -3,9 +3,10 @@
 The selected atoms are updated indirectly through the coding transform
 phi (the transposed pseudoinverse of the selected sub-dictionary), whose
 codes are phi^T Y: ascend the quadratic MI between codes and labels with
-respect to phi, then recover the atoms once, as the pseudoinverse of the
-final transform. Backtracking line search halves the step until the
-objective does not decrease, which makes the whole trace non-decreasing.
+respect to phi (``qmi_grad_phi``), then recover the atoms once, as the
+unit-normalized pseudoinverse of the final transform. Backtracking line
+search halves the step until the objective does not decrease, which
+makes the whole trace non-decreasing.
 
 The kernel bandwidth is frozen at its initial value for the entire
 ascent, otherwise the objective would move under the iterates.
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .info_measures import ascent_bandwidth, qmi, qmi_grad_codes
-from .sparse_coding import SVD_CUTOFF, pinv
+from .sparse_coding import SVD_CUTOFF, pinv, unit_columns
 
 
-@dataclass
+@dataclass(eq=False)
 class UpdateState:
     """Ascent bookkeeping: coding transform, step, objective trace."""
 
@@ -53,10 +54,12 @@ def backtrack_step(phi, grad, nu0, objective, current):
     return 0.0, current
 
 
-def renormalize_atoms(atoms: np.ndarray) -> np.ndarray:
-    """Unit-normalize the nonzero atoms; their span is unchanged."""
-    norms = np.linalg.norm(atoms, axis=0)
-    return atoms / np.where(norms > 0, norms, 1.0)
+def qmi_grad_phi(
+    codes: np.ndarray, signals: np.ndarray, labels: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Gradient of qmi(X; labels) with respect to the coding map phi, given
+    the codes X = phi^T Y and the signals Y: by the chain rule, Y (dI/dX)^T."""
+    return np.asarray(signals, dtype=np.float64) @ qmi_grad_codes(codes, labels, sigma).T
 
 
 def update_dictionary(
@@ -94,8 +97,7 @@ def update_dictionary(
     nu0 = None if step is None else float(step)
     for k in range(1, max_iters + 1):
         state.iteration = k
-        grads = qmi_grad_codes(X, labels, sigma)
-        grad_phi = Y @ grads.T
+        grad_phi = qmi_grad_phi(X, Y, labels, sigma)
         gnorm = float(np.linalg.norm(grad_phi))
         if not math.isfinite(iq) or not math.isfinite(gnorm):
             state.aborted = True
@@ -134,10 +136,10 @@ def update_dictionary(
             f"coding transform has rank {rank} < {phi.shape[1]} atoms; "
             "the atoms cannot be recovered from it"
         )
-    return renormalize_atoms(pinv(phi.T)), state
+    return unit_columns(pinv(phi.T)), state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassUpdateResult:
     class_id: int | None
     atoms: np.ndarray

@@ -1,9 +1,10 @@
-"""Pursuit algorithms, K-SVD initialization and least-squares coding.
+"""Orthogonal matching pursuit, K-SVD initialization and least-squares coding.
 
-Dictionaries are (n, K) matrices of unit-norm atoms. OMP/SOMP break score
-ties toward the lowest atom index so runs are reproducible, and every
-least-squares solve goes through the SVD pseudoinverse with a relative
-cutoff so near-duplicate atoms cannot blow up the coefficients.
+Dictionaries are (n, K) matrices of unit-norm atoms (see ``unit_columns``).
+OMP breaks score ties toward the lowest atom index so runs are
+reproducible, and every least-squares solve goes through the SVD
+pseudoinverse with a relative cutoff so near-duplicate atoms cannot blow
+up the coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 SVD_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Matrix of unit-l2-norm atoms, one per column."""
 
@@ -30,7 +31,7 @@ class Dictionary:
         if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] < 1:
             raise ValueError("atoms must be a non-empty 2-d matrix")
         norms = np.linalg.norm(atoms, axis=0)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
+        if not (np.abs(norms - 1.0) <= 1e-10).all():
             raise ValueError("every atom must have unit l2 norm")
 
     @property
@@ -74,6 +75,13 @@ def pinv(mat: np.ndarray) -> np.ndarray:
     keep = (s >= SVD_CUTOFF * top) & (s > 0.0)
     inv_s = np.where(keep, 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
     return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
+
+
+def unit_columns(mat: np.ndarray) -> np.ndarray:
+    """The matrix with each nonzero column scaled to unit l2 norm; zero
+    columns stay zero."""
+    norms = np.linalg.norm(mat, axis=0)
+    return mat / np.where(norms > 0, norms, 1.0)
 
 
 # Signals coded together by omp_codes; the K x block score matrix and the
@@ -155,37 +163,6 @@ def _omp_supports(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray,
     return support, size
 
 
-def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection, np.ndarray]:
-    """Simultaneous OMP: one shared support of size T for all signals, and
-    the coefficients of every signal on it.
-
-    Each round scores atoms by the summed absolute correlation with all
-    current residuals, then refits every signal on the shared support.
-    """
-    atoms = dictionary.atoms
-    n, K = atoms.shape
-    if not 1 <= T <= min(n, K):
-        raise ValueError("need 1 <= T <= min(n, K)")
-    Y = np.asarray(signals, dtype=np.float64)
-    resid = Y.copy()
-    scale = np.linalg.norm(Y)
-    chosen: list[int] = []
-    available = np.ones(K, dtype=bool)
-    coef = np.zeros((0, Y.shape[1]))
-    for _ in range(T):
-        scores = np.abs(atoms.T @ resid).sum(axis=1)
-        scores[~available] = -1.0
-        best = int(np.argmax(scores))
-        if scores[best] <= 1e-12 * max(scale, 1.0):
-            break
-        chosen.append(best)
-        available[best] = False
-        sub = atoms[:, chosen]
-        coef = pinv(sub) @ Y
-        resid = Y - sub @ coef
-    return Selection(indices=tuple(chosen)), coef
-
-
 def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of all signals on the selected atoms."""
     if len(selection) > dictionary.n:
@@ -221,17 +198,14 @@ def ksvd_init(
     if iters < 1:
         raise ValueError("iters must be at least 1")
     rng = np.random.default_rng(seed)
-    cols = rng.choice(N, size=K, replace=False)
-    atoms = Y[:, cols].copy()
-    norms = np.linalg.norm(atoms, axis=0)
-    for k in range(K):
-        if norms[k] <= 1e-12:
-            atoms[:, k] = rng.standard_normal(n)
-            norms[k] = np.linalg.norm(atoms[:, k])
-    atoms /= norms
+    # C-ordered copy: fancy indexing gives Fortran order, which rounds the norms differently
+    atoms = Y[:, rng.choice(N, size=K, replace=False)].copy()
+    for k in np.flatnonzero(np.linalg.norm(atoms, axis=0) <= 1e-12):
+        atoms[:, k] = rng.standard_normal(n)
+    atoms = unit_columns(atoms)
 
     for _ in range(iters):
-        d = Dictionary(atoms=atoms / np.linalg.norm(atoms, axis=0))
+        d = Dictionary(atoms=unit_columns(atoms))
         X = omp_codes(d, Y, T)
         atoms = d.atoms.copy()
         for k in range(K):
@@ -251,7 +225,7 @@ def ksvd_init(
                 atoms[:, k] = col / np.linalg.norm(col)
         if trace is not None:
             trace.append(float(np.sum((Y - atoms @ X) ** 2)))
-    return Dictionary(atoms=atoms / np.linalg.norm(atoms, axis=0))
+    return Dictionary(atoms=unit_columns(atoms))
 
 
 def rmse(Y: np.ndarray, Y_hat: np.ndarray) -> float:
@@ -291,11 +265,17 @@ def load_matrix(path) -> np.ndarray:
         data = np.frombuffer(fh.read(8 * n * K), dtype="<f8")
         if data.size != n * K:
             raise ValueError(f"{path}: truncated matrix payload")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: non-finite matrix entry (nan or inf)")
     return np.ascontiguousarray(data.reshape((n, K), order="F"))
 
 
 def load_dictionary(path) -> Dictionary:
-    return Dictionary(atoms=load_matrix(path))
+    atoms = load_matrix(path)
+    try:
+        return Dictionary(atoms=atoms)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_selection(selection: Selection, path) -> None:

@@ -8,7 +8,9 @@ median pairwise distance and the class kernel sums, against which the
 library's sparse-aware versions are checked. The loop oracles code one
 signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
-checked. The reference forms (single Gaussian kernel, per-point class
+checked; ``somp`` (simultaneous OMP, one shared support for all
+signals) is the baseline the reconstruction-only selection is checked
+against. The reference forms (single Gaussian kernel, per-point class
 density, scalar GP compactness gain, two-refit reconstruction gain, GP
 total MI, per-sample QMI gradient, discrete KL and quadratic divergence)
 spell out the definitions that the library evaluates in batched or
@@ -21,7 +23,7 @@ import numpy as np
 
 from itdl.dataset import Dataset
 from itdl.info_measures import qmi_grad_codes
-from itdl.sparse_coding import Dictionary, pinv
+from itdl.sparse_coding import Dictionary, Selection, pinv
 
 
 def shared_style_dataset(n, p, per_class, seed, style=1.8, noise=0.08):
@@ -187,6 +189,37 @@ def loop_omp_codes(dictionary, signals, T):
     return np.column_stack(
         [loop_omp(dictionary.atoms, signals[:, i], T) for i in range(signals.shape[1])]
     )
+
+
+def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection, np.ndarray]:
+    """Simultaneous OMP: one shared support of size T for all signals, and
+    the coefficients of every signal on it.
+
+    Each round scores atoms by the summed absolute correlation with all
+    current residuals, then refits every signal on the shared support.
+    """
+    atoms = dictionary.atoms
+    n, K = atoms.shape
+    if not 1 <= T <= min(n, K):
+        raise ValueError("need 1 <= T <= min(n, K)")
+    Y = np.asarray(signals, dtype=np.float64)
+    resid = Y.copy()
+    scale = np.linalg.norm(Y)
+    chosen: list[int] = []
+    available = np.ones(K, dtype=bool)
+    coef = np.zeros((0, Y.shape[1]))
+    for _ in range(T):
+        scores = np.abs(atoms.T @ resid).sum(axis=1)
+        scores[~available] = -1.0
+        best = int(np.argmax(scores))
+        if scores[best] <= 1e-12 * max(scale, 1.0):
+            break
+        chosen.append(best)
+        available[best] = False
+        sub = atoms[:, chosen]
+        coef = pinv(sub) @ Y
+        resid = Y - sub @ coef
+    return Selection(indices=tuple(chosen)), coef
 
 
 def loop_reconstruct_masked(atoms_by_class, signals, mask):

@@ -18,6 +18,7 @@ from helpers import (
     planted_support_instance,
     qmi_quadrature,
     shared_style_dataset,
+    somp,
 )
 from itdl.classify import code_test_signals, predict, reconstruct_masked, train_linear
 from itdl.cli import main
@@ -30,11 +31,10 @@ from itdl.info_measures import (
     mi_codes_labels,
     qmi,
     qmi_grad_codes,
-    qmi_grad_phi,
 )
 from itdl.itds import SelectionWeights, select_dedicated, select_shared
-from itdl.itdu import update_all_classes, update_dictionary
-from itdl.sparse_coding import Selection, ksvd_init, pinv, somp
+from itdl.itdu import qmi_grad_phi, update_all_classes, update_dictionary
+from itdl.sparse_coding import Selection, ksvd_init, pinv
 
 
 def _random_labels(rng, n, p):
@@ -69,7 +69,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         dim = int(rng.integers(2, 5))
         Y = rng.standard_normal((dim, n))
         phi = rng.standard_normal((dim, d))
-        grad_phi = qmi_grad_phi(phi, Y, labels, sigma)
+        grad_phi = qmi_grad_phi(phi.T @ Y, Y, labels, sigma)
         for _ in range(5):
             r, c = int(rng.integers(0, dim)), int(rng.integers(0, d))
             pp, pm = phi.copy(), phi.copy()

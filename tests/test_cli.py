@@ -207,6 +207,46 @@ class TestCliErrors:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run-all", "synth"])
+    def test_negative_seed_exit_2_names_seed(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        if command == "synth":
+            argv = ["synth", "--out", str(out)]
+        else:
+            train_csv, test_csv = write_data(tmp_path)
+            cfg = write_config(tmp_path)
+            argv = ["run-all", "--config", str(cfg), "--train", str(train_csv),
+                    "--test", str(test_csv), "--out", str(out)]
+        rc = main(argv + ["--seed", "-1"])
+        assert rc == 2
+        assert "error: configuration: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage,name", [("evaluate", "dict_updated.itdl"), ("update", "dict_initial.itdl")]
+    )
+    def test_bad_matrix_artifact_exit_1_names_file(self, tmp_path, capsys, stage, name):
+        train_csv, test_csv = write_data(tmp_path)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        io = ["--config", str(cfg), "--train", str(train_csv), "--out", str(out)]
+        assert main(["run-all", *io, "--test", str(test_csv)]) == 0
+        capsys.readouterr()
+        path = out / name
+        atoms = load_matrix(path)
+        if stage == "evaluate":
+            atoms[0, 0] = np.nan
+            expected = f"{path}: non-finite matrix entry"
+        else:
+            atoms[:, 0] *= 2.0
+            expected = f"{path}: every atom must have unit l2 norm"
+        sparse_coding.save_matrix(atoms, path)
+        extra = ["--test", str(test_csv)] if stage == "evaluate" else []
+        rc = main([stage, *io, *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"stage {stage} failed" in err and expected in err
+
     def test_update_without_selection_exit_1(self, tmp_path, capsys):
         train_csv, _ = write_data(tmp_path)
         cfg = write_config(tmp_path)

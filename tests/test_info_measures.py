@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_median_pairwise_distance,
     gauss_kernel,
     gp_compact_gain,
     gp_total_mi,
@@ -18,6 +19,7 @@ from helpers import (
     qmi_grad_x,
     qmi_quadrature,
     random_unit_dictionary,
+    somp,
 )
 from itdl.info_measures import (
     GpModel,
@@ -30,10 +32,10 @@ from itdl.info_measures import (
     mi_codes_labels,
     qmi,
     qmi_grad_codes,
-    qmi_grad_phi,
     recon_gain,
 )
-from itdl.sparse_coding import Dictionary, Selection, somp
+from itdl.itdu import qmi_grad_phi
+from itdl.sparse_coding import Dictionary, Selection
 
 RECON_PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -141,7 +143,7 @@ class TestMiCodesLabels:
 
 class TestGpCompactness:
     def test_identity_covariance_all_zero_gains(self):
-        model = GpModel(cov=np.eye(7), jitter=0.0)
+        model = GpModel(cov=np.eye(7))
         gains = gp_compact_gains(model, Selection(), list(range(7)))
         np.testing.assert_allclose(gains, 0.0, atol=1e-12)
 
@@ -149,6 +151,13 @@ class TestGpCompactness:
     def test_non_finite_or_non_positive_rho_rejected(self, rho):
         with pytest.raises(ValueError, match="rho must be finite and positive"):
             build_gp_model(random_unit_dictionary(7, 6, 9).atoms, rho=rho)
+
+    def test_default_rho_is_the_dense_median_distance(self):
+        # the single-atom pool has no pair; its 1x1 covariance is 1 for any rho
+        for seed, K in [(1, 1), (2, 2), (3, 9), (4, 40)]:
+            atoms = random_unit_dictionary(seed, 6, K).atoms
+            rho = max(dense_median_pairwise_distance(atoms), 1e-6) if K > 1 else 1.0
+            np.testing.assert_array_equal(build_gp_model(atoms).cov, build_gp_model(atoms, rho).cov)
 
     def test_duplicate_atom_hits_sentinel(self):
         rng = np.random.default_rng(6)
@@ -201,7 +210,7 @@ class TestGpCompactness:
         assert total == pytest.approx(gp_total_mi(model, chosen), abs=1e-9)
 
     def test_preconditions(self):
-        model = GpModel(cov=np.eye(3), jitter=0.0)
+        model = GpModel(cov=np.eye(3))
         with pytest.raises(ValueError):
             gp_compact_gain(model, Selection(indices=(0,)), 0)
         with pytest.raises(ValueError):
@@ -385,7 +394,7 @@ class TestQmiGradients:
         phi = np.random.default_rng(20).standard_normal((3, 2))
         labels = np.array([0, 0, 0, 1, 1, 1])
         np.testing.assert_allclose(
-            qmi_grad_phi(phi, Y, labels, 0.5), 0.0, atol=1e-12
+            qmi_grad_phi(phi.T @ Y, Y, labels, 0.5), 0.0, atol=1e-12
         )
 
     def test_grad_phi_matches_finite_differences(self):
@@ -395,7 +404,7 @@ class TestQmiGradients:
         labels = rng.integers(0, 2, 10)
         labels[:2] = [0, 1]
         sigma = 0.9
-        grad = qmi_grad_phi(phi, Y, labels, sigma)
+        grad = qmi_grad_phi(phi.T @ Y, Y, labels, sigma)
         h = 1e-6
         for _ in range(5):
             r, c = int(rng.integers(0, 4)), int(rng.integers(0, 2))
@@ -413,7 +422,7 @@ class TestQmiGradients:
         labels[:2] = [0, 1]
         sigma = 1.1
         alpha = 1.7
-        grad_scaled = qmi_grad_phi(phi, alpha * Y, labels, sigma)
+        grad_scaled = qmi_grad_phi(phi.T @ (alpha * Y), alpha * Y, labels, sigma)
         want = alpha * Y @ qmi_grad_codes(phi.T @ (alpha * Y), labels, sigma).T
         np.testing.assert_allclose(grad_scaled, want, rtol=1e-12)
 

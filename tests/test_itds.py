@@ -6,6 +6,7 @@ from helpers import (
     loop_recon_gain,
     planted_support_instance,
     random_unit_dictionary,
+    somp,
 )
 from itdl.dataset import synth_gaussian_classes
 from itdl.info_measures import (
@@ -61,7 +62,7 @@ class TestWeights:
 
     def test_degenerate_covariance_raises(self):
         ds, d, codes = small_problem(seed=4)
-        gp = GpModel(cov=np.eye(d.K), jitter=0.0)
+        gp = GpModel(cov=np.eye(d.K))
         with pytest.raises(WeightsError):
             estimate_lambdas(d, codes, ds.labels, ds.signals, gp, ResidualModel(1.0))
 
@@ -74,8 +75,6 @@ class TestWeights:
 
 class TestSelectShared:
     def test_reconstruction_only_matches_somp(self):
-        from itdl.sparse_coding import somp
-
         hits = 0
         for seed in range(5):
             d, Y, _ = planted_support_instance(seed)
@@ -98,7 +97,7 @@ class TestSelectShared:
             mode,
             SelectionWeights(),
             initial_codes=codes,
-            gp_model=GpModel(cov=np.eye(d.K), jitter=0.0),
+            gp_model=GpModel(cov=np.eye(d.K)),
         )
         assert res.selection.indices == (0, 1, 2)
 

@@ -6,12 +6,11 @@ from itdl.dataset import split, synth_gaussian_classes
 from itdl.itds import select_dedicated
 from itdl.itdu import (
     backtrack_step,
-    renormalize_atoms,
     update_all_classes,
     update_dictionary,
     update_report,
 )
-from itdl.sparse_coding import ksvd_init, pinv
+from itdl.sparse_coding import ksvd_init, pinv, unit_columns
 
 
 def two_class_instance(seed=0, n=8, per_class=15, spread=0.4, T=2):
@@ -69,7 +68,7 @@ class TestRenormalize:
         rng = np.random.default_rng(1)
         atoms = rng.standard_normal((6, 3)) * np.array([0.2, 5.0, 1.7])
         Y = rng.standard_normal((6, 10))
-        atoms2 = renormalize_atoms(atoms)
+        atoms2 = unit_columns(atoms)
         np.testing.assert_allclose(np.linalg.norm(atoms2, axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(atoms2 * np.linalg.norm(atoms, axis=0), atoms, atol=1e-12)
         recon = atoms @ pinv(atoms) @ Y
@@ -77,7 +76,7 @@ class TestRenormalize:
 
     def test_zero_atom_left_zero(self):
         atoms = np.column_stack([np.zeros(4), np.full(4, 2.0)])
-        np.testing.assert_array_equal(renormalize_atoms(atoms), [[0.0, 0.5]] * 4)
+        np.testing.assert_array_equal(unit_columns(atoms), [[0.0, 0.5]] * 4)
 
 
 class TestUpdateDictionary:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import loop_omp_codes, random_unit_dictionary
+from helpers import loop_omp_codes, random_unit_dictionary, somp
 from itdl import sparse_coding
 from itdl.sparse_coding import (
     Dictionary,
@@ -9,12 +9,13 @@ from itdl.sparse_coding import (
     code_ls,
     ksvd_init,
     load_dictionary,
+    load_matrix,
     load_selection,
     omp_codes,
     pinv,
     save_matrix,
     save_selection,
-    somp,
+    unit_columns,
 )
 
 
@@ -223,6 +224,14 @@ class TestSomp:
         assert list(sel.indices) == support
 
 
+class TestUnitColumns:
+    def test_matches_plain_division_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            mat = rng.standard_normal(tuple(rng.integers(1, 20, size=2))) * rng.uniform(1e-3, 1e3)
+            np.testing.assert_array_equal(unit_columns(mat), mat / np.linalg.norm(mat, axis=0))
+
+
 class TestKsvd:
     def test_exactly_representable_data(self):
         rng = np.random.default_rng(10)
@@ -388,6 +397,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match="magic"):
             load_dictionary(f)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload_names_file(self, tmp_path, bad):
+        atoms = random_unit_dictionary(13, 4, 3).atoms.copy()
+        atoms[2, 1] = bad
+        f = tmp_path / "d.itdl"
+        save_matrix(atoms, f)
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            load_matrix(f)
+        assert str(exc.value).startswith(f"{f}: ")
+
+    def test_unnormalized_dictionary_names_file(self, tmp_path):
+        atoms = random_unit_dictionary(14, 4, 3).atoms.copy()
+        atoms[:, 0] *= 2.0
+        f = tmp_path / "d.itdl"
+        save_matrix(atoms, f)
+        with pytest.raises(ValueError) as exc:
+            load_dictionary(f)
+        assert str(exc.value) == f"{f}: every atom must have unit l2 norm"
+
     def test_selection_round_trip(self, tmp_path):
         sel = Selection(indices=(4, 0, 9))
         f = tmp_path / "s.csv"
@@ -399,6 +427,12 @@ class TestTypes:
     def test_dictionary_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             Dictionary(atoms=np.ones((3, 2)))
+
+    def test_dictionary_rejects_nan_atom(self):
+        atoms = np.eye(3)
+        atoms[0, 1] = np.nan
+        with pytest.raises(ValueError, match="unit l2 norm"):
+            Dictionary(atoms=atoms)
 
     def test_selection_rejects_duplicates(self):
         with pytest.raises(ValueError):
