@@ -11,6 +11,17 @@ exactly: all-zero rows coincide (their mutual kernel is 1), so only the
 |A| x N block of active rows against all rows is evaluated, and the
 all-zero rows' sums follow from per-class zero counts plus the block's
 column sums. Without all-zero rows the block is the full N x N matrix.
+
+The quadratic-MI value and gradient never build an N x N matrix. Each
+call sorts the samples by class once (stable), so every class is one
+contiguous slice, and walks row tiles that stay inside one class. A
+tile's kernel rows go into one (rows, N) buffer, reused by every tile,
+and are reduced at once: the tile's total and its own-class column sum
+for the value, two skinny products for the gradient. Memory is
+O(tile * N) instead of several N x N temporaries, for the same N^2
+kernel evaluations. The ascent calls these kernels hundreds of times,
+and fresh N x N temporaries page-faulted on every call: they, not the
+exponentials, were most of its time.
 """
 
 from __future__ import annotations
@@ -60,18 +71,55 @@ def class_kernel_sums(x, labels, var):
 
 
 # ---------------------------------------------------------------------------
-# quadratic mutual information, closed form
+# quadratic mutual information, closed form, in class-sorted row tiles
 # ---------------------------------------------------------------------------
+
+# Elements of the one kernel-row buffer a qmi call reuses for every tile
+# (512 KiB of float64; a tile has max(1, _QMI_TILE // N) rows). Timed at
+# N = 600 and N = 1500, d = 8: 2**15 to 2**17 run within 8 % of each
+# other, 2**14 is 15-25 % slower, and larger tiles only grow the buffer.
+_QMI_TILE = 1 << 16
+
+
+def _kernel_row_tiles(xs, counts, sigma2):
+    """Yield (class, rows, own, w) over row tiles of the class-sorted samples xs.
+
+    Class c holds counts[c] consecutive rows, the slice ``own``, and no
+    tile crosses a class boundary. w holds exp(-|x_i - x_j|^2 / (4 sigma2))
+    for the tile's slice ``rows`` against every row. It is a view of one
+    buffer that the next tile overwrites.
+    """
+    n = len(xs)
+    sq = (xs * xs).sum(axis=1)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    step = max(1, _QMI_TILE // n)
+    buf = np.empty((min(step, n), n))
+    for c in range(len(counts)):
+        own = slice(starts[c], starts[c + 1])
+        for r0 in range(own.start, own.stop, step):
+            rows = slice(r0, min(r0 + step, own.stop))
+            w = buf[: rows.stop - r0]
+            np.matmul(xs[rows], xs.T, out=w)
+            w *= -2.0
+            w += sq[rows, None]
+            w += sq
+            np.maximum(w, 0.0, out=w)
+            np.divide(w, -4.0 * sigma2, out=w)
+            np.exp(w, out=w)
+            yield c, rows, own, w
+
 
 def qmi_value(x, labels, counts, sigma2):
     n, d = x.shape
-    w = np.exp(_sq_dist_matrix(x) / (-4.0 * sigma2))
+    xs = x[np.argsort(labels, kind="stable")]
     prior = counts.astype(np.float64) / n
     sum_p2 = float(np.sum(prior * prior))
-    s_all = float(w.sum())
-    same = labels[:, None] == labels[None, :]
-    s_within = float((w * same).sum())
-    s_cross = float(prior[labels] @ w.sum(axis=1))
+    s_all = s_within = s_cross = 0.0
+    for c, _, own, w in _kernel_row_tiles(xs, counts, sigma2):
+        total = float(w.sum())
+        s_all += total
+        s_cross += prior[c] * total
+        s_within += float(w[:, own].sum())
     const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
     return const * (s_within - 2.0 * s_cross + sum_p2 * s_all) / (n * n)
 
@@ -82,18 +130,35 @@ def qmi_value(x, labels, counts, sigma2):
 #
 # d I_Q / d x_i = const/(N^2 sigma^2) * sum_j coef(c_i, c_j) w_ij (x_j - x_i)
 # with coef(a, b) = [a == b] - (N_a + N_b)/N + sum_c (N_c/N)^2.
+#
+# For a row i of class c, with pi_j = N_{c_j}/N and k = sum_c pi_c^2 - pi_c,
+# the coef-weighted sums expand into plain kernel products:
+#   sum_j coef_ij w_ij x_j = W_c x_c + k Wx - W(pi x)
+#   sum_j coef_ij w_ij     = W_c 1   + k W1 - W pi
+# where W_c is the row's own-class columns. One product of the tile with
+# [x | 1 | pi x | pi] and one of its own-class columns with [x_c | 1]
+# give both.
 
 def qmi_grad(x, labels, counts, sigma2):
     n, d = x.shape
-    w = np.exp(_sq_dist_matrix(x) / (-4.0 * sigma2))
+    order = np.argsort(labels, kind="stable")
+    xs = x[order]
     prior = counts.astype(np.float64) / n
     sum_p2 = float(np.sum(prior * prior))
-    pl = prior[labels]
-    coef = (labels[:, None] == labels[None, :]).astype(np.float64)
-    coef -= pl[:, None] + pl[None, :]
-    coef += sum_p2
-    a = coef * w
-    grad = a @ x - x * a.sum(axis=1)[:, None]
+    ps = np.repeat(prior, counts)
+    rhs = np.empty((n, 2 * d + 2))
+    rhs[:, :d] = xs
+    rhs[:, d] = 1.0
+    np.multiply(xs, ps[:, None], out=rhs[:, d + 1 : 2 * d + 1])
+    rhs[:, 2 * d + 1] = ps
+    grad = np.empty((n, d))
+    for c, rows, own, w in _kernel_row_tiles(xs, counts, sigma2):
+        full = w @ rhs
+        # [sum_j coef_ij w_ij x_j | sum_j coef_ij w_ij] for the tile's rows
+        a = w[:, own] @ rhs[own, : d + 1]
+        a += (sum_p2 - prior[c]) * full[:, : d + 1]
+        a -= full[:, d + 1 :]
+        grad[order[rows]] = a[:, :d] - xs[rows] * a[:, d:]
     const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
     grad *= const / (n * n * sigma2)
     return grad

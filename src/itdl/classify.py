@@ -9,6 +9,7 @@ observed-entry residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,7 @@ def train_linear(
                 if margin < 1.0:
                     w += eta * y[i] * Fs[i]
                     bc += eta * y[i]
-                norm = float(np.linalg.norm(w))
+                norm = math.sqrt(w @ w)
                 if norm > radius:
                     # projection onto the feasible ball tames the huge
                     # early steps of the 1/(reg*t) schedule

@@ -246,7 +246,13 @@ def stage_evaluate(
     for class_id, path in _class_paths(cfg, out, train.p, "dict_updated.itdl"):
         if not path.exists():
             raise FileNotFoundError(f"missing updated dictionary artifact: {path}")
-        atoms_by_class.append((class_id, sparse_coding.load_matrix(path)))
+        atoms = sparse_coding.load_dictionary(path).atoms
+        if atoms.shape != (train.n, cfg.sparsity):
+            raise ValueError(
+                f"{path}: expected {train.n} x {cfg.sparsity} atoms "
+                f"(signal dimension x sparsity), got {atoms.shape[0]} x {atoms.shape[1]}"
+            )
+        atoms_by_class.append((class_id, atoms))
     shared = cfg.mode == "shared"
     features, _ = classify.code_test_signals(atoms_by_class, train.signals, shared)
     model = classify.train_linear(

@@ -4,8 +4,9 @@ The quadrature oracles intentionally avoid the library's closed forms:
 mutual information and quadratic MI are evaluated by dense grid
 integration of the same KDE densities, so they can vouch for the
 analytic paths. The dense oracles are the plain all-pairs forms of the
-median pairwise distance and the class kernel sums, against which the
-library's sparse-aware versions are checked. The loop oracles code one
+median pairwise distance, the class kernel sums and the quadratic-MI
+value and gradient, against which the library's sparse-aware and
+row-tiled versions are checked. The loop oracles code one
 signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
 checked; ``somp`` (simultaneous OMP, one shared support for all
@@ -140,6 +141,39 @@ def dense_class_kernel_sums(x, labels, var):
     w = np.exp(d2 / (-2.0 * var))
     same = labels[:, None] == labels[None, :]
     return w.sum(axis=1), (w * same).sum(axis=1)
+
+
+def dense_qmi_value(x, labels, counts, sigma2):
+    """Closed-form quadratic MI from the full N x N kernel and label mask."""
+    n, d = x.shape
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    w = np.exp(d2 / (-4.0 * sigma2))
+    prior = counts.astype(np.float64) / n
+    sum_p2 = float(np.sum(prior * prior))
+    same = labels[:, None] == labels[None, :]
+    s_within = float((w * same).sum())
+    s_cross = float(prior[labels] @ w.sum(axis=1))
+    const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
+    return const * (s_within - 2.0 * s_cross + sum_p2 * float(w.sum())) / (n * n)
+
+
+def dense_qmi_grad(x, labels, counts, sigma2):
+    """Quadratic-MI gradient per sample from the full N x N coef * kernel matrix:
+    const/(N^2 sigma^2) * sum_j coef(c_i, c_j) w_ij (x_j - x_i)."""
+    n, d = x.shape
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    w = np.exp(d2 / (-4.0 * sigma2))
+    prior = counts.astype(np.float64) / n
+    pl = prior[labels]
+    coef = (labels[:, None] == labels[None, :]).astype(np.float64)
+    coef -= pl[:, None] + pl[None, :]
+    coef += float(np.sum(prior * prior))
+    a = coef * w
+    grad = a @ x - x * a.sum(axis=1)[:, None]
+    const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
+    return grad * (const / (n * n * sigma2))
 
 
 def dense_mi_codes_labels(codes, labels, sigma):

@@ -247,6 +247,32 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"stage {stage} failed" in err and expected in err
 
+    @pytest.mark.parametrize("edit", ["scaled-atom", "extra-atom", "extra-row"])
+    def test_bad_updated_dictionary_exit_1_names_file(self, tmp_path, capsys, edit):
+        train_csv, test_csv = write_data(tmp_path)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        io = ["--config", str(cfg), "--train", str(train_csv), "--out", str(out)]
+        assert main(["run-all", *io, "--test", str(test_csv)]) == 0
+        capsys.readouterr()
+        path = out / "dict_updated.itdl"
+        atoms = load_matrix(path)
+        if edit == "scaled-atom":
+            atoms[:, 0] *= 50.0
+            expected = f"{path}: every atom must have unit l2 norm"
+        elif edit == "extra-atom":
+            atoms = np.column_stack([atoms, atoms[:, 0]])
+            expected = f"{path}: expected 12 x 2 atoms (signal dimension x sparsity), got 12 x 3"
+        else:
+            atoms = np.vstack([atoms, np.zeros((1, atoms.shape[1]))])
+            expected = f"{path}: expected 12 x 2 atoms (signal dimension x sparsity), got 13 x 2"
+        sparse_coding.save_matrix(atoms, path)
+        before = (out / "eval_report.json").read_bytes()
+        assert main(["evaluate", *io, "--test", str(test_csv)]) == 1
+        err = capsys.readouterr().err
+        assert "stage evaluate failed" in err and expected in err
+        assert (out / "eval_report.json").read_bytes() == before
+
     def test_update_without_selection_exit_1(self, tmp_path, capsys):
         train_csv, _ = write_data(tmp_path)
         cfg = write_config(tmp_path)

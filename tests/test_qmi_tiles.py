@@ -1,0 +1,121 @@
+"""Row-tiled quadratic-MI kernels against their dense oracles.
+
+qmi_value and qmi_grad sort the samples by class and walk row tiles that
+stay inside one class, so they never hold an N x N matrix. They must
+agree with the all-pairs forms in tests/helpers.py for any sizes, with
+empty and singleton classes, and with tiles small enough to split every
+class into several.
+"""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from helpers import dense_qmi_grad, dense_qmi_value
+from itdl import _kernels
+from itdl._kernels import qmi_grad, qmi_value
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+@st.composite
+def qmi_inputs(draw, max_n=40, max_d=4, max_p=5):
+    """(x, labels, counts, sigma2, tile): labels drawn from p classes, so
+    some classes may be empty or hold one sample, and a kernel-row tile
+    of 1 to 3N elements, so that tiles split classes."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    p = draw(st.integers(1, max_p))
+    x = draw(arrays(np.float64, (n, d), elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    labels = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
+    counts = np.bincount(labels, minlength=p).astype(np.int64)
+    sigma = draw(st.floats(0.05, 5.0))
+    tile = draw(st.integers(1, 3 * n))
+    return x, labels, counts, sigma * sigma, tile
+
+
+def pair_kernel(x, sigma2):
+    """The N x N kernel and its normalization const."""
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(d2 / (-4.0 * sigma2)), (4.0 * math.pi * sigma2) ** (-0.5 * x.shape[1])
+
+
+def value_scale(x, sigma2):
+    """const * sum_ij w_ij / N^2: the scale of every term of the value."""
+    w, const = pair_kernel(x, sigma2)
+    return const * float(w.sum()) / len(x) ** 2
+
+
+def grad_scale(x, sigma2):
+    """Scale of the terms a gradient row sums,
+    const/(N^2 sigma^2) * max_i sum_j w_ij (|x_i| + |x_j|). A gradient that
+    is exactly zero (one class, coincident samples) comes out at the
+    rounding level of its terms, in any summation order."""
+    w, const = pair_kernel(x, sigma2)
+    mag = np.abs(x).max(axis=1)
+    terms = (w * (mag[:, None] + mag[None, :])).sum(axis=1).max(initial=0.0)
+    return const * terms / (len(x) ** 2 * sigma2)
+
+
+@PROPERTY
+@given(qmi_inputs())
+def test_tiled_value_matches_dense(case):
+    x, labels, counts, sigma2, tile = case
+    with mock.patch.object(_kernels, "_QMI_TILE", tile):
+        got = qmi_value(x, labels, counts, sigma2)
+    want = dense_qmi_value(x, labels, counts, sigma2)
+    assert abs(got - want) <= 1e-12 * value_scale(x, sigma2)
+
+
+@PROPERTY
+@given(qmi_inputs())
+def test_tiled_grad_matches_dense(case):
+    x, labels, counts, sigma2, tile = case
+    with mock.patch.object(_kernels, "_QMI_TILE", tile):
+        got = qmi_grad(x, labels, counts, sigma2)
+    want = dense_qmi_grad(x, labels, counts, sigma2)
+    assert got.shape == want.shape
+    scale = max(np.max(np.abs(want), initial=0.0), grad_scale(x, sigma2))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+def test_default_tile_splits_classes_and_matches_dense():
+    rng = np.random.default_rng(3)
+    n = 1000  # tiles of _QMI_TILE // n rows, several per class
+    x = rng.standard_normal((n, 3))
+    labels = rng.integers(0, 3, n).astype(np.int64)
+    counts = np.bincount(labels).astype(np.int64)
+    assert counts.min() > max(1, _kernels._QMI_TILE // n)
+    value = qmi_value(x, labels, counts, 2.0)
+    assert abs(value - dense_qmi_value(x, labels, counts, 2.0)) <= 1e-12 * value_scale(x, 2.0)
+    want = dense_qmi_grad(x, labels, counts, 2.0)
+    got = qmi_grad(x, labels, counts, 2.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_below_one_pair_matrix():
+    n = 1500
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 4))
+    labels = rng.integers(0, 3, n).astype(np.int64)
+    counts = np.bincount(labels).astype(np.int64)
+    square = 8 * n * n  # one N x N float64 matrix, 18 MB
+    for kernel in (qmi_value, qmi_grad):
+        assert peak_bytes(kernel, x, labels, counts, 1.0) < square
+    # the dense forms hold several N x N matrices at once
+    assert peak_bytes(dense_qmi_grad, x, labels, counts, 1.0) > 4 * square
