@@ -367,6 +367,12 @@ def _run_stages(args: argparse.Namespace, stages: list[str]) -> int:
                     if only[0] in test.label_values:
                         has, lacks = lacks, has
                     raise ValueError(f"label {only[0]} is in {has} but not in {lacks}")
+                dim, test_dim = train.signals.shape[0], test.signals.shape[0]
+                if test_dim != dim:
+                    raise ValueError(
+                        f"{args.test} holds {test_dim}-dimensional signals, "
+                        f"but {args.train} holds {dim}-dimensional ones"
+                    )
                 stage_evaluate(cfg, train, test, out)
         except Exception as exc:
             print(f"error: stage {stage} failed: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _sq_dist_matrix, class_kernel_sums, qmi_grad, qmi_value
+from ._kernels import _sq_dist_matrix, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
 from .sparse_coding import SVD_CUTOFF, Dictionary, Selection
 
 # Unused here. The import stays because the benchmark's tracer
@@ -48,8 +48,19 @@ def median_pairwise_distance(codes: np.ndarray) -> float:
 
     z all-zero columns give z(z-1)/2 pairs at distance exactly 0. When
     that is more than half of the M = N(N-1)/2 pairs (at least M//2 + 1),
-    the median is exactly 0.0 and is returned after an O(dN) count,
-    without forming the N x N distances.
+    the median is exactly 0.0 and is returned after an O(dN) count.
+
+    Otherwise the two middle squared distances, order statistics
+    (M-1)//2 and M//2, are selected exactly without forming the N x N
+    distances (_kernels.sq_dist_median_pair): a histogram pass over row
+    tiles finds the bins that hold them, and a second pass collects
+    those bins and partitions them (or, for two bins, takes the largest
+    value of the lower and the smallest of the upper). When the bin
+    holds more than a tile's worth of values, for example when most
+    pairs sit at one distance, the range narrows to it and is
+    histogrammed again, until the values fit or are all equal. sqrt is
+    monotone, so the median is their square roots averaged as np.median
+    does. Memory is O(tile * N).
     """
     codes = np.asarray(codes, dtype=np.float64)
     n = codes.shape[1]
@@ -59,8 +70,8 @@ def median_pairwise_distance(codes: np.ndarray) -> float:
     m = n * (n - 1) // 2
     if z * (z - 1) // 2 >= m // 2 + 1:
         return 0.0
-    d2 = _sq_dist_matrix(codes.T)
-    return float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    middle = sq_dist_median_pair(codes.T)
+    return float(np.median(np.sqrt(middle)))
 
 
 def bandwidth_rule(codes: np.ndarray) -> float:
@@ -69,7 +80,7 @@ def bandwidth_rule(codes: np.ndarray) -> float:
     Floored at 1e-3 so degenerate (single-point or duplicated) code sets
     still give a usable kernel. Sparse codes whose columns are mostly all
     zero have a median of exactly 0 (see median_pairwise_distance), so
-    they resolve to the floor without an N x N distance pass.
+    they resolve to the floor without a distance pass.
     """
     codes = np.asarray(codes, dtype=np.float64)
     d, n = codes.shape

@@ -6,7 +6,8 @@ integration of the same KDE densities, so they can vouch for the
 analytic paths. The dense oracles are the plain all-pairs forms of the
 median pairwise distance, the class kernel sums and the quadratic-MI
 value and gradient, against which the library's sparse-aware and
-row-tiled versions are checked. The loop oracles code one
+row-tiled versions are checked; peak_bytes measures what those versions
+allocate. The loop oracles code one
 signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
 checked; ``somp`` (simultaneous OMP, one shared support for all
@@ -19,6 +20,7 @@ closed form.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -120,6 +122,17 @@ def mi_quadrature_1d(codes, labels, sigma, grid_points=4001, pad=10.0):
     h_all = entropy(x)
     h_cond = sum((labels == c).sum() / n * entropy(x[labels == c]) for c in classes)
     return h_all - h_cond
+
+
+def peak_bytes(fn, *args):
+    """Peak bytes that tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_median_pairwise_distance(codes):

@@ -362,6 +362,21 @@ class TestCliErrors:
         assert "stage evaluate failed" in err and expected in err
         assert not (tmp_path / "x" / "eval_report.json").exists()
 
+    def test_test_file_signal_dimension_mismatch_exit_1(self, tmp_path, capsys):
+        train_csv, test_csv = write_data(tmp_path)
+        wide = tmp_path / "wide.csv"
+        wide.write_text("".join(r.rstrip("\n") + ",0.5\n" for r in test_csv.read_text().splitlines()))
+        cfg = write_config(tmp_path)
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(wide), "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage evaluate failed" in err
+        assert f"{wide} holds 13-dimensional signals, but {train_csv} holds 12-dimensional ones" in err
+        assert not (tmp_path / "x" / "eval_report.json").exists()
+
     @pytest.mark.parametrize(
         "text", ["1,3,5", "1", "1,a", "1,300", "1,10"],
         ids=["too-many", "too-few", "non-integer", "out-of-range", "index-K"],

@@ -8,7 +8,6 @@ class into several.
 """
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import dense_qmi_grad, dense_qmi_value
+from helpers import dense_qmi_grad, dense_qmi_value, peak_bytes
 from itdl import _kernels
 from itdl._kernels import qmi_grad, qmi_value
 
@@ -66,7 +65,7 @@ def grad_scale(x, sigma2):
 @given(qmi_inputs())
 def test_tiled_value_matches_dense(case):
     x, labels, counts, sigma2, tile = case
-    with mock.patch.object(_kernels, "_QMI_TILE", tile):
+    with mock.patch.object(_kernels, "_TILE", tile):
         got = qmi_value(x, labels, counts, sigma2)
     want = dense_qmi_value(x, labels, counts, sigma2)
     assert abs(got - want) <= 1e-12 * value_scale(x, sigma2)
@@ -76,7 +75,7 @@ def test_tiled_value_matches_dense(case):
 @given(qmi_inputs())
 def test_tiled_grad_matches_dense(case):
     x, labels, counts, sigma2, tile = case
-    with mock.patch.object(_kernels, "_QMI_TILE", tile):
+    with mock.patch.object(_kernels, "_TILE", tile):
         got = qmi_grad(x, labels, counts, sigma2)
     want = dense_qmi_grad(x, labels, counts, sigma2)
     assert got.shape == want.shape
@@ -86,26 +85,16 @@ def test_tiled_grad_matches_dense(case):
 
 def test_default_tile_splits_classes_and_matches_dense():
     rng = np.random.default_rng(3)
-    n = 1000  # tiles of _QMI_TILE // n rows, several per class
+    n = 1000  # tiles of _TILE // n rows, several per class
     x = rng.standard_normal((n, 3))
     labels = rng.integers(0, 3, n).astype(np.int64)
     counts = np.bincount(labels).astype(np.int64)
-    assert counts.min() > max(1, _kernels._QMI_TILE // n)
+    assert counts.min() > max(1, _kernels._TILE // n)
     value = qmi_value(x, labels, counts, 2.0)
     assert abs(value - dense_qmi_value(x, labels, counts, 2.0)) <= 1e-12 * value_scale(x, 2.0)
     want = dense_qmi_grad(x, labels, counts, 2.0)
     got = qmi_grad(x, labels, counts, 2.0)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_memory_stays_below_one_pair_matrix():

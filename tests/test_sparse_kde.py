@@ -1,10 +1,15 @@
-"""Sparse-aware KDE paths against their dense oracles.
+"""Sparse-aware, row-tiled KDE paths against their dense oracles.
 
 median_pairwise_distance returns 0 without forming distances once the
-all-zero columns make up more than half of the pairs, and the class
-kernel sums evaluate only active rows against all rows. Both must agree
-with the plain all-pairs forms in tests/helpers.py.
+all-zero columns make up more than half of the pairs, and otherwise
+selects the middle distances in histogram passes over row tiles. The
+class kernel sums walk only active rows, in row tiles, against all rows.
+Both must agree with the plain all-pairs forms in tests/helpers.py, with
+tiles small enough to split every class and histograms small enough to
+force every narrowing pass, and neither may hold an N x N matrix.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import dense_class_kernel_sums, dense_median_pairwise_distance, dense_mi_codes_labels
+from helpers import (
+    dense_class_kernel_sums,
+    dense_median_pairwise_distance,
+    dense_mi_codes_labels,
+    peak_bytes,
+)
+from itdl import _kernels
 from itdl._kernels import class_kernel_sums
 from itdl.info_measures import bandwidth_rule, median_pairwise_distance, mi_codes_labels
 
@@ -179,3 +190,103 @@ class TestMiCodesLabels:
     def test_single_class_labeling(self):
         codes = codes_with_zero_columns(12, 9, seed=2)
         assert mi_codes_labels(codes, np.zeros(12, dtype=np.int64), None) == 0.0
+
+
+@st.composite
+def tiled_codes(draw, grid=False):
+    """(codes, tile, bins): sparse_codes with some columns copied over
+    others, so that nonzero columns repeat; a walker tile of 1 to 3N
+    elements, i.e. 1 to 3 rows, which also caps the values a median pass
+    may collect; and a median histogram of 2 to 64 bins."""
+    codes = draw(sparse_codes(grid=grid))
+    n = codes.shape[1]
+    column = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(column, column), max_size=n)):
+        codes[:, dst] = codes[:, src]
+    return codes, draw(st.integers(1, 3 * n)), draw(st.integers(2, 64))
+
+
+def tiled(tile, bins=_kernels._BINS):
+    return mock.patch.multiple(_kernels, _TILE=tile, _BINS=bins)
+
+
+def rel_close(got, want, rtol=1e-12):
+    return abs(got - want) <= rtol * abs(want)
+
+
+class TestTiledKde:
+    @PROPERTY
+    @given(tiled_codes(), st.integers(1, 5), st.floats(0.1, 3.0), st.data())
+    def test_class_sums_fixed_sigma(self, case, p, sigma, data):
+        codes, tile, _ = case
+        n = codes.shape[1]
+        labels = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        with tiled(tile):
+            (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, sigma * sigma)
+        np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
+
+    @PROPERTY
+    @given(tiled_codes(grid=True), st.integers(1, 5), st.data())
+    def test_class_sums_floor_bandwidth_is_exact(self, case, p, data):
+        codes, tile, _ = case
+        n = codes.shape[1]
+        labels = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        with tiled(tile):
+            (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, FLOOR * FLOOR)
+        np.testing.assert_array_equal(s_all, d_all)
+        np.testing.assert_array_equal(s_own, d_own)
+
+    @PROPERTY
+    @given(tiled_codes())
+    def test_median_is_the_median_of_the_walked_distances(self, case):
+        # exact: the passes select from the very values the walker makes
+        # of the (N, d) view that median_pairwise_distance walks
+        codes, tile, bins = case
+        x = codes.T
+        with tiled(tile, bins):
+            got = median_pairwise_distance(codes)
+            d2 = np.concatenate(list(_kernels._candidates(x, None)))
+        assert got == float(np.median(np.sqrt(d2)))
+
+    @PROPERTY
+    @given(tiled_codes(grid=True))
+    def test_median_matches_dense_on_exact_grid(self, case):
+        codes, tile, bins = case
+        with tiled(tile, bins):
+            got = median_pairwise_distance(codes)
+        assert rel_close(got, dense_median_pairwise_distance(codes))
+
+    @pytest.mark.parametrize("n", [30, 31, 45, 46, 400])
+    @pytest.mark.parametrize("tile,bins", [(1, 2), (90, 3), (1 << 16, 1 << 12)])
+    def test_median_matches_dense(self, n, tile, bins):
+        # n(n-1)/2 is odd for n = 30, 31, 46 and even for n = 45, 400
+        codes = np.random.default_rng(n).standard_normal((3, n))
+        codes[:, ::4] = 0.0
+        with tiled(tile, bins):
+            got = median_pairwise_distance(codes)
+        assert rel_close(got, dense_median_pairwise_distance(codes))
+
+    @pytest.mark.parametrize("n,z", threshold_cases(0) + threshold_cases(1))
+    def test_threshold_cases_match_dense(self, n, z):
+        codes = codes_with_zero_columns(n, z, seed=n)
+        with tiled(n, 4):
+            got = median_pairwise_distance(codes)
+        assert rel_close(got, dense_median_pairwise_distance(codes))
+
+    def test_mi_codes_labels_memory(self):
+        # the evaluate stage's call on dense codes; the dense sums peak at 305 MiB
+        rng = np.random.default_rng(0)
+        codes = rng.standard_normal((48, 4000))
+        labels = rng.integers(0, 8, 4000)
+        assert peak_bytes(mi_codes_labels, codes, labels, None) < 16 * 2**20
+        assert peak_bytes(median_pairwise_distance, codes) < 16 * 2**20
+
+    def test_median_memory_when_most_pairs_share_one_distance(self):
+        # two repeated columns: 750 * 750 of the 1500 * 1499 / 2 pairs, just
+        # over half, sit at their distance, far more than one pass may collect
+        a, b = np.array([0.5, -1.25, 0.75, 2.0]), np.array([1.5, 0.25, -0.5, 1.0])
+        codes = np.repeat(np.column_stack([a, b]), 750, axis=1)
+        n = codes.shape[1]
+        assert median_pairwise_distance(codes) == float(np.linalg.norm(a - b))
+        assert peak_bytes(median_pairwise_distance, codes) < 8 * n * n
