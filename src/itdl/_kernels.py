@@ -8,24 +8,35 @@ Sample matrices are (N, d) float64, labels int64 in {0..p-1}, counts
 int64 of length p.
 
 No kernel builds an N x N matrix. One walker, _sq_dist_tiles, computes
-the squared distances of a subset of rows against every row, a tile of
-rows at a time, into one (rows, N) buffer that every tile reuses;
-_kernel_row_tiles turns each tile into Gaussian kernel values in place.
-Each kernel reduces a tile as soon as it is made, so memory is
-O(tile * N) for the same pair evaluations. N x N temporaries would set
-the evaluate stage's peak memory and page-fault on every ascent call.
+squared distances a tile of rows at a time, into one buffer that every
+tile reuses; _kernel_row_tiles turns each tile into Gaussian kernel
+values in place. Each kernel reduces a tile as soon as it is made, so
+memory is O(tile * N). N x N temporaries would set the evaluate stage's
+peak memory and page-fault on every ascent call.
 
-- The class-kernel sums (resubstitution KDE) walk only the active rows of
-  sparse codes, in input order. All-zero rows coincide (their mutual
+The walker makes two shapes of tile:
+- Band tiles: rows [r0, r1) against the columns [r0, N) only, the
+  tile's square block plus everything right of it. Distances and kernels
+  are symmetric, so a walk of all rows evaluates each unordered pair
+  once, about half of the N^2 pairs. The quadratic MI, its gradient and
+  the median take band tiles.
+- Full rows: the tile's rows against every row, for the class-kernel
+  sums, whose per-row sums need every column.
+
+The kernels:
+- The class-kernel sums (resubstitution KDE) walk only the active rows
+  of sparse codes, in input order. All-zero rows coincide (their mutual
   kernel is 1), so their sums follow exactly from per-class zero counts
   plus the column sums of the active tiles. Without all-zero rows every
   row is walked.
 - The quadratic-MI value and gradient sort the samples by class once
-  (stable) and walk tiles that stay inside one class: the value reduces
-  a tile to its total and own-class column sum, the gradient to two
-  skinny products.
+  (stable) and walk band tiles that stay inside one class. A tile adds
+  its square block once and the pairs right of it twice: the value as
+  class-weighted column sums, the gradient as one product for the tile's
+  rows and one, mirrored, for the rows of its columns.
 - The median pairwise distance selects the two middle squared distances
-  in histogram passes over the tiles (sq_dist_median_pair).
+  in histogram passes over the band (sq_dist_median_pair), each pass
+  taking the pairs i < j of every tile.
 """
 
 from __future__ import annotations
@@ -40,9 +51,10 @@ NUMBA_ENABLED = False
 
 # Elements of a walker tile: a tile has max(1, _TILE // N) rows, and its
 # distance and scratch buffers take 512 KiB of float64 each. Timed on the
-# quadratic MI with one buffer at N = 600 and N = 1500, d = 8: 2**15 to
-# 2**17 run within 8 % of each other, 2**14 is 15-25 % slower, and larger
-# tiles only grow the buffers.
+# band quadratic MI (value plus gradient, one BLAS thread) at N = 600 and
+# N = 1500, d = 8: 2**16 and 2**17 run within 2 % of each other, 2**15 is
+# 16 % slower at N = 1500, 2**14 25-60 % slower, and larger tiles only
+# grow the buffers.
 _TILE = 1 << 16
 
 
@@ -52,7 +64,10 @@ def _sq_dists(r, x, sq_r, sq, out, tmp):
     squared row norms; tmp is scratch of out's shape."""
     np.matmul(r, x.T, out=out)
     out *= 2.0
-    np.add(sq_r[:, None], sq, out=tmp)
+    # sq + sq_r[:, None] is the same sum in every bit as sq_r[:, None] + sq;
+    # a copy and an in-place add run faster than numpy's broadcast add
+    tmp[...] = sq
+    tmp += sq_r[:, None]
     np.subtract(tmp, out, out=out)
     np.maximum(out, 0.0, out=out)
     return out
@@ -67,30 +82,40 @@ def _sq_dist_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _sq_dist_tiles(x, bounds, rows=None):
-    """Yield (g, tile, d2) over row tiles of a subset of the rows of x,
-    against every row of x.
+    """Yield (g, tile, d2) over row tiles of a subset of the rows of x.
 
-    The subset is rows[bounds[0]:bounds[-1]], an index array into x, or
-    x[bounds[0]:bounds[-1]] itself when rows is None. It splits into
-    groups g of positions bounds[g]:bounds[g + 1], and no tile crosses a
-    group. tile is a slice of those positions, and d2 holds the squared
-    distances of its rows to every row of x. d2 is a view of one buffer
-    that the next tile overwrites. When one tile covers all of x, the
-    Gram product is the call x @ x.T.
+    The subset's positions bounds[0]:bounds[-1] split into groups g of
+    positions bounds[g]:bounds[g + 1], and no tile crosses a group. tile is
+    a slice of those positions. d2 is a view of one buffer that the next
+    tile overwrites.
+
+    - rows None, the band: the positions are rows of x, and d2 holds the
+      squared distances of the tile's rows [r0, r1) to the rows [r0, N):
+      the tile's square block, then every column right of it. A walk of
+      all N rows meets each unordered pair i <= j in exactly one tile and
+      makes at most N(N + step)/2 distances for tiles of step rows.
+    - rows given (an index array into x, or slice(None) for all of x): the
+      positions index rows, and d2 holds the squared distances of the
+      tile's rows to every row of x.
+
+    When one tile covers all of x, the Gram product is the call x @ x.T.
     """
     n = len(x)
     sq = (x * x).sum(axis=1)
+    band = rows is None
+    sub, sq_sub = (x, sq) if band else (x[rows], sq[rows])
     step = max(1, _TILE // n)
-    shape = (min(step, bounds[-1] - bounds[0]), n)
     # one allocation: two freed separately can each be handed back to the
     # OS and page-fault again on the next call
-    buf, tmp = np.empty((2,) + shape)
+    buf, tmp = np.empty((2, min(step, bounds[-1] - bounds[0]) * n))
     for g in range(len(bounds) - 1):
         for r0 in range(bounds[g], bounds[g + 1], step):
             tile = slice(r0, min(r0 + step, bounds[g + 1]))
-            sel = tile if rows is None else rows[tile]
-            k = tile.stop - r0
-            yield g, tile, _sq_dists(x[sel], x, sq[sel], sq, buf[:k], tmp[:k])
+            cols = slice(r0 if band else 0, n)
+            shape = (tile.stop - r0, n - cols.start)
+            size = shape[0] * shape[1]
+            out, scratch = buf[:size].reshape(shape), tmp[:size].reshape(shape)
+            yield g, tile, _sq_dists(sub[tile], x[cols], sq_sub[tile], sq[cols], out, scratch)
 
 
 def _kernel_row_tiles(x, bounds, var, rows=None):
@@ -113,7 +138,8 @@ def class_kernel_sums(x, labels, var):
     row_all, row_own = np.empty(len(act)), np.empty(len(act))
     # Without all-zero rows x itself is walked, so a single tile's Gram
     # product is the same call as the dense sum's.
-    for _, tile, w in _kernel_row_tiles(x, (0, len(act)), var, act if n_zero else None):
+    rows = act if n_zero else slice(None)
+    for _, tile, w in _kernel_row_tiles(x, (0, len(act)), var, rows):
         w_own = w * (labels[act[tile], None] == labels)
         row_all[tile] = w.sum(axis=1)
         row_own[tile] = w_own.sum(axis=1)
@@ -147,12 +173,14 @@ def _bins(v, lo, scale):
 
 
 def _candidates(x, keep):
-    """Per row tile, the squared distances between rows i < j of x that
+    """Per band tile, the squared distances between rows i < j of x that
     pass ``keep``: None (all), or (bounds, lo, scale, b1, b2), the values
     within bounds (None: no bound) whose bin under (lo, scale) is in [b1, b2]."""
     col = np.arange(len(x))
-    for _, tile, d2 in _sq_dist_tiles(x, (0, len(x))):
-        v = d2[col[tile, None] < col]
+    for _, _, d2 in _sq_dist_tiles(x, (0, len(x))):
+        k, m = d2.shape
+        # band columns start at the tile's first row: i < j within the square block
+        v = d2[col[:k, None] < col[:m]]
         if keep is not None:
             bounds, lo, scale, b1, b2 = keep
             if bounds is not None:
@@ -222,62 +250,60 @@ def sq_dist_median_pair(x):
 
 
 # ---------------------------------------------------------------------------
-# quadratic mutual information, closed form, in class-sorted row tiles
+# quadratic mutual information and its gradient, over the band of
+# class-sorted row tiles
 # ---------------------------------------------------------------------------
+#
+# With pi_c = N_c/N and coef(a, b) = [a == b] - pi_a - pi_b + sum_c pi_c^2,
+#   I_Q         = const/N^2 * sum_ij coef(c_i, c_j) w_ij
+#   d I_Q / dx_i = const/(N^2 sigma^2) * sum_j coef(c_i, c_j) w_ij (x_j - x_i).
+# coef and w are symmetric, so each unordered pair is evaluated once: a band
+# tile adds its square block to the sums once and the pairs right of the
+# block twice, to its own rows and mirrored to the rows of the columns.
+
+def _qmi_band(xs, counts, sigma2):
+    """Yield (rows, w, coef) over the band tiles of the class-sorted xs: w
+    the kernel values of the tile's rows against the columns [r0, N), and
+    coef[j] = coef(c, c_{r0 + j}) for the tile's class c."""
+    prior = counts.astype(np.float64) / len(xs)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    # coef(c, c_j) = base[j] - pi_c + [c_j == c]
+    base = float(np.sum(prior * prior)) - np.repeat(prior, counts)
+    for c, rows, w in _kernel_row_tiles(xs, starts, 2.0 * sigma2):
+        coef = base[rows.start :] - prior[c]
+        coef[: starts[c + 1] - rows.start] += 1.0
+        yield rows, w, coef
+
 
 def qmi_value(x, labels, counts, sigma2):
     n, d = x.shape
     xs = x[np.argsort(labels, kind="stable")]
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    prior = counts.astype(np.float64) / n
-    sum_p2 = float(np.sum(prior * prior))
-    s_all = s_within = s_cross = 0.0
-    for c, _, w in _kernel_row_tiles(xs, starts, 2.0 * sigma2):
-        total = float(w.sum())
-        s_all += total
-        s_cross += prior[c] * total
-        s_within += float(w[:, starts[c] : starts[c + 1]].sum())
+    total = 0.0
+    for rows, w, coef in _qmi_band(xs, counts, sigma2):
+        k = rows.stop - rows.start
+        col = w.sum(axis=0)
+        # the square block once, the pairs right of it twice
+        total += coef[0] * float(col[:k].sum()) + 2.0 * float(col[k:] @ coef[k:])
     const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
-    return const * (s_within - 2.0 * s_cross + sum_p2 * s_all) / (n * n)
+    return const * total / (n * n)
 
-
-# ---------------------------------------------------------------------------
-# gradient of the quadratic MI with respect to every sample
-# ---------------------------------------------------------------------------
-#
-# d I_Q / d x_i = const/(N^2 sigma^2) * sum_j coef(c_i, c_j) w_ij (x_j - x_i)
-# with coef(a, b) = [a == b] - (N_a + N_b)/N + sum_c (N_c/N)^2.
-#
-# For a row i of class c, with pi_j = N_{c_j}/N and k = sum_c pi_c^2 - pi_c,
-# the coef-weighted sums expand into plain kernel products:
-#   sum_j coef_ij w_ij x_j = W_c x_c + k Wx - W(pi x)
-#   sum_j coef_ij w_ij     = W_c 1   + k W1 - W pi
-# where W_c is the row's own-class columns. One product of the tile with
-# [x | 1 | pi x | pi] and one of its own-class columns with [x_c | 1]
-# give both.
 
 def qmi_grad(x, labels, counts, sigma2):
     n, d = x.shape
     order = np.argsort(labels, kind="stable")
     xs = x[order]
-    prior = counts.astype(np.float64) / n
-    sum_p2 = float(np.sum(prior * prior))
-    ps = np.repeat(prior, counts)
-    rhs = np.empty((n, 2 * d + 2))
-    rhs[:, :d] = xs
-    rhs[:, d] = 1.0
-    np.multiply(xs, ps[:, None], out=rhs[:, d + 1 : 2 * d + 1])
-    rhs[:, 2 * d + 1] = ps
+    xone = np.empty((n, d + 1))
+    xone[:, :d] = xs
+    xone[:, d] = 1.0
+    # [sum_j coef_ij w_ij x_j | sum_j coef_ij w_ij] of each class-sorted row
+    acc = np.zeros((n, d + 1))
+    for rows, w, coef in _qmi_band(xs, counts, sigma2):
+        k = rows.stop - rows.start
+        acc[rows] += w @ (coef[:, None] * xone[rows.start :])
+        # each row right of the tile takes its pairs with the tile's rows
+        acc[rows.stop :] += coef[k:, None] * (w[:, k:].T @ xone[rows])
     grad = np.empty((n, d))
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    for c, rows, w in _kernel_row_tiles(xs, starts, 2.0 * sigma2):
-        own = slice(starts[c], starts[c + 1])
-        full = w @ rhs
-        # [sum_j coef_ij w_ij x_j | sum_j coef_ij w_ij] for the tile's rows
-        a = w[:, own] @ rhs[own, : d + 1]
-        a += (sum_p2 - prior[c]) * full[:, : d + 1]
-        a -= full[:, d + 1 :]
-        grad[order[rows]] = a[:, :d] - xs[rows] * a[:, d:]
+    grad[order] = acc[:, :d] - xs * acc[:, d:]
     const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
     grad *= const / (n * n * sigma2)
     return grad

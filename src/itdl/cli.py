@@ -341,18 +341,37 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_test_file(args: argparse.Namespace, train: dataset.Dataset, test: dataset.Dataset) -> None:
+    """The test file must hold the training file's labels and signal dimension."""
+    # each file maps its own labels to 0..p-1, so both need the same labels
+    only = sorted(set(train.label_values) ^ set(test.label_values))
+    if only:
+        has, lacks = (args.train, args.test)
+        if only[0] in test.label_values:
+            has, lacks = lacks, has
+        raise ValueError(f"label {only[0]} is in {has} but not in {lacks}")
+    dim, test_dim = train.signals.shape[0], test.signals.shape[0]
+    if test_dim != dim:
+        raise ValueError(
+            f"{args.test} holds {test_dim}-dimensional signals, "
+            f"but {args.train} holds {dim}-dimensional ones"
+        )
+
+
 def _run_stages(args: argparse.Namespace, stages: list[str]) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # every input is loaded and checked before any stage writes to out
     try:
         train = _load_dataset(args.train, cfg.normalize_signals)
         test = None
         if getattr(args, "test", None):
             test = _load_dataset(args.test, cfg.normalize_signals)
+            _check_test_file(args, train, test)
     except Exception as exc:
         print(f"error: stage load failed: {exc}", file=sys.stderr)
         return 1
+    out.mkdir(parents=True, exist_ok=True)
     for stage in stages:
         try:
             if stage == "select":
@@ -360,19 +379,6 @@ def _run_stages(args: argparse.Namespace, stages: list[str]) -> int:
             elif stage == "update":
                 stage_update(cfg, train, out)
             elif stage == "evaluate":
-                # each file maps its own labels to 0..p-1, so both need the same labels
-                only = sorted(set(train.label_values) ^ set(test.label_values))
-                if only:
-                    has, lacks = (args.train, args.test)
-                    if only[0] in test.label_values:
-                        has, lacks = lacks, has
-                    raise ValueError(f"label {only[0]} is in {has} but not in {lacks}")
-                dim, test_dim = train.signals.shape[0], test.signals.shape[0]
-                if test_dim != dim:
-                    raise ValueError(
-                        f"{args.test} holds {test_dim}-dimensional signals, "
-                        f"but {args.train} holds {dim}-dimensional ones"
-                    )
                 stage_evaluate(cfg, train, test, out)
         except Exception as exc:
             print(f"error: stage {stage} failed: {exc}", file=sys.stderr)

@@ -52,8 +52,10 @@ def median_pairwise_distance(codes: np.ndarray) -> float:
 
     Otherwise the two middle squared distances, order statistics
     (M-1)//2 and M//2, are selected exactly without forming the N x N
-    distances (_kernels.sq_dist_median_pair): a histogram pass over row
-    tiles finds the bins that hold them, and a second pass collects
+    distances (_kernels.sq_dist_median_pair). Every pass walks the band
+    of row tiles, which computes each unordered pair once (a tile's rows
+    against the columns from its first row on). A histogram pass finds
+    the bins that hold the two, and a second pass collects
     those bins and partitions them (or, for two bins, takes the largest
     value of the lower and the smallest of the upper). When the bin
     holds more than a tile's worth of values, for example when most
@@ -105,6 +107,15 @@ def _kde_sigma(sigma: float | None, codes: np.ndarray) -> float:
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"bandwidth sigma must be finite and positive, got {sigma!r}")
     return float(sigma)
+
+
+def _qmi_sigma(sigma: float) -> float:
+    """The quadratic MI's bandwidth: given, finite and positive."""
+    if sigma is None:
+        raise ValueError(
+            "the quadratic MI needs a given bandwidth sigma (ascent_bandwidth derives one from codes)"
+        )
+    return _kde_sigma(sigma, None)
 
 
 def _codes_matrix(codes: np.ndarray) -> np.ndarray:
@@ -312,7 +323,7 @@ def qmi(codes: np.ndarray, labels: np.ndarray, sigma: float) -> float:
     single-class labeling gives exactly zero.
     """
     codes = _codes_matrix(codes)
-    sigma = _kde_sigma(float(sigma), codes)
+    sigma = _qmi_sigma(sigma)
     labels, counts = _label_counts(labels)
     if (counts > 0).sum() < 2:
         return 0.0
@@ -323,7 +334,7 @@ def qmi(codes: np.ndarray, labels: np.ndarray, sigma: float) -> float:
 def qmi_grad_codes(codes: np.ndarray, labels: np.ndarray, sigma: float) -> np.ndarray:
     """Gradient of qmi with respect to every code column, shape (d, N)."""
     codes = _codes_matrix(codes)
-    sigma = _kde_sigma(float(sigma), codes)
+    sigma = _qmi_sigma(sigma)
     labels, counts = _label_counts(labels)
     if (counts > 0).sum() < 2:
         return np.zeros_like(codes)

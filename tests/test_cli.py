@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import shared_style_dataset
-from itdl import sparse_coding
+from itdl import classify, sparse_coding
 from itdl.cli import ConfigError, RunConfig, _atomic, load_config, main, substream_seed
 from itdl.dataset import load_csv, save_csv, split
 from itdl.sparse_coding import load_matrix
@@ -335,7 +335,7 @@ class TestCliErrors:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "stage evaluate failed" in err
+        assert "stage load failed" in err
         assert f"label 1 is in {train_csv} but not in {two_class}" in err
         assert not (tmp_path / "x" / "eval_report.json").exists()
 
@@ -359,7 +359,7 @@ class TestCliErrors:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "stage evaluate failed" in err and expected in err
+        assert "stage load failed" in err and expected in err
         assert not (tmp_path / "x" / "eval_report.json").exists()
 
     def test_test_file_signal_dimension_mismatch_exit_1(self, tmp_path, capsys):
@@ -373,9 +373,10 @@ class TestCliErrors:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "stage evaluate failed" in err
+        assert "stage load failed" in err
         assert f"{wide} holds 13-dimensional signals, but {train_csv} holds 12-dimensional ones" in err
-        assert not (tmp_path / "x" / "eval_report.json").exists()
+        # the check runs before any stage, so --out is never created
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "text", ["1,3,5", "1", "1,a", "1,300", "1,10"],
@@ -464,16 +465,18 @@ class TestNormalizeFlag:
 
 
 class TestPartialArtifacts:
-    def test_failed_stage_keeps_earlier_artifacts(self, tmp_path, capsys):
-        train_csv, _ = write_data(tmp_path)
-        # dimension-mismatched test set: select and update succeed, evaluate fails
-        bad_test = tmp_path / "bad.csv"
-        bad_test.write_text("0,1.0,2.0\n1,2.0,1.0\n")
+    def test_failed_stage_keeps_earlier_artifacts(self, tmp_path, capsys, monkeypatch):
+        train_csv, test_csv = write_data(tmp_path)
+        # select and update succeed, then training the classifier fails
+        def fail(*args, **kwargs):
+            raise FloatingPointError("classifier diverged")
+
+        monkeypatch.setattr(classify, "train_linear", fail)
         cfg = write_config(tmp_path)
         out = tmp_path / "partial"
         rc = main([
             "run-all", "--config", str(cfg), "--train", str(train_csv),
-            "--test", str(bad_test), "--out", str(out),
+            "--test", str(test_csv), "--out", str(out),
         ])
         assert rc == 1
         assert "evaluate" in capsys.readouterr().err

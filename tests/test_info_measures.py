@@ -491,8 +491,15 @@ class TestBandwidth:
         assert mi_codes_labels(codes, labels, None) == mi_codes_labels(codes, labels, rule)
         assert mi_codes_labels(codes, labels, 0.05) != mi_codes_labels(codes, labels, rule)
         # the quadratic MI has no default bandwidth
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="needs a given bandwidth"):
             qmi(codes, labels, None)
         assert qmi(codes, labels, 0.05) == pytest.approx(
             qmi_quadrature(codes, labels, 0.05), rel=1e-3
         )
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1], [0, 0, 0, 0]], ids=["two-classes", "one-class"])
+    def test_quadratic_mi_without_bandwidth_is_a_value_error(self, labels):
+        codes = np.arange(8.0).reshape(2, 4)
+        for measure in (qmi, qmi_grad_codes):
+            with pytest.raises(ValueError, match="quadratic MI needs a given bandwidth sigma"):
+                measure(codes, np.array(labels), None)

@@ -1,10 +1,12 @@
 """Row-tiled quadratic-MI kernels against their dense oracles.
 
-qmi_value and qmi_grad sort the samples by class and walk row tiles that
-stay inside one class, so they never hold an N x N matrix. They must
-agree with the all-pairs forms in tests/helpers.py for any sizes, with
-empty and singleton classes, and with tiles small enough to split every
-class into several.
+qmi_value and qmi_grad sort the samples by class and walk the band of
+row tiles that stay inside one class: each tile's rows against the
+columns from its first row on, so they never hold an N x N matrix and
+meet each unordered pair once. The band must cover every pair exactly
+once, and the kernels must agree with the all-pairs forms in
+tests/helpers.py for any sizes, with empty and singleton classes, and
+with tiles small enough to split every class into several.
 """
 
 import math
@@ -36,6 +38,41 @@ def qmi_inputs(draw, max_n=40, max_d=4, max_p=5):
     sigma = draw(st.floats(0.05, 5.0))
     tile = draw(st.integers(1, 3 * n))
     return x, labels, counts, sigma * sigma, tile
+
+
+@st.composite
+def band_walks(draw, max_n=40, max_p=6):
+    """(x, bounds, tile): class bounds over N rows with p classes, some of
+    them empty or a single row, and a walker tile of 1 to 3N elements."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.integers(1, max_p))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=p - 1, max_size=p - 1)))
+    x = draw(arrays(np.float64, (n, 3), elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    return x, np.array([0, *cuts, n]), draw(st.integers(1, 3 * n))
+
+
+@PROPERTY
+@given(band_walks())
+def test_band_walks_each_unordered_pair_once(case):
+    x, bounds, tile = case
+    n = len(x)
+    step = max(1, tile // n)
+    seen = np.zeros((n, n), dtype=np.int64)
+    walked = 0
+    with mock.patch.object(_kernels, "_TILE", tile):
+        for g, rows, d2 in _kernels._sq_dist_tiles(x, bounds):
+            assert bounds[g] <= rows.start < rows.stop <= bounds[g + 1]
+            assert rows.stop - rows.start <= step
+            # the band: the tile's rows against the columns [r0, N)
+            assert d2.shape == (rows.stop - rows.start, n - rows.start)
+            want = ((x[rows, None, :] - x[None, rows.start :, :]) ** 2).sum(axis=2)
+            np.testing.assert_allclose(d2, want, rtol=1e-12, atol=1e-12)
+            pairs = np.zeros((n, n), dtype=bool)
+            pairs[rows, rows.start :] = True
+            seen += np.triu(pairs | pairs.T)  # as unordered pairs i <= j
+            walked += d2.size
+    assert (seen[np.triu_indices(n)] == 1).all()
+    assert 2 * walked <= n * (n + step)
 
 
 def pair_kernel(x, sigma2):
