@@ -255,9 +255,7 @@ def stage_evaluate(
         atoms_by_class.append((class_id, atoms))
     shared = cfg.mode == "shared"
     features, _ = classify.code_test_signals(atoms_by_class, train.signals, shared)
-    model = classify.train_linear(
-        features, train.labels, seed=substream_seed(cfg.seed, "sgd")
-    )
+    model = classify.train_linear(features, train.labels)
     weights = model.weights.T
     _atomic(out / "model_weights.itdl", lambda tmp: sparse_coding.save_matrix(weights, tmp))
     bias = ",".join(repr(float(v)) for v in model.bias) + "\n"

@@ -222,7 +222,7 @@ def test_criterion_7_update_improves_dedicated_accuracy():
         def accuracy(atom_sets):
             ftr, _ = code_test_signals(atom_sets, train.signals, shared=False)
             fte, _ = code_test_signals(atom_sets, test.signals, shared=False)
-            model = train_linear(ftr, train.labels, seed=seed + 5)
+            model = train_linear(ftr, train.labels)
             return float((predict(model, fte) == test.labels).mean())
 
         pre_accs.append(accuracy(pre_atoms))

@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import loop_reconstruct_masked, random_unit_dictionary, shared_style_dataset
 from itdl.classify import (
@@ -18,6 +20,48 @@ from itdl.dataset import Dataset, mask_pixels, synth_gaussian_classes
 from itdl.sparse_coding import Selection, code_ls, pinv
 
 
+def _primal(F, labels, model, reg):
+    """Objective and gradient of each class's problem at the model.
+
+    Both are taken in the trainer's standardized coordinates, where the
+    objective is reg/2 ||w||^2 + 1/N sum_i max(0, 1 - y_i (w.x_i + b))^2.
+    """
+    mu = F.mean(axis=0)
+    sd = F.std(axis=0)
+    sd = np.where(sd > 1e-12, sd, 1.0)
+    X = (F - mu) / sd
+    N = len(F)
+    values, grads = [], []
+    for c in range(len(model.bias)):
+        y = np.where(labels == c, 1.0, -1.0)
+        w = model.weights[c] * sd
+        b = model.bias[c] + model.weights[c] @ mu
+        slack = np.maximum(1.0 - y * (X @ w + b), 0.0)
+        values.append(reg / 2 * (w @ w) + (slack @ slack) / N)
+        grads.append(np.append(reg * w - 2 / N * X.T @ (y * slack), -2 / N * (y @ slack)))
+    return np.array(values), np.array(grads)
+
+
+@st.composite
+def _problems(draw):
+    """Small training sets, every class present, plus a reg in [1e-6, 10]."""
+    N = draw(st.integers(4, 30))
+    dim = draw(st.integers(1, 40))  # often more columns than rows
+    p = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.arange(p), rng.integers(0, p, N - p)])
+    F = rng.standard_normal((N, dim))
+    shape = draw(st.sampled_from(["gaussian", "constant column", "duplicate rows", "separable"]))
+    if shape == "constant column":
+        F[:, 0] = 3.0
+    elif shape == "duplicate rows":
+        F[N // 2 :] = F[: N - N // 2]
+    elif shape == "separable":
+        F[:, 0] += 10.0 * labels
+    reg = 10.0 ** draw(st.floats(-6.0, 1.0))
+    return F, labels, reg
+
+
 class TestTrainLinear:
     def test_separable_two_class(self):
         rng = np.random.default_rng(0)
@@ -25,26 +69,28 @@ class TestTrainLinear:
         b = rng.standard_normal((30, 2)) - np.array([4.0, 0.0])
         F = np.vstack([a, b])
         labels = np.array([0] * 30 + [1] * 30)
-        model = train_linear(F, labels, seed=1)
+        model = train_linear(F, labels)
         assert (predict(model, F) == labels).mean() == 1.0
 
-    def test_huge_regularization_collapses_to_lowest_class(self):
+    def test_huge_regularization_collapses_to_most_frequent_class(self):
         rng = np.random.default_rng(1)
         F = rng.standard_normal((40, 3))
         labels = rng.integers(0, 3, 40)
         labels[:3] = [0, 1, 2]
-        model = train_linear(F, labels, reg=1e9, seed=2)
-        assert np.abs(model.weights).max() < 1e-6
-        assert np.abs(model.bias).max() < 1e-5
-        # in the limit the scores tie at zero and the lowest class wins
-        limit = LinearModel(weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias))
-        assert np.all(predict(limit, F) == 0)
+        model = train_linear(F, labels, reg=1e9)
+        assert np.abs(model.weights).max() <= 1e-6
+        # with w -> 0 the unregularized bias minimizes the squared hinge of
+        # the class sizes alone: b_c = (2 n_c - N) / N
+        counts = np.bincount(labels)
+        np.testing.assert_allclose(model.bias, (2 * counts - 40) / 40, rtol=0, atol=1e-6)
+        # so the biggest class wins everywhere, ties going to the lowest index
+        assert np.all(predict(model, F) == np.argmax(counts))
 
     def test_close_to_ridge_oracle_on_blobs(self):
         ds = synth_gaussian_classes(6, 4, 40, 0.25, 7)
         F = ds.signals.T
         labels = ds.labels
-        model = train_linear(F, labels, seed=3)
+        model = train_linear(F, labels)
         acc = (predict(model, F) == labels).mean()
         # independent closed-form regularized least-squares classifier
         design = np.hstack([F, np.ones((F.shape[0], 1))])
@@ -57,15 +103,81 @@ class TestTrainLinear:
         with pytest.raises(ValueError):
             train_linear(np.ones((5, 2)), np.zeros(5, dtype=int))
 
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [
+            (np.ones((10, 2)), np.arange(12) % 3, r"\(10, 2\) and labels \(12,\)"),
+            (np.ones((10, 2)), np.arange(8) % 2, r"\(10, 2\) and labels \(8,\)"),
+            (np.ones(10), np.arange(10) % 2, r"features \(10,\)"),
+            (np.ones((4, 2)), np.array([0, 1, -1, 1]), "non-negative"),
+            (np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), np.array([0, 1, 1]), "finite"),
+            (np.ones((4, 2)), np.array([0, 2, 2, 0]), "class 1 has no training row"),
+        ],
+    )
+    def test_bad_input_rejected(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            train_linear(features, labels)
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         F = rng.standard_normal((25, 3))
         labels = rng.integers(0, 2, 25)
         labels[:2] = [0, 1]
-        m1 = train_linear(F, labels, seed=9)
-        m2 = train_linear(F, labels, seed=9)
+        m1 = train_linear(F, labels)
+        m2 = train_linear(F, labels)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_problems())
+    def test_gradient_vanishes_at_the_returned_model(self, problem):
+        F, labels, reg = problem
+        _, grads = _primal(F, labels, train_linear(F, labels, reg=reg), reg)
+        assert np.abs(grads).max() <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(_problems())
+    def test_objective_never_increases_between_passes(self, problem):
+        F, labels, reg = problem
+        values = [_primal(F, labels, train_linear(F, labels, reg, epochs), reg)[0]
+                  for epochs in range(1, 13)]
+        for before, after in zip(values, values[1:]):
+            assert np.all(after <= before * (1 + 1e-12) + 1e-15)
+
+    def test_no_point_of_a_fine_grid_beats_the_model(self):
+        rng = np.random.default_rng(6)
+        F = np.vstack([rng.standard_normal((12, 2)) + 0.8, rng.standard_normal((12, 2)) - 0.8])
+        labels = np.repeat([0, 1], 12)
+        reg = 0.05
+        model = train_linear(F, labels, reg)
+        value = _primal(F, labels, model, reg)[0][0]
+        X = (F - F.mean(axis=0)) / F.std(axis=0)
+        y = np.where(labels == 0, 1.0, -1.0)
+        axis = np.linspace(-2.0, 2.0, 81)
+        w = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        grid_min = np.inf
+        for b in axis:
+            slack = np.maximum(1.0 - y[:, None] * (X @ w.T + b), 0.0)
+            objective = reg / 2 * np.sum(w * w, axis=1) + np.sum(slack * slack, axis=0) / len(y)
+            grid_min = min(grid_min, objective.min())
+        assert value <= grid_min + 1e-12
+        # the grid spacing of 0.05 bounds how far the grid can miss the optimum
+        assert grid_min - value < 1e-2
+
+    def test_line_search_past_every_margin(self):
+        # on this separable set a line search ends where no margin is below
+        # 1, so the next pass has no active row to fix the bias with
+        F = np.array([[-0.3, -0.4], [2.7, 0.3], [3.3, 1.0], [3.9, 1.3]])
+        labels = np.array([0, 1, 1, 1])
+        model = train_linear(F, labels, reg=1e-5)
+        assert np.abs(_primal(F, labels, model, 1e-5)[1]).max() <= 1e-9
+
+    def test_one_pass_gives_a_finite_model(self):
+        rng = np.random.default_rng(8)
+        F = rng.standard_normal((20, 30))
+        F[:, 0] += 10.0 * (np.arange(20) % 3)
+        model = train_linear(F, np.arange(20) % 3, reg=1e-6, epochs=1)
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
 
 
 class TestPredict:
@@ -144,7 +256,7 @@ class TestEvaluate:
     def test_perfectly_separated_train_equals_test(self):
         ds, atom_sets = _perfect_setup()
         features, _ = code_test_signals(atom_sets, ds.signals, shared=False)
-        model = train_linear(features, ds.labels, seed=0)
+        model = train_linear(features, ds.labels)
         report = evaluate(model, atom_sets, ds, shared=False)
         assert report.accuracy == 1.0
         assert report.rmse == pytest.approx(0.0, abs=1e-10)
@@ -153,14 +265,14 @@ class TestEvaluate:
     def test_exact_reconstruction_zero_rmse(self):
         ds, atom_sets = _perfect_setup(seed=1)
         features = np.random.default_rng(0).standard_normal((20, 4))
-        model = train_linear(features, ds.labels, seed=0)
+        model = train_linear(features, ds.labels)
         report = evaluate(model, atom_sets, ds, shared=False)
         assert report.rmse == pytest.approx(0.0, abs=1e-10)
 
     def test_sample_order_invariance(self):
         ds, atom_sets = _perfect_setup(seed=2)
         features, _ = code_test_signals(atom_sets, ds.signals, shared=False)
-        model = train_linear(features, ds.labels, seed=0)
+        model = train_linear(features, ds.labels)
         r1 = evaluate(model, atom_sets, ds, shared=False)
         perm = np.random.default_rng(3).permutation(ds.size)
         shuffled = Dataset(signals=ds.signals[:, perm], labels=ds.labels[perm])
@@ -173,7 +285,7 @@ class TestEvaluate:
     def test_accuracy_is_count_weighted_mean(self):
         ds, atom_sets = _perfect_setup(seed=4)
         features = np.random.default_rng(1).standard_normal((20, 4))
-        model = train_linear(features, ds.labels, seed=1)
+        model = train_linear(features, ds.labels)
         report = evaluate(model, atom_sets, ds, shared=False)
         recomputed = float(
             np.dot(ds.class_counts / ds.size, report.per_class_accuracy)

@@ -119,7 +119,7 @@ class TestSelectShared:
             ):
                 res = select_shared(d, ds.signals, ds.labels, 3, mode, wts, initial_codes=codes)
                 feats = np.ascontiguousarray(code_ls(d, res.selection, ds.signals).T)
-                model = train_linear(feats, ds.labels, seed=seed)
+                model = train_linear(feats, ds.labels)
                 accs[tag] = float((predict(model, feats) == ds.labels).mean())
             diffs.append(accs["full"] - accs["compact"])
         assert np.median(diffs) >= 0.0
