@@ -14,24 +14,20 @@ values in place. Each kernel reduces a tile as soon as it is made, so
 memory is O(tile * N). N x N temporaries would set the evaluate stage's
 peak memory and page-fault on every ascent call.
 
-The walker makes two shapes of tile:
-- Band tiles: rows [r0, r1) against the columns [r0, N) only, the
-  tile's square block plus everything right of it. Distances and kernels
-  are symmetric, so a walk of all rows evaluates each unordered pair
-  once, about half of the N^2 pairs. The quadratic MI, its gradient and
-  the median take band tiles.
-- Full rows: the tile's rows against every row, for the class-kernel
-  sums, whose per-row sums need every column.
+Every tile is a band tile: rows [r0, r1) against the columns [r0, N)
+only, the tile's square block plus everything right of it. Distances and
+kernels are symmetric, so a walk of all rows evaluates each unordered
+pair once, about half of the N^2 pairs. A kernel adds the square block
+once and mirrors the pairs right of it to the rows of their columns.
 
 The kernels:
-- The class-kernel sums (resubstitution KDE) walk only the active rows
-  of sparse codes, in input order. All-zero rows coincide (their mutual
-  kernel is 1), so their sums follow exactly from per-class zero counts
-  plus the column sums of the active tiles. Without all-zero rows every
-  row is walked.
+- The class-kernel sums (resubstitution KDE) walk the band of the
+  active rows of sparse codes only. All-zero rows coincide, so their
+  pairs come in closed form: kernel 1 between two of them, and
+  exp(-|x_a|^2 / (2 var)) between one of them and active row a. Dense
+  codes are the case without all-zero rows.
 - The quadratic-MI value and gradient sort the samples by class once
-  (stable) and walk band tiles that stay inside one class. A tile adds
-  its square block once and the pairs right of it twice: the value as
+  (stable) and walk band tiles that stay inside one class: the value as
   class-weighted column sums, the gradient as one product for the tile's
   rows and one, mirrored, for the rows of its columns.
 - The median pairwise distance selects the two middle squared distances
@@ -81,46 +77,37 @@ def _sq_dist_matrix(x: np.ndarray) -> np.ndarray:
     return _sq_dists(x, x, sq, sq, out, np.empty_like(out))
 
 
-def _sq_dist_tiles(x, bounds, rows=None):
-    """Yield (g, tile, d2) over row tiles of a subset of the rows of x.
+def _sq_dist_tiles(x, bounds):
+    """Yield (g, tile, d2) over the band tiles of the rows
+    bounds[0]:bounds[-1] of x.
 
-    The subset's positions bounds[0]:bounds[-1] split into groups g of
-    positions bounds[g]:bounds[g + 1], and no tile crosses a group. tile is
-    a slice of those positions. d2 is a view of one buffer that the next
-    tile overwrites.
-
-    - rows None, the band: the positions are rows of x, and d2 holds the
-      squared distances of the tile's rows [r0, r1) to the rows [r0, N):
-      the tile's square block, then every column right of it. A walk of
-      all N rows meets each unordered pair i <= j in exactly one tile and
-      makes at most N(N + step)/2 distances for tiles of step rows.
-    - rows given (an index array into x, or slice(None) for all of x): the
-      positions index rows, and d2 holds the squared distances of the
-      tile's rows to every row of x.
-
-    When one tile covers all of x, the Gram product is the call x @ x.T.
+    The rows split into groups g of rows bounds[g]:bounds[g + 1], and no
+    tile crosses a group. tile is the slice [r0, r1) of the tile's rows,
+    and d2 holds their squared distances to the rows [r0, N): the tile's
+    square block, then every column right of it. A walk of all N rows
+    meets each unordered pair i <= j in exactly one tile and makes at most
+    N(N + step)/2 distances for tiles of step rows. d2 is a view of one
+    buffer that the next tile overwrites. When one tile covers all of x,
+    the Gram product is the call x @ x.T.
     """
     n = len(x)
     sq = (x * x).sum(axis=1)
-    band = rows is None
-    sub, sq_sub = (x, sq) if band else (x[rows], sq[rows])
-    step = max(1, _TILE // n)
+    step = max(1, _TILE // max(n, 1))
     # one allocation: two freed separately can each be handed back to the
     # OS and page-fault again on the next call
     buf, tmp = np.empty((2, min(step, bounds[-1] - bounds[0]) * n))
     for g in range(len(bounds) - 1):
         for r0 in range(bounds[g], bounds[g + 1], step):
             tile = slice(r0, min(r0 + step, bounds[g + 1]))
-            cols = slice(r0 if band else 0, n)
-            shape = (tile.stop - r0, n - cols.start)
+            shape = (tile.stop - r0, n - r0)
             size = shape[0] * shape[1]
             out, scratch = buf[:size].reshape(shape), tmp[:size].reshape(shape)
-            yield g, tile, _sq_dists(sub[tile], x[cols], sq_sub[tile], sq[cols], out, scratch)
+            yield g, tile, _sq_dists(x[tile], x[r0:], sq[tile], sq[r0:], out, scratch)
 
 
-def _kernel_row_tiles(x, bounds, var, rows=None):
+def _kernel_row_tiles(x, bounds, var):
     """_sq_dist_tiles with each tile turned in place into exp(-d2 / (2 var))."""
-    for g, tile, w in _sq_dist_tiles(x, bounds, rows):
+    for g, tile, w in _sq_dist_tiles(x, bounds):
         np.divide(w, -2.0 * var, out=w)
         np.exp(w, out=w)
         yield g, tile, w
@@ -132,27 +119,31 @@ def _kernel_row_tiles(x, bounds, var, rows=None):
 
 def class_kernel_sums(x, labels, var):
     active = x.any(axis=1)
-    (act,) = active.nonzero()
-    n_zero = len(x) - len(act)
-    s_all, s_own = np.zeros(len(x)), np.zeros(len(x))
-    row_all, row_own = np.empty(len(act)), np.empty(len(act))
-    # Without all-zero rows x itself is walked, so a single tile's Gram
-    # product is the same call as the dense sum's.
-    rows = act if n_zero else slice(None)
-    for _, tile, w in _kernel_row_tiles(x, (0, len(act)), var, rows):
-        w_own = w * (labels[act[tile], None] == labels)
-        row_all[tile] = w.sum(axis=1)
-        row_own[tile] = w_own.sum(axis=1)
-        if n_zero:
-            s_all += w.sum(axis=0)
-            s_own += w_own.sum(axis=0)
-    # All-zero rows coincide: each gets kernel 1 from every all-zero row,
-    # itself included (from those of its class for the own-class sum),
-    # plus its column of the active rows. Active rows take their row sums.
-    s_all += n_zero
-    s_own += np.bincount(labels, weights=~active)[labels]
-    s_all[act] = row_all
-    s_own[act] = row_own
+    xa, la = x[active], labels[active]
+    # All-zero rows coincide: kernel 1 between two of them, and k0[a]
+    # between one of them and active row a. zeros and k0_class sum these
+    # per class; a zero row's marginal adds up the per-class totals, so
+    # that with one class s_own == s_all bit for bit.
+    k0 = np.exp((xa * xa).sum(axis=1) / (-2.0 * var))
+    zeros = np.bincount(labels, weights=~active)
+    k0_class = np.bincount(la, weights=k0, minlength=len(zeros))
+    n_zero = len(x) - len(xa)
+    s_all = np.full(len(x), n_zero + k0_class.sum())
+    s_own = (zeros + k0_class)[labels]
+    # active rows: their pairs with the zero rows, then the band of the active rows
+    row_all, row_own = n_zero * k0, zeros[la] * k0
+    for _, tile, w in _kernel_row_tiles(xa, (0, len(xa)), var):
+        k = tile.stop - tile.start
+        w_own = w * (la[tile, None] == la[tile.start :])
+        row_all[tile] += w.sum(axis=1)
+        row_own[tile] += w_own.sum(axis=1)
+        # the active rows right of the tile (none after the last tile) take
+        # their pairs with the tile's rows
+        if k < w.shape[1]:
+            row_all[tile.stop :] += w[:, k:].sum(axis=0)
+            row_own[tile.stop :] += w_own[:, k:].sum(axis=0)
+    s_all[active] = row_all
+    s_own[active] = row_own
     return s_all, s_own
 
 

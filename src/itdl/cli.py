@@ -177,7 +177,6 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         train.signals, cfg.atoms, cfg.sparsity, cfg.ksvd_iters, rng_seed
     )
     _atomic(out / "dict_initial.itdl", lambda tmp: sparse_coding.save_matrix(d0.atoms, tmp))
-    codes0 = sparse_coding.omp_codes(d0, train.signals, cfg.sparsity)
     gp = build_gp_model(d0.atoms, rho=cfg.rho)
     weights = None
     if cfg.lambda2 is not None or cfg.lambda3 is not None:
@@ -193,7 +192,6 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         cfg.sparsity,
         cfg.ablation,
         weights,
-        initial_codes=codes0,
         gp_model=gp,
         residual_model=None if cfg.sigma_r is None else ResidualModel(cfg.sigma_r),
         sigma=cfg.sigma,
@@ -356,12 +354,25 @@ def _check_test_file(args: argparse.Namespace, train: dataset.Dataset, test: dat
         )
 
 
+def _check_sizes(args: argparse.Namespace, cfg: RunConfig, train: dataset.Dataset) -> None:
+    """K-SVD needs sparsity <= the signal dimension and atoms <= the training signals."""
+    if cfg.sparsity > train.n:
+        raise ValueError(
+            f"sparsity {cfg.sparsity} exceeds the signal dimension {train.n} of {args.train}"
+        )
+    if cfg.atoms > train.size:
+        raise ValueError(
+            f"atoms {cfg.atoms} exceeds the {train.size} training signals of {args.train}"
+        )
+
+
 def _run_stages(args: argparse.Namespace, stages: list[str]) -> int:
     cfg = _resolve_config(args)
     out = Path(args.out)
     # every input is loaded and checked before any stage writes to out
     try:
         train = _load_dataset(args.train, cfg.normalize_signals)
+        _check_sizes(args, cfg, train)
         test = None
         if getattr(args, "test", None):
             test = _load_dataset(args.test, cfg.normalize_signals)

@@ -8,8 +8,9 @@ log-likelihood drop). A round scores all remaining candidates as
 vectors: compactness first, whose -inf entries (atoms the chosen ones
 explain) leave the pool for good, then discrimination (one KDE estimate
 per candidate) and reconstruction (one orthogonal projection); the pick
-is the first maximum of the weighted total. Weight estimation uses only
-the best single-atom gain of each term, one extra scoring round.
+is the first maximum of the weighted total. Weight estimation scores
+round 1 with the same function, every term, and keeps the best
+single-atom gain of each.
 
 Both variants run one greedy selection per group of (class id,
 discrimination labels, own signals). Shared mode is the single group
@@ -86,6 +87,44 @@ class SelectionResult:
     class_id: int | None = None
 
 
+def _score_round(
+    dictionary: Dictionary,
+    codes: np.ndarray | None,
+    labels: np.ndarray,
+    signals: np.ndarray,
+    chosen: list[int],
+    pool: np.ndarray,
+    terms: Collection[str],
+    gp_model: GpModel,
+    residual_model: ResidualModel,
+    sigma: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score adding each atom of the pool to the chosen ones.
+
+    Returns (pool, compact, mi, recon): the atoms that stay in the pool and
+    their raw gains under each term of ``terms``, zeros for the others.
+    Compactness is scored first; atoms it scores -inf (the chosen atoms
+    explain them) leave the pool before the other terms are scored. mi is
+    the KDE mutual information of the codes restricted to the chosen atoms
+    plus the candidate, not yet a gain over the chosen atoms' own.
+    """
+    sel = Selection(indices=tuple(chosen))
+    compact = np.zeros(pool.size)
+    if "compact" in terms:
+        compact = gp_compact_gains(gp_model, sel, pool)
+        keep = compact != -math.inf
+        pool, compact = pool[keep], compact[keep]
+    if pool.size == 0:
+        raise RuntimeError("all remaining atoms are excluded as duplicates")
+    mi = np.zeros(pool.size)
+    if "discriminative" in terms:
+        mi = np.array([mi_codes_labels(codes[chosen + [k], :], labels, sigma) for k in pool])
+    recon = np.zeros(pool.size)
+    if "reconstructive" in terms:
+        recon = recon_gain(dictionary, sel, pool, signals, residual_model)
+    return pool, compact, mi, recon
+
+
 def estimate_lambdas(
     dictionary: Dictionary,
     codes: np.ndarray,
@@ -99,7 +138,7 @@ def estimate_lambdas(
 
     lambda2 and lambda3 are the maxima of the single-atom discrimination
     and reconstruction gains divided by the maximal single-atom
-    compactness gain (the first greedy step of each criterion). codes
+    compactness gain (the first greedy round, every term scored). codes
     are the (K, N) coefficients over the whole dictionary; sigma is the
     KDE bandwidth, None for bandwidth_rule.
     """
@@ -107,18 +146,19 @@ def estimate_lambdas(
     K = dictionary.K
     if codes.shape[0] != K:
         raise ValueError("weight estimation needs codes over the full initial dictionary")
-    compact = gp_compact_gains(gp_model, Selection(), list(range(K)))
+    _, compact, mi, recon = _score_round(
+        dictionary, codes, labels, signals, [], np.arange(K), TERMS,
+        gp_model, residual_model, sigma,
+    )
     denom = float(np.max(compact))
     if not math.isfinite(denom) or denom <= 1e-12:
         raise WeightsError("degenerate atom covariance: no compactness gain to normalize by")
-    discrim = max(mi_codes_labels(codes[i : i + 1, :], labels, sigma) for i in range(K))
-    recon = float(np.max(recon_gain(dictionary, Selection(), range(K), signals, residual_model)))
-    return SelectionWeights(lambda2=discrim / denom, lambda3=recon / denom)
+    return SelectionWeights(lambda2=float(np.max(mi)) / denom, lambda3=float(np.max(recon)) / denom)
 
 
 def _greedy_select(
     dictionary: Dictionary,
-    init_coeffs: np.ndarray,
+    init_coeffs: np.ndarray | None,
     discrim_labels: np.ndarray,
     recon_signals: np.ndarray,
     T: int,
@@ -128,37 +168,21 @@ def _greedy_select(
     residual_model: ResidualModel,
     sigma: float | None,
 ) -> tuple[Selection, tuple[RoundRecord, ...]]:
-    K = dictionary.K
     chosen: list[int] = []
-    available = np.ones(K, dtype=bool)
+    pool = np.arange(dictionary.K)
     records: list[RoundRecord] = []
     mi_base = 0.0
     for t in range(T):
-        cands = np.flatnonzero(available)
-        sel = Selection(indices=tuple(chosen))
-        compact = np.zeros(cands.size)
-        if "compact" in ablation:
-            compact = gp_compact_gains(gp_model, sel, cands)
-            dup = compact == -math.inf
-            available[cands[dup]] = False
-            cands, compact = cands[~dup], compact[~dup]
-        if cands.size == 0:
-            raise RuntimeError("all remaining atoms are excluded as duplicates")
-        discrim = np.zeros(cands.size)
-        if "discriminative" in ablation:
-            mi = [
-                mi_codes_labels(init_coeffs[chosen + [k], :], discrim_labels, sigma)
-                for k in cands
-            ]
-            discrim = np.array(mi) - mi_base
-        recon = np.zeros(cands.size)
-        if "reconstructive" in ablation:
-            recon = recon_gain(dictionary, sel, cands, recon_signals, residual_model)
+        pool, compact, mi, recon = _score_round(
+            dictionary, init_coeffs, discrim_labels, recon_signals, chosen, pool,
+            ablation, gp_model, residual_model, sigma,
+        )
+        discrim = mi - mi_base
         total = compact + weights.lambda2 * discrim + weights.lambda3 * recon
         j = int(np.argmax(total))
-        pick = int(cands[j])
+        pick = int(pool[j])
         chosen.append(pick)
-        available[pick] = False
+        pool = np.delete(pool, j)
         mi_base += discrim[j]
         records.append(
             RoundRecord(
@@ -203,7 +227,8 @@ def _select_groups(
     estimate.
     """
     _check_select_args(dictionary, T, ablation)
-    if initial_codes is None:
+    # the codes feed only the discrimination term and the weight estimate
+    if initial_codes is None and ("discriminative" in ablation or weights is None):
         initial_codes = omp_codes(dictionary, signals, T)
     if gp_model is None:
         gp_model = build_gp_model(dictionary.atoms)

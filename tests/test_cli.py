@@ -379,6 +379,29 @@ class TestCliErrors:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
+        "flag,value,expected",
+        [
+            ("--sparsity", "13", "sparsity 13 exceeds the signal dimension 12 of {train}"),
+            ("--atoms", "31", "atoms 31 exceeds the 30 training signals of {train}"),
+        ],
+        ids=["sparsity", "atoms"],
+    )
+    @pytest.mark.parametrize("command", ["run-all", "select"])
+    def test_size_beyond_training_file_exit_1(self, tmp_path, capsys, flag, value, expected, command):
+        # K-SVD cannot pick more atoms per signal than its dimension, or
+        # more atoms than there are training signals
+        train_csv, test_csv = write_data(tmp_path)  # 12-dim, 30 training signals
+        cfg = write_config(tmp_path, atoms=20)
+        out = tmp_path / "x"
+        argv = [command, "--config", str(cfg), "--train", str(train_csv), "--out", str(out), flag, value]
+        if command == "run-all":
+            argv += ["--test", str(test_csv)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "stage load failed" in err and expected.format(train=train_csv) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text", ["1,3,5", "1", "1,a", "1,300", "1,10"],
         ids=["too-many", "too-few", "non-integer", "out-of-range", "index-K"],
     )

@@ -8,6 +8,7 @@ from helpers import (
     random_unit_dictionary,
     somp,
 )
+from itdl import itds
 from itdl.dataset import synth_gaussian_classes
 from itdl.info_measures import (
     GpModel,
@@ -287,6 +288,34 @@ class TestSelectDedicated:
             labels01 = (ds.labels == r.class_id).astype(np.int64)
             res_model = ResidualModel.from_signals(own)
             assert r.weights == estimate_lambdas(d, codes, labels01, own, gp, res_model)
+
+
+class TestInitialCodes:
+    @pytest.mark.parametrize("select", [select_shared, select_dedicated])
+    @pytest.mark.parametrize(
+        "ablation,weights,coded",
+        [
+            (frozenset({"compact", "reconstructive"}), SelectionWeights(lambda3=1.0), False),
+            (frozenset({"compact", "reconstructive"}), None, True),
+            (frozenset(TERMS), SelectionWeights(1.0, 1.0), True),
+        ],
+        ids=["ablated-given", "ablated-estimated", "all-given"],
+    )
+    def test_codes_made_only_when_used(self, monkeypatch, select, ablation, weights, coded):
+        # the default codes feed only the discrimination term and the weight
+        # estimate; without either, none are made, and the selection is the same
+        ds, d, codes = small_problem(seed=16)
+        want = select(d, ds.signals, ds.labels, 3, ablation, weights, initial_codes=codes)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return omp_codes(*args)
+
+        monkeypatch.setattr(itds, "omp_codes", counted)
+        got = select(d, ds.signals, ds.labels, 3, ablation, weights)
+        assert len(calls) == int(coded)
+        assert got == want
 
 
 class TestSelectionReport:

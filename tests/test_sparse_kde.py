@@ -3,7 +3,7 @@
 median_pairwise_distance returns 0 without forming distances once the
 all-zero columns make up more than half of the pairs, and otherwise
 selects the middle distances in histogram passes over row tiles. The
-class kernel sums walk only active rows, in row tiles, against all rows.
+class kernel sums walk the band of the active rows only.
 Both must agree with the plain all-pairs forms in tests/helpers.py, with
 tiles small enough to split every class and histograms small enough to
 force every narrowing pass, and neither may hold an N x N matrix.
@@ -273,6 +273,30 @@ class TestTiledKde:
         with tiled(n, 4):
             got = median_pairwise_distance(codes)
         assert rel_close(got, dense_median_pairwise_distance(codes))
+
+    @pytest.mark.parametrize("tile", [1, 70, 1 << 16])
+    def test_class_sums_compute_each_active_pair_once(self, tile):
+        # 20 active rows among 400: the band of the active rows makes at
+        # most A(A + step)/2 distances, where all active rows against all
+        # rows would make A * N = 8000
+        rng = np.random.default_rng(8)
+        codes = np.zeros((3, 400))
+        active = rng.choice(400, 20, replace=False)
+        codes[:, active] = rng.standard_normal((3, 20))
+        labels = rng.integers(0, 3, 400)
+        made = []
+
+        def counted(r, x, sq_r, sq, out, tmp):
+            made.append(out.size)
+            return sq_dists(r, x, sq_r, sq, out, tmp)
+
+        sq_dists = _kernels._sq_dists
+        with tiled(tile), mock.patch.object(_kernels, "_sq_dists", counted):
+            (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, 0.5)
+        step = min(max(1, tile // 20), 20)  # a tile holds at most the 20 active rows
+        assert sum(made) <= 20 * (20 + step) // 2
+        np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
 
     def test_mi_codes_labels_memory(self):
         # the evaluate stage's call on dense codes; the dense sums peak at 305 MiB
