@@ -60,7 +60,7 @@ def train_linear(
     DeCoste, 2005) solves one (dim+1)-square system for the minimizer of the
     quadratic that keeps the active set (margins below 1), then takes the
     exact line search towards it; a Newton point that keeps the active set
-    is the exact minimizer. ``epochs`` caps the passes. There is no seed.
+    is the exact minimizer. ``epochs`` (at least 1) caps the passes. There is no seed.
     """
     F = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -80,6 +80,8 @@ def train_linear(
     reg = 1.0 / N if reg is None else reg
     if not reg > 0:
         raise ValueError("reg must be positive")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     mu, sd = F.mean(axis=0), F.std(axis=0)
     sd = np.where(sd > 1e-12, sd, 1.0)
     Z = np.hstack([(F - mu) / sd, np.ones((N, 1))])

@@ -119,7 +119,11 @@ def _parse_value(key: str, raw: str):
 def load_config(path) -> RunConfig:
     cfg = RunConfig()
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not an ASCII text file") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -405,7 +409,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: configuration: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _sq_dist_matrix, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
-from .sparse_coding import SVD_CUTOFF, Dictionary, Selection
+from .sparse_coding import SVD_CUTOFF, Dictionary, Selection, svd_keep
 
 # Unused here. The import stays because the benchmark's tracer
 # (perfbench/tracing.py) patches info_measures.pinv.
@@ -100,35 +100,32 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
     return max(8.0 * median_pairwise_distance(codes), 1e-3)
 
 
-def _kde_sigma(sigma: float | None, codes: np.ndarray) -> float:
-    """A given bandwidth, checked to be finite and positive, or bandwidth_rule(codes)."""
-    if sigma is None:
-        return bandwidth_rule(codes)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"bandwidth sigma must be finite and positive, got {sigma!r}")
-    return float(sigma)
+def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *, rule: bool):
+    """Codes, labels and bandwidth as the kernels take them.
 
-
-def _qmi_sigma(sigma: float) -> float:
-    """The quadratic MI's bandwidth: given, finite and positive."""
-    if sigma is None:
-        raise ValueError(
-            "the quadratic MI needs a given bandwidth sigma (ascent_bandwidth derives one from codes)"
-        )
-    return _kde_sigma(sigma, None)
-
-
-def _codes_matrix(codes: np.ndarray) -> np.ndarray:
+    Returns the float (d, N) codes (1-d codes are one row), the contiguous
+    (N, d) samples, the int64 labels, their class counts and the squared
+    bandwidth. A given sigma must be finite and positive; None derives it
+    by bandwidth_rule where ``rule`` is set and is an error otherwise (the
+    quadratic MI). The samples are None when fewer than two classes are
+    present, where every measure is zero.
+    """
     codes = np.asarray(codes, dtype=np.float64)
     if codes.ndim == 1:
         codes = codes[None, :]
-    return codes
-
-
-def _label_counts(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if sigma is None:
+        if not rule:
+            raise ValueError(
+                "the quadratic MI needs a given bandwidth sigma (ascent_bandwidth derives one from codes)"
+            )
+        sigma = bandwidth_rule(codes)
+    elif not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"bandwidth sigma must be finite and positive, got {sigma!r}")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    counts = np.bincount(labels).astype(np.int64)
-    return labels, counts
+    counts = np.bincount(labels)
+    x = np.ascontiguousarray(codes.T) if np.count_nonzero(counts) >= 2 else None
+    sigma = float(sigma)
+    return codes, x, labels, counts, sigma * sigma
 
 
 def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None = None) -> float:
@@ -141,13 +138,10 @@ def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None =
     the kernel normalization cancels in the difference, so only the
     class-conditional and marginal kernel sums are needed.
     """
-    codes = _codes_matrix(codes)
-    sigma = _kde_sigma(sigma, codes)
-    labels, counts = _label_counts(labels)
-    if (counts > 0).sum() < 2:
+    _, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=True)
+    if x is None:
         return 0.0
-    x = np.ascontiguousarray(codes.T)
-    s_all, s_own = class_kernel_sums(x, labels, sigma * sigma)
+    s_all, s_own = class_kernel_sums(x, labels, var)
     n = x.shape[0]
     mi = float(np.mean(np.log(s_own / counts[labels]) - np.log(s_all / n)))
     return max(mi, 0.0)
@@ -155,7 +149,7 @@ def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None =
 
 def class_entropy(labels: np.ndarray) -> float:
     """Entropy of the empirical label distribution, in nats."""
-    _, counts = _label_counts(labels)
+    counts = np.bincount(np.asarray(labels, dtype=np.int64))
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
 
@@ -282,12 +276,12 @@ def recon_gain(
 ) -> np.ndarray:
     """Log-likelihood improvement of each candidate joining the support: the
     drop in squared least-squares residual over 2 sigma_r^2. One projection
-    scores the round (the orthogonal least-squares forward step): with Q an
-    orthonormal basis of the selected atoms (Gram-Schmidt in pick order,
-    applied twice), R = Y - QQ^T Y and P = D_cands - Q(Q^T D_cands), the
-    drop is |P_k^T R|^2 / |P_k|^2. As pinv would, a direction of norm below
-    the cutoff adds nothing to Q and such a P_k gains 0. A selected
-    candidate raises ValueError.
+    scores the round (the orthogonal least-squares forward step): with Q
+    the left singular vectors of the selected atoms that pinv keeps
+    (svd_keep), R = Y - QQ^T Y and P = D_cands - Q(Q^T D_cands), the drop
+    is |P_k^T R|^2 / |P_k|^2. A P_k of norm below SVD_CUTOFF (its unit
+    atom lies in the span of Q) gains 0. A selected candidate raises
+    ValueError.
     """
     sel = list(selected.indices)
     cands = np.asarray(candidates, dtype=np.intp)
@@ -295,14 +289,8 @@ def recon_gain(
         raise ValueError("candidate already selected")
     atoms = dictionary.atoms
     Y = np.asarray(signals, dtype=np.float64)
-    Q = np.zeros((atoms.shape[0], 0))
-    for k in sel:
-        q = atoms[:, k].copy()
-        for _ in range(2):
-            q -= Q @ (Q.T @ q)
-        norm = np.linalg.norm(q)
-        if norm >= SVD_CUTOFF:
-            Q = np.column_stack([Q, q / norm])
+    u, s, _ = np.linalg.svd(atoms[:, sel], full_matrices=False)
+    Q = u[:, svd_keep(s)]
     R = Y - Q @ (Q.T @ Y)
     P = atoms[:, cands] - Q @ (Q.T @ atoms[:, cands])
     p_sq = np.einsum("nk,nk->k", P, P)
@@ -322,21 +310,15 @@ def qmi(codes: np.ndarray, labels: np.ndarray, sigma: float) -> float:
     Exact finite sum over sample pairs with variance-doubled kernels; a
     single-class labeling gives exactly zero.
     """
-    codes = _codes_matrix(codes)
-    sigma = _qmi_sigma(sigma)
-    labels, counts = _label_counts(labels)
-    if (counts > 0).sum() < 2:
+    _, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=False)
+    if x is None:
         return 0.0
-    x = np.ascontiguousarray(codes.T)
-    return float(qmi_value(x, labels, counts, sigma * sigma))
+    return float(qmi_value(x, labels, counts, var))
 
 
 def qmi_grad_codes(codes: np.ndarray, labels: np.ndarray, sigma: float) -> np.ndarray:
     """Gradient of qmi with respect to every code column, shape (d, N)."""
-    codes = _codes_matrix(codes)
-    sigma = _qmi_sigma(sigma)
-    labels, counts = _label_counts(labels)
-    if (counts > 0).sum() < 2:
+    codes, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=False)
+    if x is None:
         return np.zeros_like(codes)
-    x = np.ascontiguousarray(codes.T)
-    return np.ascontiguousarray(qmi_grad(x, labels, counts, sigma * sigma).T)
+    return np.ascontiguousarray(qmi_grad(x, labels, counts, var).T)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .info_measures import ascent_bandwidth, qmi, qmi_grad_codes
-from .sparse_coding import SVD_CUTOFF, pinv, unit_columns
+from .sparse_coding import pinv, svd_keep, unit_columns
 
 
 @dataclass(eq=False)
@@ -130,7 +130,7 @@ def update_dictionary(
     if not state.accepted_steps:
         return np.array(dict_selected, dtype=np.float64, copy=True), state
     sv = np.linalg.svd(phi, compute_uv=False)
-    rank = int(np.count_nonzero((sv >= SVD_CUTOFF * sv[0]) & (sv > 0.0)))
+    rank = int(np.count_nonzero(svd_keep(sv)))
     if rank < phi.shape[1]:
         raise np.linalg.LinAlgError(
             f"coding transform has rank {rank} < {phi.shape[1]} atoms; "

@@ -61,19 +61,24 @@ class Selection:
         return len(self.indices)
 
 
+def svd_keep(s: np.ndarray) -> np.ndarray:
+    """Which singular values pinv keeps, given each matrix's values in
+    descending order along the last axis: those at least SVD_CUTOFF x the
+    matrix's largest, and nonzero."""
+    return (s >= SVD_CUTOFF * s[..., :1]) & (s > 0.0)
+
+
 def pinv(mat: np.ndarray) -> np.ndarray:
     """SVD pseudoinverse of a matrix, or of each matrix in a stack (..., m, n).
 
-    Per matrix, singular values below 1e-10 x its largest are dropped, so
-    an all-zero matrix inverts to zeros.
+    Per matrix, only the singular values that svd_keep keeps are inverted,
+    so an all-zero matrix inverts to zeros.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim < 2:
         raise ValueError("pinv expects a matrix or a stack of matrices")
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    top = s[..., :1]
-    keep = (s >= SVD_CUTOFF * top) & (s > 0.0)
-    inv_s = np.where(keep, 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
+    inv_s = np.where(svd_keep(s), 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
     return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
 
 
@@ -265,6 +270,8 @@ def load_matrix(path) -> np.ndarray:
         data = np.frombuffer(fh.read(8 * n * K), dtype="<f8")
         if data.size != n * K:
             raise ValueError(f"{path}: truncated matrix payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the {n} x {K} matrix payload")
         if not np.isfinite(data).all():
             raise ValueError(f"{path}: non-finite matrix entry (nan or inf)")
     return np.ascontiguousarray(data.reshape((n, K), order="F"))

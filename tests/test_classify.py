@@ -118,6 +118,12 @@ class TestTrainLinear:
         with pytest.raises(ValueError, match=message):
             train_linear(features, labels)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_pass_rejected(self, epochs):
+        F = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"epochs must be at least 1, got {epochs}"):
+            train_linear(F, np.array([0, 1, 1, 0]), epochs=epochs)
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         F = rng.standard_normal((25, 3))

@@ -247,7 +247,7 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"stage {stage} failed" in err and expected in err
 
-    @pytest.mark.parametrize("edit", ["scaled-atom", "extra-atom", "extra-row"])
+    @pytest.mark.parametrize("edit", ["scaled-atom", "extra-atom", "extra-row", "trailing-bytes"])
     def test_bad_updated_dictionary_exit_1_names_file(self, tmp_path, capsys, edit):
         train_csv, test_csv = write_data(tmp_path)
         cfg = write_config(tmp_path)
@@ -257,21 +257,54 @@ class TestCliErrors:
         capsys.readouterr()
         path = out / "dict_updated.itdl"
         atoms = load_matrix(path)
+        tail = b""
         if edit == "scaled-atom":
             atoms[:, 0] *= 50.0
             expected = f"{path}: every atom must have unit l2 norm"
         elif edit == "extra-atom":
             atoms = np.column_stack([atoms, atoms[:, 0]])
             expected = f"{path}: expected 12 x 2 atoms (signal dimension x sparsity), got 12 x 3"
-        else:
+        elif edit == "extra-row":
             atoms = np.vstack([atoms, np.zeros((1, atoms.shape[1]))])
             expected = f"{path}: expected 12 x 2 atoms (signal dimension x sparsity), got 13 x 2"
+        else:
+            tail = bytes(8)
+            expected = f"{path}: trailing bytes after the 12 x 2 matrix payload"
         sparse_coding.save_matrix(atoms, path)
+        path.write_bytes(path.read_bytes() + tail)
         before = (out / "eval_report.json").read_bytes()
         assert main(["evaluate", *io, "--test", str(test_csv)]) == 1
         err = capsys.readouterr().err
         assert "stage evaluate failed" in err and expected in err
         assert (out / "eval_report.json").read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["select", "synth"])
+    def test_out_naming_a_file_exit_1_names_it(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        if command == "synth":
+            argv = ["synth", "--out", str(out), "--seed", "1"]
+        else:
+            train_csv, _ = write_data(tmp_path)
+            cfg = write_config(tmp_path)
+            argv = ["select", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert out.read_text() == "a file\n"
+
+    def test_non_ascii_config_exit_2_names_file(self, tmp_path, capsys):
+        train_csv, test_csv = write_data(tmp_path)
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes() + "sigma=0.5  # \u03c3\n".encode("utf-8"))
+        out = tmp_path / "x"
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(test_csv), "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: configuration: {cfg}: not an ASCII text file\n"
+        assert not out.exists()
 
     def test_update_without_selection_exit_1(self, tmp_path, capsys):
         train_csv, _ = write_data(tmp_path)

@@ -304,6 +304,30 @@ class TestReconGain:
         if sel:
             assert got[-2] == 0.0 and got[-1] == 0.0
 
+    def test_chosen_atoms_in_the_rank_window_match_pinv(self):
+        # The chosen atoms a, b, c have s_min/s_max = 5.3e-11: pinv drops
+        # that direction (below 1e-10 x s_max) although c's component off
+        # span(a, b) has norm 1.3e-10, so e3 is not yet explained.
+        e = np.eye(6)
+        unit = lambda v: v / np.linalg.norm(v)
+        atoms = np.column_stack([
+            e[0],
+            unit(e[0] + 1e-3 * e[1]),
+            unit(e[0] + 1e-3 * e[1] + 1.3e-10 * e[2]),
+            e[2],
+            unit(e[2] + e[3]),
+        ])
+        s = np.linalg.svd(atoms[:, :3], compute_uv=False)
+        assert 5e-11 < s[-1] / s[0] < 7e-11
+        d = Dictionary(atoms=atoms)
+        Y = np.column_stack([e[2] + 0.5 * e[3], e[3] - e[2]])
+        model = ResidualModel(sigma_r=1.0)
+        chosen = Selection(indices=(0, 1, 2))
+        got = recon_gain(d, chosen, [3, 4], Y, model)
+        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (3, 4)]
+        np.testing.assert_allclose(want, [1.0, 0.5625], rtol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_selected_candidate_rejected(self):
         d = random_unit_dictionary(15, 6, 8)
         Y = np.random.default_rng(15).standard_normal((6, 3))

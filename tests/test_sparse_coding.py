@@ -407,6 +407,14 @@ class TestPersistence:
             load_matrix(f)
         assert str(exc.value).startswith(f"{f}: ")
 
+    def test_trailing_bytes_name_file(self, tmp_path):
+        f = tmp_path / "d.itdl"
+        save_matrix(random_unit_dictionary(15, 4, 3).atoms, f)
+        f.write_bytes(f.read_bytes() + bytes(8))
+        with pytest.raises(ValueError) as exc:
+            load_matrix(f)
+        assert str(exc.value) == f"{f}: trailing bytes after the 4 x 3 matrix payload"
+
     def test_unnormalized_dictionary_names_file(self, tmp_path):
         atoms = random_unit_dictionary(14, 4, 3).atoms.copy()
         atoms[:, 0] *= 2.0
