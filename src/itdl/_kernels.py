@@ -14,6 +14,13 @@ values in place. Each kernel reduces a tile as soon as it is made, so
 memory is O(tile * N). N x N temporaries would set the evaluate stage's
 peak memory and page-fault on every ascent call.
 
+A tile is one BLAS product. The walk builds two sides once: left rows
+[-2 x_i, |x_i|^2, 1] and right columns [x_j; 1; |x_j|^2], so the product
+of a tile's left rows with the right columns is |x_i|^2 + |x_j|^2 -
+2 <x_i, x_j> for each pair. Then the tile is clipped at zero and its
+square block's diagonal set to 0, so a row's distance to itself, and
+its kernel with itself, are exact.
+
 Every tile is a band tile: rows [r0, r1) against the columns [r0, N)
 only, the tile's square block plus everything right of it. Distances and
 kernels are symmetric, so a walk of all rows evaluates each unordered
@@ -46,35 +53,40 @@ import numpy as np
 NUMBA_ENABLED = False
 
 # Elements of a walker tile: a tile has max(1, _TILE // N) rows, and its
-# distance and scratch buffers take 512 KiB of float64 each. Timed on the
-# band quadratic MI (value plus gradient, one BLAS thread) at N = 600 and
-# N = 1500, d = 8: 2**16 and 2**17 run within 2 % of each other, 2**15 is
-# 16 % slower at N = 1500, 2**14 25-60 % slower, and larger tiles only
-# grow the buffers.
+# one distance buffer takes 512 KiB of float64. Timed on the band quadratic
+# MI (value plus gradient, one BLAS thread) at N = 600 and N = 1500, d = 8:
+# 2**17 runs 3-5 % faster, 2**18 6 % faster at N = 600 but 9 % slower at
+# N = 1500, 2**15 5-27 % slower, and larger tiles only grow the buffer.
 _TILE = 1 << 16
 
 
-def _sq_dists(r, x, sq_r, sq, out, tmp):
-    """Squared distances between the rows of r and the rows of x, into out:
-    (|r_i|^2 + |x_j|^2) - 2 <r_i, x_j>, clipped at zero. sq_r and sq are the
-    squared row norms; tmp is scratch of out's shape."""
-    np.matmul(r, x.T, out=out)
-    out *= 2.0
-    # sq + sq_r[:, None] is the same sum in every bit as sq_r[:, None] + sq;
-    # a copy and an in-place add run faster than numpy's broadcast add
-    tmp[...] = sq
-    tmp += sq_r[:, None]
-    np.subtract(tmp, out, out=out)
+def _sides(x):
+    """The factors of the one-product distances: left rows
+    [-2 x_i, |x_i|^2, 1], shape (N, d + 2), and right columns
+    [x_j; 1; |x_j|^2], stored as (d + 2, N), so that left[i] @ right[:, j]
+    is |x_i|^2 + |x_j|^2 - 2 <x_i, x_j>."""
+    n, d = x.shape
+    sq = (x * x).sum(axis=1)
+    left, right = np.empty((n, d + 2)), np.empty((d + 2, n))
+    np.multiply(x, -2.0, out=left[:, :d])
+    left[:, d], left[:, d + 1] = sq, 1.0
+    right[:d], right[d], right[d + 1] = x.T, 1.0, sq
+    return left, right
+
+
+def _sq_dists(left, right, out):
+    """Squared distances of a band tile into out: left @ right clipped at
+    zero, and exactly zero on the diagonal of the tile's square block."""
+    np.matmul(left, right, out=out)
     np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
 def _sq_dist_matrix(x: np.ndarray) -> np.ndarray:
     """All squared distances between the rows of x (for small N: the GP
     covariance over the atoms)."""
-    sq = (x * x).sum(axis=1)
-    out = np.empty((len(x), len(x)))
-    return _sq_dists(x, x, sq, sq, out, np.empty_like(out))
+    return _sq_dists(*_sides(x), np.empty((len(x), len(x))))
 
 
 def _sq_dist_tiles(x, bounds):
@@ -87,28 +99,28 @@ def _sq_dist_tiles(x, bounds):
     square block, then every column right of it. A walk of all N rows
     meets each unordered pair i <= j in exactly one tile and makes at most
     N(N + step)/2 distances for tiles of step rows. d2 is a view of one
-    buffer that the next tile overwrites. When one tile covers all of x,
-    the Gram product is the call x @ x.T.
+    buffer that the next tile overwrites, made by one product
+    left[tile] @ right[:, r0:] of the sides built once per walk.
     """
     n = len(x)
-    sq = (x * x).sum(axis=1)
+    left, right = _sides(x)
     step = max(1, _TILE // max(n, 1))
-    # one allocation: two freed separately can each be handed back to the
-    # OS and page-fault again on the next call
-    buf, tmp = np.empty((2, min(step, bounds[-1] - bounds[0]) * n))
+    # one buffer per walk, reused by every tile: a buffer per tile could
+    # be handed back to the OS when freed and page-fault again
+    buf = np.empty(min(step, bounds[-1] - bounds[0]) * n)
     for g in range(len(bounds) - 1):
         for r0 in range(bounds[g], bounds[g + 1], step):
             tile = slice(r0, min(r0 + step, bounds[g + 1]))
-            shape = (tile.stop - r0, n - r0)
-            size = shape[0] * shape[1]
-            out, scratch = buf[:size].reshape(shape), tmp[:size].reshape(shape)
-            yield g, tile, _sq_dists(x[tile], x[r0:], sq[tile], sq[r0:], out, scratch)
+            out = buf[: (tile.stop - r0) * (n - r0)].reshape(tile.stop - r0, n - r0)
+            yield g, tile, _sq_dists(left[tile], right[:, r0:], out)
 
 
 def _kernel_row_tiles(x, bounds, var):
-    """_sq_dist_tiles with each tile turned in place into exp(-d2 / (2 var))."""
+    """_sq_dist_tiles with each tile turned in place into exp(-d2 / (2 var)),
+    as d2 times -0.5 / var."""
+    scale = -0.5 / var
     for g, tile, w in _sq_dist_tiles(x, bounds):
-        np.divide(w, -2.0 * var, out=w)
+        np.multiply(w, scale, out=w)
         np.exp(w, out=w)
         yield g, tile, w
 
@@ -124,7 +136,7 @@ def class_kernel_sums(x, labels, var):
     # between one of them and active row a. zeros and k0_class sum these
     # per class; a zero row's marginal adds up the per-class totals, so
     # that with one class s_own == s_all bit for bit.
-    k0 = np.exp((xa * xa).sum(axis=1) / (-2.0 * var))
+    k0 = np.exp((xa * xa).sum(axis=1) * (-0.5 / var))
     zeros = np.bincount(labels, weights=~active)
     k0_class = np.bincount(la, weights=k0, minlength=len(zeros))
     n_zero = len(x) - len(xa)

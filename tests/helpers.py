@@ -135,23 +135,34 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _dense_sq_dists(x):
+    """All N x N squared distances between the rows of x in one product,
+    [-2 x_i, |x_i|^2, 1] @ [x_j; 1; |x_j|^2], clipped at zero, with an
+    exactly zero diagonal: the library's formula, so that the dense
+    oracles can be compared with == where the tiles make the same values."""
+    sq = np.sum(x * x, axis=1)
+    ones = np.ones((len(x), 1))
+    left = np.hstack([-2.0 * x, sq[:, None], ones])
+    right = np.vstack([x.T, ones.T, sq[None, :]])
+    d2 = np.maximum(left @ right, 0.0)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
 def dense_median_pairwise_distance(codes):
     """Median Euclidean distance over all N(N-1)/2 column pairs, no shortcut."""
     codes = np.asarray(codes, dtype=np.float64)
     n = codes.shape[1]
     if n < 2:
         return 0.0
-    x = codes.T
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    d2 = _dense_sq_dists(codes.T)
     return float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
 
 
 def dense_class_kernel_sums(x, labels, var):
     """Marginal and own-class Gaussian kernel row sums over the full N x N block."""
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    w = np.exp(d2 / (-2.0 * var))
+    d2 = _dense_sq_dists(x)
+    w = np.exp(d2 * (-0.5 / var))
     same = labels[:, None] == labels[None, :]
     return w.sum(axis=1), (w * same).sum(axis=1)
 
@@ -159,9 +170,8 @@ def dense_class_kernel_sums(x, labels, var):
 def dense_qmi_value(x, labels, counts, sigma2):
     """Closed-form quadratic MI from the full N x N kernel and label mask."""
     n, d = x.shape
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    w = np.exp(d2 / (-4.0 * sigma2))
+    d2 = _dense_sq_dists(x)
+    w = np.exp(d2 * (-0.5 / (2.0 * sigma2)))
     prior = counts.astype(np.float64) / n
     sum_p2 = float(np.sum(prior * prior))
     same = labels[:, None] == labels[None, :]
@@ -175,9 +185,8 @@ def dense_qmi_grad(x, labels, counts, sigma2):
     """Quadratic-MI gradient per sample from the full N x N coef * kernel matrix:
     const/(N^2 sigma^2) * sum_j coef(c_i, c_j) w_ij (x_j - x_i)."""
     n, d = x.shape
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    w = np.exp(d2 / (-4.0 * sigma2))
+    d2 = _dense_sq_dists(x)
+    w = np.exp(d2 * (-0.5 / (2.0 * sigma2)))
     prior = counts.astype(np.float64) / n
     pl = prior[labels]
     coef = (labels[:, None] == labels[None, :]).astype(np.float64)

@@ -75,6 +75,35 @@ def test_band_walks_each_unordered_pair_once(case):
     assert 2 * walked <= n * (n + step)
 
 
+@st.composite
+def walker_rows(draw, max_n=30, max_d=8):
+    """(x, tile): N rows of d values of up to 1e3 in magnitude, and a
+    walker tile of 1 to 3N elements."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    x = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    return x, draw(st.integers(1, 3 * n))
+
+
+@PROPERTY
+@given(walker_rows())
+def test_walker_distances_are_the_squared_differences(case):
+    # |fl(d2) - d2| <= 6 (d + 2) (eps (|x_i|^2 + |x_j|^2) + eta): the
+    # (d + 2)-term product, the two squared norms and the reference's own
+    # rounding, with room to spare, where eta, the least subnormal, covers
+    # products that underflow; a row's distance to itself is exactly 0
+    x, tile = case
+    n, d = x.shape
+    sq = (x * x).sum(axis=1)
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    with mock.patch.object(_kernels, "_TILE", tile):
+        for _, rows, d2 in _kernels._sq_dist_tiles(x, (0, n)):
+            want = ((x[rows, None, :] - x[None, rows.start :, :]) ** 2).sum(axis=2)
+            bound = 6 * (d + 2) * (eps * (sq[rows, None] + sq[rows.start :]) + eta)
+            assert (np.abs(d2 - want) <= bound).all()
+            assert (np.diagonal(d2) == 0.0).all()
+
+
 def pair_kernel(x, sigma2):
     """The N x N kernel and its normalization const."""
     d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)

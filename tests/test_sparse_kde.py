@@ -152,6 +152,19 @@ class TestClassKernelSums:
         np.testing.assert_array_equal(s_all, d_all)
         np.testing.assert_array_equal(s_own, d_own)
 
+    def test_self_kernel_is_exactly_one_at_the_floor(self):
+        # 12 random 4-dim active rows among 128 at the floor bandwidth: every
+        # other pair's kernel underflows to 0, so an active row's marginal
+        # sum is its kernel with itself, which is 1 only if its distance to
+        # itself is exactly 0 (the Gram formula alone leaves ~1e-15 here)
+        rng = np.random.default_rng(0)
+        x = np.zeros((128, 4))
+        rows = rng.choice(128, 12, replace=False)
+        x[rows] = rng.standard_normal((12, 4))
+        labels = rng.integers(0, 3, 128)
+        s_all, _ = class_kernel_sums(x, labels, FLOOR * FLOOR)
+        np.testing.assert_array_equal(s_all[rows], 1.0)
+
     def test_single_active_row(self):
         codes = np.zeros((3, 8))
         codes[:, 2] = [0.2, -0.1, 0.3]
@@ -286,9 +299,9 @@ class TestTiledKde:
         labels = rng.integers(0, 3, 400)
         made = []
 
-        def counted(r, x, sq_r, sq, out, tmp):
+        def counted(left, right, out):
             made.append(out.size)
-            return sq_dists(r, x, sq_r, sq, out, tmp)
+            return sq_dists(left, right, out)
 
         sq_dists = _kernels._sq_dists
         with tiled(tile), mock.patch.object(_kernels, "_sq_dists", counted):
