@@ -2,13 +2,17 @@
 
 Dictionaries are (n, K) matrices of unit-norm atoms (see ``unit_columns``).
 OMP breaks score ties toward the lowest atom index so runs are
-reproducible, and every least-squares solve goes through the SVD
-pseudoinverse with a relative cutoff so near-duplicate atoms cannot blow
-up the coefficients.
+reproducible. Every least-squares solve keeps the SVD pseudoinverse's
+relative cutoff (``svd_keep``), so near-duplicate atoms cannot blow up
+the coefficients. A solve whose triangular factor is certified well
+conditioned, so that the cutoff keeps every singular value, is made from
+that factor (a batched QR in ``pinv``, OMP's own Gram-Schmidt in
+``omp_codes``); every other solve goes through the SVD.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -68,18 +72,74 @@ def svd_keep(s: np.ndarray) -> np.ndarray:
     return (s >= SVD_CUTOFF * s[..., :1]) & (s > 0.0)
 
 
+# Largest ||R||_F ||R^-1||_F of a certified triangular factor. The product
+# bounds s_max/s_min, so a certified matrix has s_min/s_max >= 100 x
+# SVD_CUTOFF: the factor 100 covers the rounding gap, of order n eps
+# s_max, between the singular values of R and those the SVD computes.
+_MAX_COND = 1.0 / (100.0 * SVD_CUTOFF)
+
+
+def _certified_inverse(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (N, t, t) of upper-triangular factors, and
+    which of them are certified: ||R||_F ||R^-1||_F <= _MAX_COND, so that
+    svd_keep keeps every singular value. Uncertified members, non-finite
+    ones among them, invert to zeros.
+
+    A triangular matrix's diagonal holds its eigenvalues, so a diagonal
+    ratio above _MAX_COND fails the certificate before any inversion;
+    exactly singular members are never inverted.
+    """
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    lo = diag.min(axis=-1, initial=np.inf)
+    ok = (lo > 0.0) & (lo * _MAX_COND >= diag.max(axis=-1, initial=0.0))
+    R_inv = np.zeros_like(R)
+    R_inv[ok] = np.linalg.inv(R[ok])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the certificate
+        ok &= np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1)) <= _MAX_COND
+    R_inv[~ok] = 0.0
+    return R_inv, ok
+
+
+def _svd_pinv(mat: np.ndarray) -> np.ndarray:
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    inv_s = np.where(svd_keep(s), 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
+    return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
+
+
+# Matrices factored together by pinv; bounds the QR route's temporaries
+# (numpy's working copy, Q, R and R^-1) whatever the size of the stack.
+_PINV_BLOCK = 128
+
+
 def pinv(mat: np.ndarray) -> np.ndarray:
-    """SVD pseudoinverse of a matrix, or of each matrix in a stack (..., m, n).
+    """Pseudoinverse of a matrix, or of each matrix in a stack (..., m, n).
 
     Per matrix, only the singular values that svd_keep keeps are inverted,
-    so an all-zero matrix inverts to zeros.
+    so an all-zero matrix inverts to zeros. Each matrix is factored by QR
+    (of its transpose when it is wide); where _certified_inverse
+    certifies R, the pseudoinverse is R^-1 Q^T (transposed back when
+    wide). Every other matrix takes the SVD pseudoinverse, and a
+    non-finite one raises LinAlgError there.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim < 2:
         raise ValueError("pinv expects a matrix or a stack of matrices")
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    inv_s = np.where(svd_keep(s), 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
-    return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
+    m, n = mat.shape[-2:]
+    wide = m < n
+    stack = mat.reshape(math.prod(mat.shape[:-2]), m, n)
+    out = np.empty((len(stack), n, m))
+    for start in range(0, len(stack), _PINV_BLOCK):
+        part = stack[start : start + _PINV_BLOCK]
+        dest = out[start : start + _PINV_BLOCK]
+        q, r = np.linalg.qr(part.swapaxes(1, 2) if wide else part)
+        r_inv, ok = _certified_inverse(r)
+        if wide:
+            np.matmul(q, r_inv.swapaxes(1, 2), out=dest)
+        else:
+            np.matmul(r_inv, q.swapaxes(1, 2), out=dest)
+        if not ok.all():
+            dest[~ok] = _svd_pinv(part[~ok])
+    return out.reshape(mat.shape[:-2] + (n, m))
 
 
 def unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -101,9 +161,11 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
     Greedy argmax of |d^T r| with lowest-index tie-break. A signal stops
     when its best score or its residual norm falls to 1e-12 x its norm; an
     all-zero signal codes to zeros. The coefficients are the
-    least-squares fit (``pinv``) on the final support, in pick order.
-    Columns are coded in blocks, each step scoring the block's live
-    signals with one matrix product.
+    least-squares fit on the final support, in pick order: R^-1 Q^T y
+    from the signal's own Gram-Schmidt factors where _certified_inverse
+    certifies R, else ``pinv`` of the chosen atoms. Columns are coded in
+    blocks, each step scoring the block's live signals with one matrix
+    product.
     """
     atoms = dictionary.atoms
     n, K = atoms.shape
@@ -115,32 +177,45 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
     coeffs = np.zeros((K, Y.shape[1]))
     for start in range(0, Y.shape[1], _OMP_BLOCK):
         block = Y[:, start : start + _OMP_BLOCK]
-        support, size = _omp_supports(atoms, block, T)
+        support, size, R, z = _omp_supports(atoms, block, T)
         for t in range(1, T + 1):
             cols = np.flatnonzero(size == t)
             if cols.size == 0:
                 continue
             chosen = support[cols, :t]
-            # (G, n, t) stack of each signal's chosen atoms, in pick order
-            P = pinv(atoms.T[chosen].swapaxes(1, 2))
-            coeffs[chosen, start + cols[:, None]] = (P @ block.T[cols, :, None])[..., 0]
+            R_inv, ok = _certified_inverse(R[cols, :t, :t])
+            coef = (R_inv @ z[cols, :t, None])[..., 0]
+            if not ok.all():
+                bad = ~ok
+                # (G, n, t) stack of the uncertified signals' chosen atoms, in pick order
+                P = pinv(atoms.T[chosen[bad]].swapaxes(1, 2))
+                coef[bad] = (P @ block.T[cols[bad], :, None])[..., 0]
+            coeffs[chosen, start + cols[:, None]] = coef
     return coeffs
 
 
-def _omp_supports(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """OMP supports of the columns of Y: (N, T) atom indices in pick order
-    and the (N,) number of atoms each signal picked.
+def _omp_supports(
+    atoms: np.ndarray, Y: np.ndarray, T: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """OMP supports of the columns of Y: (N, T) atom indices in pick order,
+    the (N,) number of atoms each signal picked, and each signal's
+    factors of its chosen atoms A = QR: the (N, T, T) upper-triangular R
+    and the (N, T) z = Q^T y.
 
-    Each signal keeps an orthonormal basis of its chosen atoms, grown by
+    Each signal keeps an orthonormal basis Q of its chosen atoms, grown by
     Gram-Schmidt (applied twice), and its residual is the signal minus
-    its projection onto that basis. A new direction of norm below the
-    pinv cutoff adds nothing to the basis, as pinv drops it.
+    its projection onto that basis. R's column holds the summed
+    projection coefficients of both passes, with the new direction's norm
+    on the diagonal. A new direction of norm below the pinv cutoff adds
+    nothing to the basis, as pinv drops it.
     """
     n, N = Y.shape
     tol = 1e-12 * np.linalg.norm(Y, axis=0)
     support = np.zeros((N, T), dtype=np.intp)
     size = np.zeros(N, dtype=np.intp)
     basis = np.zeros((N, T, n))
+    R = np.zeros((N, T, T))
+    z = np.zeros((N, T))
     resid = Y.T.copy()
     live = np.flatnonzero(tol > 0.0)
     for t in range(T):
@@ -156,16 +231,23 @@ def _omp_supports(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray,
         size[live] = t + 1
         q = atoms.T[best]
         prev = basis[live, :t]
+        proj = 0.0
         for _ in range(2):
-            q -= np.einsum("ltn,lt->ln", prev, np.einsum("ltn,ln->lt", prev, q))
+            c = np.einsum("ltn,ln->lt", prev, q)
+            q -= np.einsum("ltn,lt->ln", prev, c)
+            proj = proj + c
         norm = np.linalg.norm(q, axis=1)
+        R[live, :t, t] = proj
+        R[live, t, t] = norm
         q *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm >= SVD_CUTOFF)[:, None]
         basis[live, t] = q
         r = resid[live]
-        r -= q * np.einsum("ln,ln->l", q, r)[:, None]
+        zt = np.einsum("ln,ln->l", q, r)
+        r -= q * zt[:, None]
+        z[live, t] = zt
         resid[live] = r
         live = live[np.linalg.norm(r, axis=1) > tol[live]]
-    return support, size
+    return support, size, R, z
 
 
 def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -> np.ndarray:
@@ -191,10 +273,13 @@ def ksvd_init(
     """K-SVD dictionary initialization.
 
     Alternates OMP coding with atom-by-atom rank-1 updates (dominant
-    singular pair of the deflated residual). Atoms left unused after a
-    sweep are replaced by the currently worst-represented signals, each
-    renormalized. If ``trace`` is given, the post-sweep objective
-    ||Y - DX||_F^2 is appended after every sweep.
+    singular pair of the deflated residual). The residual Y - DX is kept
+    through the sweep: each atom's deflated residual is its signals'
+    columns of it plus the atom's own rank-1 term, and the update writes
+    them back. Atoms left unused after a sweep are replaced by the
+    currently worst-represented signals, each renormalized. If ``trace``
+    is given, the post-sweep objective ||Y - DX||_F^2 is appended after
+    every sweep.
     """
     Y = np.asarray(signals, dtype=np.float64)
     n, N = Y.shape
@@ -213,23 +298,24 @@ def ksvd_init(
         d = Dictionary(atoms=unit_columns(atoms))
         X = omp_codes(d, Y, T)
         atoms = d.atoms.copy()
+        resid = Y - atoms @ X
         for k in range(K):
             support = np.flatnonzero(X[k, :] != 0.0)
             if support.size == 0:
                 continue
-            E = Y[:, support] - atoms @ X[:, support] + np.outer(atoms[:, k], X[k, support])
+            E = resid[:, support] + np.outer(atoms[:, k], X[k, support])
             u, s, vt = np.linalg.svd(E, full_matrices=False)
             atoms[:, k] = u[:, 0]
             X[k, support] = s[0] * vt[0, :]
+            resid[:, support] = E - np.outer(atoms[:, k], X[k, support])
         unused = [k for k in range(K) if not (X[k, :] != 0.0).any()]
         if unused:
-            resid_norms = np.linalg.norm(Y - atoms @ X, axis=0)
-            worst = np.argsort(-resid_norms)
+            worst = np.argsort(-np.linalg.norm(resid, axis=0))
             for slot, k in enumerate(unused):
                 col = Y[:, worst[slot % N]]
                 atoms[:, k] = col / np.linalg.norm(col)
         if trace is not None:
-            trace.append(float(np.sum((Y - atoms @ X) ** 2)))
+            trace.append(float(np.sum(resid**2)))
     return Dictionary(atoms=unit_columns(atoms))
 
 

@@ -10,13 +10,17 @@ row-tiled versions are checked; peak_bytes measures what those versions
 allocate. The loop oracles code one
 signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
-checked; ``somp`` (simultaneous OMP, one shared support for all
-signals) is the baseline the reconstruction-only selection is checked
-against. The reference forms (single Gaussian kernel, per-point class
-density, scalar GP compactness gain, two-refit reconstruction gain, GP
-total MI, per-sample QMI gradient, discrete KL and quadratic divergence)
-spell out the definitions that the library evaluates in batched or
-closed form.
+checked; ``loop_ksvd`` rebuilds each atom's deflated residual from the
+signals and the full codes, against which K-SVD's kept residual is
+checked. Every least-squares oracle solves through ``svd_pinv``, the
+SVD pseudoinverse with the library's rank rule, so none of them moves
+with the library's QR route. ``somp`` (simultaneous OMP, one shared
+support for all signals) is the baseline the reconstruction-only
+selection is checked against. The reference forms (single Gaussian
+kernel, per-point class density, scalar GP compactness gain, two-refit
+reconstruction gain, GP total MI, per-sample QMI gradient, discrete KL
+and quadratic divergence) spell out the definitions that the library
+evaluates in batched or closed form.
 """
 
 import math
@@ -26,7 +30,7 @@ import numpy as np
 
 from itdl.dataset import Dataset
 from itdl.info_measures import qmi_grad_codes
-from itdl.sparse_coding import Dictionary, Selection, pinv
+from itdl.sparse_coding import Dictionary, Selection, svd_keep, unit_columns
 
 
 def shared_style_dataset(n, p, per_class, seed, style=1.8, noise=0.08):
@@ -210,9 +214,17 @@ def dense_mi_codes_labels(codes, labels, sigma):
     return max(float(np.mean(np.log(s_own / counts[labels]) - np.log(s_all / n))), 0.0)
 
 
+def svd_pinv(mat):
+    """SVD pseudoinverse of a matrix or of each matrix in a stack (..., m, n),
+    inverting only the singular values that svd_keep keeps."""
+    u, s, vt = np.linalg.svd(np.asarray(mat, dtype=np.float64), full_matrices=False)
+    inv_s = np.where(svd_keep(s), 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
+    return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
+
+
 def loop_omp(atoms, y, T):
-    """OMP for one signal: argmax |d^T r| (lowest index on ties), then a
-    pinv least-squares refit on the grown support after every pick."""
+    """OMP for one signal: argmax |d^T r| (lowest index on ties), then an
+    svd_pinv least-squares refit on the grown support after every pick."""
     n, K = atoms.shape
     x = np.zeros(K)
     ynorm = np.linalg.norm(y)
@@ -230,7 +242,7 @@ def loop_omp(atoms, y, T):
         chosen.append(best)
         available[best] = False
         sub = atoms[:, chosen]
-        coef = pinv(sub) @ y
+        coef = svd_pinv(sub) @ y
         resid = y - sub @ coef
         if np.linalg.norm(resid) <= 1e-12 * ynorm:
             break
@@ -245,6 +257,41 @@ def loop_omp_codes(dictionary, signals, T):
     return np.column_stack(
         [loop_omp(dictionary.atoms, signals[:, i], T) for i in range(signals.shape[1])]
     )
+
+
+def loop_ksvd(Y, K, T, iters, seed):
+    """K-SVD as ksvd_init runs it, coding with loop_omp_codes and
+    rebuilding every atom's deflated residual from Y and the full codes.
+    Returns the atoms, the post-sweep objectives and the number of
+    unused atoms that were replaced."""
+    n, N = Y.shape
+    rng = np.random.default_rng(seed)
+    atoms = Y[:, rng.choice(N, size=K, replace=False)].copy()
+    for k in np.flatnonzero(np.linalg.norm(atoms, axis=0) <= 1e-12):
+        atoms[:, k] = rng.standard_normal(n)
+    atoms = unit_columns(atoms)
+    trace, replaced = [], 0
+    for _ in range(iters):
+        d = Dictionary(atoms=unit_columns(atoms))
+        X = loop_omp_codes(d, Y, T)
+        atoms = d.atoms.copy()
+        for k in range(K):
+            support = np.flatnonzero(X[k, :] != 0.0)
+            if support.size == 0:
+                continue
+            E = Y[:, support] - atoms @ X[:, support] + np.outer(atoms[:, k], X[k, support])
+            u, s, vt = np.linalg.svd(E, full_matrices=False)
+            atoms[:, k] = u[:, 0]
+            X[k, support] = s[0] * vt[0, :]
+        unused = [k for k in range(K) if not (X[k, :] != 0.0).any()]
+        if unused:
+            worst = np.argsort(-np.linalg.norm(Y - atoms @ X, axis=0))
+            for slot, k in enumerate(unused):
+                col = Y[:, worst[slot % N]]
+                atoms[:, k] = col / np.linalg.norm(col)
+            replaced += len(unused)
+        trace.append(float(np.sum((Y - atoms @ X) ** 2)))
+    return unit_columns(atoms), trace, replaced
 
 
 def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection, np.ndarray]:
@@ -273,13 +320,13 @@ def somp(dictionary: Dictionary, signals: np.ndarray, T: int) -> tuple[Selection
         chosen.append(best)
         available[best] = False
         sub = atoms[:, chosen]
-        coef = pinv(sub) @ Y
+        coef = svd_pinv(sub) @ Y
         resid = Y - sub @ coef
     return Selection(indices=tuple(chosen)), coef
 
 
 def loop_reconstruct_masked(atoms_by_class, signals, mask):
-    """Masked reconstruction one column at a time: per class, pinv of the
+    """Masked reconstruction one column at a time: per class, svd_pinv of the
     observed atom rows; the class with the smallest observed residual
     (lowest on ties) supplies the prediction and the reconstruction."""
     n, N = signals.shape
@@ -291,7 +338,7 @@ def loop_reconstruct_masked(atoms_by_class, signals, mask):
         best = np.inf
         for class_id, atoms in atoms_by_class:
             sub = atoms[obs, :]
-            coef = pinv(sub) @ y
+            coef = svd_pinv(sub) @ y
             resid = np.linalg.norm(y - sub @ coef)
             if resid < best:
                 best, pred[i], recon[:, i] = resid, class_id, atoms @ coef
@@ -357,13 +404,13 @@ def _residual_sq(atoms, indices, signals):
     if not indices:
         return float(np.sum(signals * signals))
     sub = atoms[:, indices]
-    resid = signals - sub @ (pinv(sub) @ signals)
+    resid = signals - sub @ (svd_pinv(sub) @ signals)
     return float(np.sum(resid * resid))
 
 
 def loop_recon_gain(dictionary, selected, candidate, signals, model):
     """Reconstruction gain of one candidate atom: the drop in total squared
-    residual over 2 sigma_r^2, with a pinv least-squares refit on the
+    residual over 2 sigma_r^2, with an svd_pinv least-squares refit on the
     support before and after the candidate joins it."""
     sel = list(selected.indices)
     if candidate in sel:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import loop_omp_codes, random_unit_dictionary, somp
+from helpers import loop_ksvd, loop_omp_codes, random_unit_dictionary, somp, svd_pinv
 from itdl import sparse_coding
 from itdl.sparse_coding import (
     Dictionary,
@@ -15,8 +17,11 @@ from itdl.sparse_coding import (
     pinv,
     save_matrix,
     save_selection,
+    svd_keep,
     unit_columns,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestOmp:
@@ -185,6 +190,35 @@ class TestBatchedOmp:
         assert np.flatnonzero(got).tolist() == [0, 2, 3]
         np.testing.assert_array_equal(got, loop_omp_codes(d, y, 3))
 
+    def test_rank_window_support_codes_through_the_svd_rule(self):
+        # The support [unit(e3 + e4), c, b] has s_min/s_max = 4.6e-11, so
+        # its R is not certified: the coefficients must be the SVD
+        # pseudoinverse's, which drops the b - c direction, not R^-1 Q^T y.
+        e = np.eye(6)
+        unit = lambda v: v / np.linalg.norm(v)
+        atoms = np.column_stack([
+            e[0],
+            unit(e[0] + 1e-3 * e[1]),
+            unit(e[0] + 1e-3 * e[1] + 1.3e-10 * e[2]),
+            unit(e[2] + e[3]),
+            e[4],
+        ])
+        order = [3, 2, 1]
+        s = np.linalg.svd(atoms[:, order], compute_uv=False)
+        assert 4e-11 < s[-1] / s[0] < 5e-11
+        # sparse combinations of the atoms plus noise of scale 1e-14 to 0.1
+        rng = np.random.default_rng(0)
+        N = 20000
+        coef = rng.standard_normal((5, N)) * (rng.random((5, N)) < 0.7)
+        Y = atoms @ coef + rng.standard_normal((6, N)) * 10.0 ** rng.uniform(-14, -1, (6, N))
+        support, size, _, _ = sparse_coding._omp_supports(atoms, Y, 3)
+        hits = np.flatnonzero((size == 3) & (support == order).all(axis=1))
+        assert hits.size >= 1
+        got = omp_codes(Dictionary(atoms=atoms), Y[:, hits], 3)
+        for j, i in enumerate(hits):
+            assert np.flatnonzero(got[:, j]).tolist() == [1, 2, 3]
+            assert got[order, j].tobytes() == (svd_pinv(atoms[:, order]) @ Y[:, i]).tobytes()
+
     def test_signal_shape_checked(self):
         d = random_unit_dictionary(25, 5, 7)
         with pytest.raises(ValueError):
@@ -267,6 +301,20 @@ class TestKsvd:
         d = ksvd_init(Y, 6, 2, 4, 1)
         np.testing.assert_allclose(np.linalg.norm(d.atoms, axis=0), 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kept_residual_matches_rebuilt_residual_oracle(self, seed):
+        # K = 20 of N = 24 signals, three of them zero: the atoms drawn from
+        # zero signals go unused, so the replacement step runs
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((8, 24))
+        Y[:, rng.choice(24, 3, replace=False)] = 0.0
+        trace = []
+        got = ksvd_init(Y, 20, 2, 4, seed, trace=trace)
+        want, want_trace, replaced = loop_ksvd(Y, 20, 2, 4, seed)
+        assert replaced > 0
+        np.testing.assert_allclose(got.atoms, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace, want_trace, rtol=1e-12)
+
     def test_deterministic(self):
         Y = np.random.default_rng(4).standard_normal((8, 30))
         d1 = ksvd_init(Y, 6, 2, 3, 7)
@@ -320,6 +368,63 @@ class TestPinv:
     def test_vector_rejected(self):
         with pytest.raises(ValueError):
             pinv(np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4, 3, 2)])
+    def test_nan_raises(self, shape):
+        mat = np.ones(shape)
+        mat[(0,) * len(shape)] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            pinv(mat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(1, 8),
+        members=st.lists(
+            st.tuples(
+                st.sampled_from(["graded", "zero", "rank-one", "duplicate"]),
+                st.floats(-12.0, 0.0),  # log10 of s_min / s_max
+                st.floats(-3.0, 3.0),  # log10 of the scale
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_routes_each_member(self, m, n, members, seed):
+        rng = np.random.default_rng(seed)
+        t = min(m, n)
+        stack = np.empty((len(members), m, n))
+        for k, (kind, log_ratio, log_scale) in enumerate(members):
+            u = np.linalg.qr(rng.standard_normal((m, t)))[0]
+            v = np.linalg.qr(rng.standard_normal((n, t)))[0]
+            s = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, t))[::-1]
+            s[0], s[-1] = 1.0, 10.0**log_ratio if t > 1 else 1.0
+            stack[k] = 10.0**log_scale * (u * s) @ v.T
+            if kind == "zero":
+                stack[k] = 0.0
+            elif kind == "rank-one":
+                stack[k] = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+            elif kind == "duplicate" and n > 1:
+                stack[k][:, -1] = stack[k][:, 0]
+        got, want = pinv(stack), svd_pinv(stack)
+        wide = m < n
+        _, ok = sparse_coding._certified_inverse(
+            np.linalg.qr(stack.swapaxes(1, 2) if wide else stack)[1]
+        )
+        sv = np.linalg.svd(stack, compute_uv=False)
+        for k in range(len(members)):
+            kappa = sv[k, 0] / sv[k, -1] if sv[k, -1] > 0.0 else np.inf
+            if kappa * t <= 1e7:
+                assert ok[k]  # comfortably conditioned: the QR route is taken
+            if not ok[k]:
+                assert got[k].tobytes() == want[k].tobytes()
+                continue
+            # certified: svd_keep keeps every singular value, and the QR
+            # route agrees with the SVD within 4 max(m, n) eps kappa
+            assert svd_keep(sv[k]).all()
+            err = np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k])
+            assert err <= 4 * max(m, n) * EPS * kappa
 
 
 class TestCodeLs:
