@@ -155,30 +155,29 @@ def evaluate(
     atoms_by_class: list,
     test: Dataset,
     *,
-    shared: bool,
     sigma: float | None = None,
 ) -> EvalReport:
     """Accuracy, reconstruction RMSE, MI estimate and Bayes bound on a test set.
 
-    Reconstruction uses the shared atoms for every signal, or each
-    signal's true-class atoms in dedicated mode (mirroring how training
-    reconstructions are defined per class). sigma is the bandwidth of the
+    A shared set (class id None) codes and reconstructs every signal; else
+    each class's set rebuilds its own class's signals, as in training, and a
+    test class with no set raises ValueError. sigma is the bandwidth of the
     MI estimate, None for bandwidth_rule.
     """
+    shared = atoms_by_class[0][0] is None
+    missing = set() if shared else set(range(test.p)) - {c for c, _ in atoms_by_class}
+    if missing:
+        raise ValueError(f"test class {min(missing)} has no atom set")
     features, per_class = code_test_signals(atoms_by_class, test.signals, shared)
     pred = predict(model, features)
     correct = pred == test.labels
     per_class_acc = [float(correct[test.labels == c].mean()) for c in range(test.p)]
     accuracy = float(np.dot(test.class_counts / test.size, per_class_acc))
 
-    if shared:
-        _, coeffs, atoms = per_class[0]
-        recon = atoms @ coeffs
-    else:
-        recon = np.empty_like(test.signals)
-        for class_id, coeffs, atoms in per_class:
-            members = test.labels == class_id
-            recon[:, members] = atoms @ coeffs[:, members]
+    recon = np.empty_like(test.signals)
+    for class_id, coeffs, atoms in per_class:
+        members = slice(None) if class_id is None else test.labels == class_id
+        recon[:, members] = atoms @ coeffs[:, members]
     err = rmse(test.signals, recon)
 
     mi = mi_codes_labels(features.T, test.labels, sigma)

@@ -255,14 +255,13 @@ def stage_evaluate(
                 f"(signal dimension x sparsity), got {atoms.shape[0]} x {atoms.shape[1]}"
             )
         atoms_by_class.append((class_id, atoms))
-    shared = cfg.mode == "shared"
-    features, _ = classify.code_test_signals(atoms_by_class, train.signals, shared)
+    features, _ = classify.code_test_signals(atoms_by_class, train.signals, cfg.mode == "shared")
     model = classify.train_linear(features, train.labels)
     weights = model.weights.T
     _atomic(out / "model_weights.itdl", lambda tmp: sparse_coding.save_matrix(weights, tmp))
     bias = ",".join(repr(float(v)) for v in model.bias) + "\n"
     _atomic(out / "model_bias.csv", lambda tmp: tmp.write_text(bias, encoding="ascii"))
-    report = classify.evaluate(model, atoms_by_class, test, shared=shared, sigma=cfg.sigma)
+    report = classify.evaluate(model, atoms_by_class, test, sigma=cfg.sigma)
     _write_json(out / "eval_report.json", asdict(report))
 
 

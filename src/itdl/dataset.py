@@ -69,45 +69,61 @@ class Dataset:
         return self.signals.shape[1]
 
 
+def _read_rows(path, parse) -> list:
+    """``parse(cells)`` of each non-blank line of a nonempty ASCII CSV file whose
+    rows all have the first row's width. Each LoadError, the reader's or
+    parse's, reads ``<path>: row N: ...`` (N 1-based), else ``<path>: ...``."""
+    rows = []
+    width = None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise LoadError(f"expected {width} cells, got {len(cells)}")
+                rows.append(parse(cells))
+    except UnicodeDecodeError:
+        raise LoadError(f"{path}: not an ASCII text file") from None
+    except LoadError as exc:
+        raise LoadError(f"{path}: row {lineno}: {exc}") from None
+    if not rows:
+        raise LoadError(f"{path}: empty file: no data rows")
+    return rows
+
+
 def load_csv(path) -> Dataset:
     """Read rows of ``label, feature_1, ..., feature_n``.
 
-    Raw labels may be arbitrary integers; they are remapped to 0..p-1 in
+    Raw labels may be any int64 integers; they are remapped to 0..p-1 in
     increasing order of value, so row order does not change the mapping,
-    and the sorted values are kept as label_values.
-    Raises LoadError naming the offending 1-based row for ragged,
-    non-numeric, non-finite (nan/inf), all-zero-signal or empty input.
+    and the sorted values are kept as label_values. Ragged, non-numeric,
+    non-finite (nan/inf), non-integer or out-of-range label, all-zero-signal,
+    empty or non-ASCII input raises LoadError naming the file (and 1-based row).
     """
-    raw_labels: list[int] = []
-    rows: list[list[float]] = []
-    width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-                if width < 2:
-                    raise LoadError(f"row {lineno}: expected a label and at least one feature")
-            elif len(cells) != width:
-                raise LoadError(f"row {lineno}: expected {width} cells, got {len(cells)}")
-            try:
-                label_val = float(cells[0])
-                feats = [float(c) for c in cells[1:]]
-            except ValueError as exc:
-                raise LoadError(f"row {lineno}: non-numeric cell ({exc})") from None
-            if not (math.isfinite(label_val) and all(map(math.isfinite, feats))):
-                raise LoadError(f"row {lineno}: non-finite cell (nan or inf)")
-            if label_val != int(label_val):
-                raise LoadError(f"row {lineno}: label {cells[0]!r} is not an integer")
-            if not any(v != 0.0 for v in feats):
-                raise LoadError(f"row {lineno}: all-zero signal rejected")
-            raw_labels.append(int(label_val))
-            rows.append(feats)
-    if not rows:
-        raise LoadError("empty file: no data rows")
+
+    def parse(cells):
+        if len(cells) < 2:
+            raise LoadError("expected a label and at least one feature")
+        try:
+            label_val = float(cells[0])
+            feats = [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise LoadError(f"non-numeric cell ({exc})") from None
+        if not (math.isfinite(label_val) and all(map(math.isfinite, feats))):
+            raise LoadError("non-finite cell (nan or inf)")
+        if label_val != int(label_val):
+            raise LoadError(f"label {cells[0]!r} is not an integer")
+        if not -(2**63) <= label_val < 2**63:
+            raise LoadError(f"label {cells[0]!r} is outside the int64 range")
+        if not any(v != 0.0 for v in feats):
+            raise LoadError("all-zero signal rejected")
+        return int(label_val), feats
+
+    raw_labels, rows = zip(*_read_rows(path, parse))
     values, labels = np.unique(np.array(raw_labels, dtype=np.int64), return_inverse=True)
     signals = np.array(rows, dtype=np.float64).T
     return Dataset(signals, labels, tuple(values.tolist()))
@@ -204,23 +220,14 @@ def save_mask(mask: np.ndarray, path) -> None:
 
 
 def load_mask(path) -> np.ndarray:
-    """Read a 0/1 CSV mask, one row per signal column.
+    """Read a 0/1 CSV mask, one row per signal column. A cell other than 0 or
+    1, a row whose length differs from the first, or an empty or non-ASCII
+    file raises LoadError naming the file (and 1-based row)."""
 
-    Raises LoadError naming the 1-based row for a cell other than 0 or 1,
-    a row whose length differs from the first, or an empty file.
-    """
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if not all(c in ("0", "1") for c in cells):
-                raise LoadError(f"row {lineno}: mask cells must be 0 or 1")
-            if rows and len(cells) != len(rows[0]):
-                raise LoadError(f"row {lineno}: expected {len(rows[0])} cells, got {len(cells)}")
-            rows.append([c == "1" for c in cells])
-    if not rows:
-        raise LoadError("empty mask file")
-    return np.array(rows, dtype=bool).T
+    def parse(cells):
+        bits = [c.strip() for c in cells]
+        if not all(b in ("0", "1") for b in bits):
+            raise LoadError("mask cells must be 0 or 1")
+        return [b == "1" for b in bits]
+
+    return np.array(_read_rows(path, parse), dtype=bool).T

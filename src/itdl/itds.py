@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -308,29 +308,23 @@ def select_dedicated(
 
 
 def selection_report(results: list[SelectionResult]) -> dict:
-    """JSON-ready report: per-round chosen index, raw gains, weighted total, weights."""
-    entries = []
-    for res in results:
-        entries.append(
+    """JSON-ready report: each result's class, weights, indices and weighted round records."""
+    return {
+        "selections": [
             {
                 "class": res.class_id,
                 "lambda1": 1.0,
-                "lambda2": res.weights.lambda2,
-                "lambda3": res.weights.lambda3,
+                **asdict(res.weights),
                 "indices": list(res.selection.indices),
                 "rounds": [
                     {
-                        "round": r.round,
-                        "index": r.index,
-                        "gain_compact": r.gain_compact,
-                        "gain_discrim": r.gain_discrim,
-                        "gain_recon": r.gain_recon,
+                        **asdict(r),
                         "weighted_discrim": res.weights.lambda2 * r.gain_discrim,
                         "weighted_recon": res.weights.lambda3 * r.gain_recon,
-                        "gain_total": r.gain_total,
                     }
                     for r in res.rounds
                 ],
             }
-        )
-    return {"selections": entries}
+            for res in results
+        ]
+    }

@@ -17,7 +17,7 @@ from itdl.classify import (
     train_linear,
 )
 from itdl.dataset import Dataset, mask_pixels, synth_gaussian_classes
-from itdl.sparse_coding import Selection, code_ls, pinv
+from itdl.sparse_coding import Selection, code_ls, pinv, rmse
 
 
 def _primal(F, labels, model, reg):
@@ -263,7 +263,7 @@ class TestEvaluate:
         ds, atom_sets = _perfect_setup()
         features, _ = code_test_signals(atom_sets, ds.signals, shared=False)
         model = train_linear(features, ds.labels)
-        report = evaluate(model, atom_sets, ds, shared=False)
+        report = evaluate(model, atom_sets, ds)
         assert report.accuracy == 1.0
         assert report.rmse == pytest.approx(0.0, abs=1e-10)
         assert report.bayes_bound >= 0.0
@@ -272,17 +272,17 @@ class TestEvaluate:
         ds, atom_sets = _perfect_setup(seed=1)
         features = np.random.default_rng(0).standard_normal((20, 4))
         model = train_linear(features, ds.labels)
-        report = evaluate(model, atom_sets, ds, shared=False)
+        report = evaluate(model, atom_sets, ds)
         assert report.rmse == pytest.approx(0.0, abs=1e-10)
 
     def test_sample_order_invariance(self):
         ds, atom_sets = _perfect_setup(seed=2)
         features, _ = code_test_signals(atom_sets, ds.signals, shared=False)
         model = train_linear(features, ds.labels)
-        r1 = evaluate(model, atom_sets, ds, shared=False)
+        r1 = evaluate(model, atom_sets, ds)
         perm = np.random.default_rng(3).permutation(ds.size)
         shuffled = Dataset(signals=ds.signals[:, perm], labels=ds.labels[perm])
-        r2 = evaluate(model, atom_sets, shuffled, shared=False)
+        r2 = evaluate(model, atom_sets, shuffled)
         assert r1.accuracy == r2.accuracy
         assert r1.rmse == pytest.approx(r2.rmse, rel=1e-12)
         assert r1.mi_estimate == pytest.approx(r2.mi_estimate, rel=1e-9)
@@ -292,11 +292,25 @@ class TestEvaluate:
         ds, atom_sets = _perfect_setup(seed=4)
         features = np.random.default_rng(1).standard_normal((20, 4))
         model = train_linear(features, ds.labels)
-        report = evaluate(model, atom_sets, ds, shared=False)
+        report = evaluate(model, atom_sets, ds)
         recomputed = float(
             np.dot(ds.class_counts / ds.size, report.per_class_accuracy)
         )
         assert report.accuracy == pytest.approx(recomputed, abs=1e-12)
+
+    def test_shared_set_reconstructs_every_signal(self):
+        ds, atom_sets = _perfect_setup(seed=5)
+        A = np.hstack([atom_sets[0][1], atom_sets[1][1][:, :1]])
+        features, _ = code_test_signals([(None, A)], ds.signals, True)
+        report = evaluate(train_linear(features, ds.labels), [(None, A)], ds)
+        assert report.rmse == rmse(ds.signals, A @ pinv(A) @ ds.signals)
+
+    def test_dedicated_class_without_atoms_rejected(self):
+        ds, atom_sets = _perfect_setup(seed=6)
+        features, _ = code_test_signals(atom_sets[:1], ds.signals, False)
+        model = train_linear(features, ds.labels)
+        with pytest.raises(ValueError, match="test class 1 has no atom set"):
+            evaluate(model, atom_sets[:1], ds)
 
     def test_report_serialization(self):
         r = EvalReport(

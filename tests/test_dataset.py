@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,19 +28,19 @@ class TestLoadCsv:
     def test_malformed_cell_names_row(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("0,1,x\n")
-        with pytest.raises(LoadError, match="row 1"):
+        with pytest.raises(LoadError, match=re.escape(f"{f}: row 1: non-numeric")):
             load_csv(f)
 
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("0,1,2\n1,3\n")
-        with pytest.raises(LoadError, match="row 2"):
+        with pytest.raises(LoadError, match=re.escape(f"{f}: row 2: expected 3 cells")):
             load_csv(f)
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("")
-        with pytest.raises(LoadError, match="empty"):
+        with pytest.raises(LoadError, match=re.escape(f"{f}: empty")):
             load_csv(f)
 
     def test_label_remap_sorted_value(self, tmp_path):
@@ -60,19 +62,32 @@ class TestLoadCsv:
     def test_non_finite_cell_names_row(self, tmp_path, text):
         f = tmp_path / "d.csv"
         f.write_text("1,1,1,1\n" + text)
-        with pytest.raises(LoadError, match="row 2: non-finite"):
+        with pytest.raises(LoadError, match=re.escape(f"{f}: row 2: non-finite")):
             load_csv(f)
 
     def test_non_integer_label(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("0.5,1,0\n")
-        with pytest.raises(LoadError, match="row 1"):
+        with pytest.raises(LoadError, match=re.escape(f"{f}: row 1: label '0.5' is not an integer")):
+            load_csv(f)
+
+    @pytest.mark.parametrize("label", ["1e20", "-1e19", "9223372036854775808"])
+    def test_label_outside_int64_names_row(self, tmp_path, label):
+        f = tmp_path / "d.csv"
+        f.write_text(f"0,1,1\n{label},1.0,2.0\n")
+        with pytest.raises(LoadError, match=re.escape(f"{f}: row 2: label '{label}' is outside")):
+            load_csv(f)
+
+    def test_non_ascii_file_names_file(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("0,1,2\n1,0.5,\u03c3\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=re.escape(f"{f}: not an ASCII text file")):
             load_csv(f)
 
     def test_all_zero_signal_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("0,1,2\n1,0,0\n")
-        with pytest.raises(LoadError, match="row 2"):
+        with pytest.raises(LoadError, match=re.escape(f"{f}: row 2: all-zero")):
             load_csv(f)
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -256,12 +271,13 @@ class TestMaskPixels:
             ("1,2,0", "row 2: mask cells must be 0 or 1"),
             ("1,-1,1", "row 2: mask cells must be 0 or 1"),
             ("1,1", "row 2: expected 3 cells, got 2"),
+            ("1,\u03c3,1", "not an ASCII text file"),
         ],
     )
     def test_bad_mask_row_names_the_row(self, tmp_path, bad_row, message):
         f = tmp_path / "m.csv"
-        f.write_text(f"1,0,1\n{bad_row}\n0,1,1\n", encoding="ascii")
-        with pytest.raises(LoadError, match=message):
+        f.write_text(f"1,0,1\n{bad_row}\n0,1,1\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=re.escape(f"{f}: {message}")):
             load_mask(f)
 
     def test_bad_fraction(self):
