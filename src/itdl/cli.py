@@ -237,7 +237,7 @@ def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         results,
     ):
         _atomic(path, lambda tmp: sparse_coding.save_matrix(res.atoms, tmp))
-        _atomic(trace, lambda tmp: save_mi_trace(res.state.trace, tmp))
+        _atomic(trace, lambda tmp: save_mi_trace(res.state.objective_trace, tmp))
     _write_json(out / "update_report.json", itdu.update_report(results))
 
 

@@ -98,11 +98,13 @@ def _read_rows(path, parse) -> list:
 def load_csv(path) -> Dataset:
     """Read rows of ``label, feature_1, ..., feature_n``.
 
-    Raw labels may be any int64 integers; they are remapped to 0..p-1 in
-    increasing order of value, so row order does not change the mapping,
-    and the sorted values are kept as label_values. Ragged, non-numeric,
-    non-finite (nan/inf), non-integer or out-of-range label, all-zero-signal,
-    empty or non-ASCII input raises LoadError naming the file (and 1-based row).
+    Raw labels may be any int64 integers; integer text is parsed exactly,
+    and float text such as ``1.0`` or ``1e3`` must hold an integral value.
+    Labels are remapped to 0..p-1 in increasing order of value, so row
+    order does not change the mapping, and the sorted values are kept as
+    label_values. Ragged, non-numeric, non-finite (nan/inf), non-integer
+    or out-of-range label, all-zero-signal, empty or non-ASCII input
+    raises LoadError naming the file (and 1-based row).
     """
 
     def parse(cells):
@@ -117,11 +119,15 @@ def load_csv(path) -> Dataset:
             raise LoadError("non-finite cell (nan or inf)")
         if label_val != int(label_val):
             raise LoadError(f"label {cells[0]!r} is not an integer")
-        if not -(2**63) <= label_val < 2**63:
+        try:
+            label = int(cells[0])  # exact, where float would round above 2**53
+        except ValueError:
+            label = int(label_val)  # integral float text such as 1.0 or 1e3
+        if not -(2**63) <= label < 2**63:
             raise LoadError(f"label {cells[0]!r} is outside the int64 range")
         if not any(v != 0.0 for v in feats):
             raise LoadError("all-zero signal rejected")
-        return int(label_val), feats
+        return label, feats
 
     raw_labels, rows = zip(*_read_rows(path, parse))
     values, labels = np.unique(np.array(raw_labels, dtype=np.int64), return_inverse=True)

@@ -15,7 +15,7 @@ ascent, otherwise the objective would move under the iterates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,15 +25,18 @@ from .sparse_coding import pinv, svd_keep, unit_columns
 
 @dataclass(eq=False)
 class UpdateState:
-    """Ascent bookkeeping: coding transform, step, objective trace."""
+    """The ascent's one record: every field except the coding transform is
+    an entry key of ``update_report``. ``step`` is the base step (0.0 if an
+    auto step was never sized); ``objective_trace`` starts with the initial
+    objective and gains one value per accepted step."""
 
     transform: np.ndarray
     step: float
-    iteration: int = 0
-    trace: list = field(default_factory=list)
+    sigma: float = 0.0
+    iterations: int = 0
     converged: bool = False
     aborted: bool = False
-    sigma: float = 0.0
+    objective_trace: list = field(default_factory=list)
     accepted_steps: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
 
@@ -84,59 +87,50 @@ def update_dictionary(
     Y = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     P = pinv(D)
-    phi = np.ascontiguousarray(P.T)
     X = P @ Y
     sigma = ascent_bandwidth(X) if sigma is None else float(sigma)
-    iq = qmi(X, labels, sigma)
-    state = UpdateState(transform=phi, step=0.0 if step is None else float(step), sigma=sigma)
-    state.trace.append(iq)
+    state = UpdateState(transform=np.ascontiguousarray(P.T), step=float(step or 0.0), sigma=sigma)
+    state.objective_trace.append(qmi(X, labels, sigma))
 
     def objective(phi_trial):
         return qmi(phi_trial.T @ Y, labels, sigma)
 
-    nu0 = None if step is None else float(step)
-    for k in range(1, max_iters + 1):
-        state.iteration = k
+    for state.iterations in range(1, max_iters + 1):
         grad_phi = qmi_grad_phi(X, Y, labels, sigma)
         gnorm = float(np.linalg.norm(grad_phi))
+        iq = state.objective_trace[-1]
         if not math.isfinite(iq) or not math.isfinite(gnorm):
             state.aborted = True
             break
-        if nu0 is None:
+        if step is None and state.iterations == 1:
             # auto step, sized once: the first base step moves the
             # transform by a tenth of its norm
-            nu0 = 0.1 * float(np.linalg.norm(phi)) / max(gnorm, 1e-30)
-            state.step = nu0
-        nu, _ = backtrack_step(phi, grad_phi, nu0, objective, iq)
+            state.step = 0.1 * float(np.linalg.norm(state.transform)) / max(gnorm, 1e-30)
+        nu, _ = backtrack_step(state.transform, grad_phi, state.step, objective, iq)
         if nu * gnorm == 0.0:
             state.converged = True
             break
-        phi = phi + nu * grad_phi
-        X = phi.T @ Y
+        state.transform = state.transform + nu * grad_phi
+        X = state.transform.T @ Y
         # Recomputes the accepted trial's value bit for bit, so it is finite
         # (backtrack_step accepts only finite values). The call stays while
         # perfbench/test_perfbench.py pins the number of qmi calls.
-        new_iq = qmi(X, labels, sigma)
-        state.transform = phi
+        state.objective_trace.append(qmi(X, labels, sigma))
         state.accepted_steps.append(nu)
         state.grad_norms.append(gnorm)
-        rel = abs(new_iq - iq) / max(abs(iq), 1e-300)
-        iq = new_iq
-        state.trace.append(iq)
-        if rel < tol:
+        if abs(state.objective_trace[-1] - iq) / max(abs(iq), 1e-300) < tol:
             state.converged = True
             break
 
     if not state.accepted_steps:
         return np.array(dict_selected, dtype=np.float64, copy=True), state
-    sv = np.linalg.svd(phi, compute_uv=False)
-    rank = int(np.count_nonzero(svd_keep(sv)))
-    if rank < phi.shape[1]:
+    rank = int(np.count_nonzero(svd_keep(np.linalg.svd(state.transform, compute_uv=False))))
+    if rank < state.transform.shape[1]:
         raise np.linalg.LinAlgError(
-            f"coding transform has rank {rank} < {phi.shape[1]} atoms; "
+            f"coding transform has rank {rank} < {state.transform.shape[1]} atoms; "
             "the atoms cannot be recovered from it"
         )
-    return unit_columns(pinv(phi.T)), state
+    return unit_columns(pinv(state.transform.T)), state
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,20 +177,8 @@ def update_all_classes(
 
 
 def update_report(results: list[ClassUpdateResult]) -> dict:
-    """JSON-ready trace: per-iteration objective, accepted step, gradient norm."""
-    entries = []
-    for res in results:
-        entries.append(
-            {
-                "class": res.class_id,
-                "sigma": res.state.sigma,
-                "step": res.state.step,
-                "iterations": res.state.iteration,
-                "converged": res.state.converged,
-                "aborted": res.state.aborted,
-                "objective_trace": list(res.state.trace),
-                "accepted_steps": list(res.state.accepted_steps),
-                "grad_norms": list(res.state.grad_norms),
-            }
-        )
+    """JSON-ready record of each ascent: the class id and every
+    ``UpdateState`` field except the transform."""
+    keys = [f.name for f in fields(UpdateState) if f.name != "transform"]
+    entries = [{"class": r.class_id} | {k: getattr(r.state, k) for k in keys} for r in results]
     return {"updates": entries}

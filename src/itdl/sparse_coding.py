@@ -331,6 +331,7 @@ def rmse(Y: np.ndarray, Y_hat: np.ndarray) -> float:
 
 _MAGIC = b"ITDL"
 _VERSION = 1
+_HEADER = struct.Struct("<4sBII")
 
 
 def save_matrix(mat: np.ndarray, path) -> None:
@@ -338,28 +339,30 @@ def save_matrix(mat: np.ndarray, path) -> None:
     mat = np.asarray(mat, dtype=np.float64)
     n, K = mat.shape
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", _VERSION))
-        fh.write(struct.pack("<II", n, K))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, n, K))
         fh.write(np.asfortranarray(mat).tobytes(order="F"))
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a ``save_matrix`` file. Bad magic bytes, a truncated header, another version,
+    a payload other than n x K or a non-finite entry raises ValueError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic bytes {magic!r}")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        n, K = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(8 * n * K), dtype="<f8")
-        if data.size != n * K:
-            raise ValueError(f"{path}: truncated matrix payload")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the {n} x {K} matrix payload")
-        if not np.isfinite(data).all():
-            raise ValueError(f"{path}: non-finite matrix entry (nan or inf)")
+        blob = fh.read()
+    if blob[:4] != _MAGIC:
+        raise ValueError(f"{path}: bad magic bytes {blob[:4]!r}")
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header")
+    _, version, n, K = _HEADER.unpack_from(blob)
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    extra = len(blob) - _HEADER.size - 8 * n * K
+    if extra < 0:
+        raise ValueError(f"{path}: truncated matrix payload")
+    if extra > 0:
+        raise ValueError(f"{path}: trailing bytes after the {n} x {K} matrix payload")
+    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite matrix entry (nan or inf)")
     return np.ascontiguousarray(data.reshape((n, K), order="F"))
 
 
@@ -377,8 +380,13 @@ def save_selection(selection: Selection, path) -> None:
 
 
 def load_selection(path) -> Selection:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read().strip()
+    """Read comma-separated atom indices written by ``save_selection``. An
+    empty, non-ASCII or non-integer file raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read().strip()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not an ASCII text file") from None
     if not text:
         raise ValueError(f"{path}: empty selection file")
     try:

@@ -185,13 +185,13 @@ def test_criterion_6_ascent_monotone_and_fixed_point():
         d0 = ksvd_init(ds.signals, 6, 2, 1, seed)
         atoms = d0.atoms[:, :2].copy()
         _, state = update_dictionary(atoms, ds.signals, ds.labels, max_iters=25)
-        assert all(b >= a for a, b in zip(state.trace, state.trace[1:]))
+        assert all(b >= a for a, b in zip(state.objective_trace, state.objective_trace[1:]))
     for seed in range(3):
         ds = shared_style_dataset(12, 3, 15, seed)
         d0 = ksvd_init(ds.signals, 8, 2, 1, seed)
         atoms = d0.atoms[:, :2].copy()
         _, state = update_dictionary(atoms, ds.signals, ds.labels, max_iters=25)
-        assert all(b >= a for a, b in zip(state.trace, state.trace[1:]))
+        assert all(b >= a for a, b in zip(state.objective_trace, state.objective_trace[1:]))
     # zero step leaves every artifact bitwise unchanged
     ds = synth_gaussian_classes(8, 2, 12, 0.4, 3)
     d0 = ksvd_init(ds.signals, 6, 2, 1, 3)
@@ -200,7 +200,7 @@ def test_criterion_6_ascent_monotone_and_fixed_point():
     out, state = update_dictionary(atoms, ds.signals, ds.labels, step=0.0, max_iters=9)
     assert np.array_equal(out, atoms)
     assert np.array_equal(pinv(out) @ ds.signals, before_codes)
-    assert state.converged and len(state.trace) == 1
+    assert state.converged and len(state.objective_trace) == 1
     print("ACCEPTANCE 6 PASS: backtracking traces non-decreasing on 9 runs; "
           "zero-step run is a bitwise fixed point")
 

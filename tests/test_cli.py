@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,29 @@ class TestConfig:
     def test_sparsity_vs_atoms(self):
         with pytest.raises(ConfigError, match="sparsity"):
             RunConfig(seed=1, atoms=8, sparsity=8).validate()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mode=both", "mode must be 'shared' or 'dedicated'"),
+            ("sparsity=0", "need sparsity >= 1 and atoms >= 2"),
+            ("atoms=1\nsparsity=0", "need sparsity >= 1 and atoms >= 2"),
+            ("ksvd_iters=0", "ksvd_iters must be at least 1"),
+            ("iters=-1", "iters must be non-negative"),
+            ("ablation=bogus", "ablation must be a nonempty subset"),
+            ("ablation=,", "ablation must be a nonempty subset"),
+            ("atoms=ten", "atoms must be an integer, got 'ten'"),
+            ("sigma=wide", "sigma must be a number or 'auto', got 'wide'"),
+            ("tol=auto", "tol must be a number, got 'auto'"),
+            ("normalize_signals=maybe", "normalize_signals must be 0 or 1, got 'maybe'"),
+            ("iters", "c.txt:2: expected key=value, got 'iters'"),
+        ],
+    )
+    def test_bad_config_names_the_problem(self, tmp_path, line, message):
+        f = tmp_path / "c.txt"
+        f.write_text(f"seed=1\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(f).validate()
 
     def test_comments_and_blanks(self, tmp_path):
         f = tmp_path / "c.txt"
@@ -435,8 +459,8 @@ class TestCliErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "text", ["1,3,5", "1", "1,a", "1,300", "1,10"],
-        ids=["too-many", "too-few", "non-integer", "out-of-range", "index-K"],
+        "text", ["1,3,5", "1", "1,a", "1,300", "1,10", "", "1,\u03c3"],
+        ids=["too-many", "too-few", "non-integer", "out-of-range", "index-K", "empty", "non-ascii"],
     )
     def test_bad_selection_artifact_exit_1_names_file(self, tmp_path, capsys, text):
         train_csv, _ = write_data(tmp_path)
@@ -444,7 +468,7 @@ class TestCliErrors:
         out = tmp_path / "o"
         assert main(["select", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)]) == 0
         sel = out / "selection_c0.csv"
-        sel.write_text(text + "\n")
+        sel.write_text(text + "\n", encoding="utf-8")
         rc = main(["update", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err

@@ -53,6 +53,13 @@ class TestLoadCsv:
         # the mapping does not depend on row order
         f.write_text("5,1,1\n7,2,2\n-2,0,1\n7,1,0\n")
         np.testing.assert_array_equal(load_csv(f).labels, [1, 2, 0, 2])
+        # integer text is exact: 2**53 and 2**53 + 1 are two classes
+        f.write_text("9007199254740993,1,0\n9007199254740992,0,1\n")
+        ds = load_csv(f)
+        assert ds.p == 2 and ds.label_values == (2**53, 2**53 + 1)
+        # int64's extremes load; integral float text keeps its value
+        f.write_text("9223372036854775807,1,0\n-9223372036854775808,0,1\n1e3,1,1\n1.0,2,1\n")
+        assert load_csv(f).label_values == (-(2**63), 1, 1000, 2**63 - 1)
 
     @pytest.mark.parametrize(
         "text",
@@ -76,6 +83,12 @@ class TestLoadCsv:
         f = tmp_path / "d.csv"
         f.write_text(f"0,1,1\n{label},1.0,2.0\n")
         with pytest.raises(LoadError, match=re.escape(f"{f}: row 2: label '{label}' is outside")):
+            load_csv(f)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("0,1,0\n\n  \n1,x,1\n")
+        with pytest.raises(LoadError, match=re.escape(f"{f}: row 4: non-numeric")):
             load_csv(f)
 
     def test_non_ascii_file_names_file(self, tmp_path):

@@ -85,12 +85,12 @@ class TestUpdateDictionary:
         out, state = update_dictionary(atoms, Y, labels, step=0.0, max_iters=10)
         assert np.array_equal(out, atoms)
         assert state.converged
-        assert len(state.trace) == 1
+        assert len(state.objective_trace) == 1
 
     def test_trace_strictly_increases_initially(self):
         atoms, Y, labels = two_class_instance(seed=2)
         _, state = update_dictionary(atoms, Y, labels, max_iters=8)
-        trace = state.trace
+        trace = state.objective_trace
         assert len(trace) >= 6
         assert all(b > a for a, b in zip(trace[:5], trace[1:6]))
 
@@ -98,7 +98,7 @@ class TestUpdateDictionary:
         for seed in range(4):
             atoms, Y, labels = two_class_instance(seed=seed)
             _, state = update_dictionary(atoms, Y, labels, max_iters=25)
-            assert all(b >= a for a, b in zip(state.trace, state.trace[1:]))
+            assert all(b >= a for a, b in zip(state.objective_trace, state.objective_trace[1:]))
 
     def test_updated_atoms_unit_norm_and_recodable(self):
         atoms, Y, labels = two_class_instance(seed=3)
@@ -110,7 +110,7 @@ class TestUpdateDictionary:
         from itdl.info_measures import qmi
 
         assert qmi(raw_codes, labels, state.sigma) == pytest.approx(
-            state.trace[-1], rel=1e-8
+            state.objective_trace[-1], rel=1e-8
         )
         # renormalization rescales code rows inversely: reconstruction intact
         codes = pinv(out) @ Y
@@ -121,7 +121,7 @@ class TestUpdateDictionary:
         out1, st1 = update_dictionary(atoms, Y, labels, max_iters=12)
         out2, st2 = update_dictionary(atoms, Y, labels, max_iters=12)
         np.testing.assert_array_equal(out1, out2)
-        assert st1.trace == st2.trace
+        assert st1.objective_trace == st2.objective_trace
         assert st1.accepted_steps == st2.accepted_steps
 
     def test_atoms_recovered_once_after_the_ascent(self, monkeypatch):
@@ -146,7 +146,7 @@ class TestUpdateDictionary:
         _, state = update_dictionary(atoms, Y, labels, max_iters=10)
         from itdl.info_measures import qmi
 
-        assert qmi(state.transform.T @ Y, labels, state.sigma) == state.trace[-1]
+        assert qmi(state.transform.T @ Y, labels, state.sigma) == state.objective_trace[-1]
 
     def test_rank_deficient_transform_raises_named_error(self):
         # twin atoms give a rank-1 transform whose columns stay equal under
@@ -157,6 +157,23 @@ class TestUpdateDictionary:
             update_dictionary(twin, Y, labels, max_iters=3)
         with pytest.raises(RuntimeError, match="class 1: coding transform has rank 1 < 2"):
             update_all_classes([(0, atoms), (1, twin)], Y, labels, max_iters=3)
+
+    def test_tol_stops_after_a_small_relative_gain(self):
+        atoms, Y, labels = two_class_instance(seed=2)
+        _, state = update_dictionary(atoms, Y, labels, max_iters=8, tol=1.0)
+        assert state.converged and not state.aborted
+        assert state.iterations == 1 and len(state.objective_trace) == 2
+        assert len(state.accepted_steps) == len(state.grad_norms) == 1
+
+    def test_non_finite_objective_aborts_without_sizing_a_step(self, monkeypatch):
+        import itdl.itdu as itdu_mod
+
+        monkeypatch.setattr(itdu_mod, "qmi", lambda *args: float("nan"))
+        atoms, Y, labels = two_class_instance(seed=2)
+        out, state = update_dictionary(atoms, Y, labels, max_iters=8)
+        assert state.aborted and not state.converged and state.iterations == 1
+        assert state.step == 0.0 and state.accepted_steps == []
+        np.testing.assert_array_equal(out, atoms)
 
     def test_sigma_frozen_from_initial_codes(self):
         atoms, Y, labels = two_class_instance(seed=6)
@@ -266,3 +283,12 @@ class TestUpdateAllClasses:
             "objective_trace", "accepted_steps", "grad_norms",
         }
         assert len(entry["objective_trace"]) == len(entry["accepted_steps"]) + 1
+
+    def test_report_entry_is_the_record_without_transform(self):
+        atoms, Y, labels = two_class_instance(seed=11)
+        results = update_all_classes([(0, atoms), (1, atoms)], Y, labels, max_iters=0)
+        for res, entry in zip(results, update_report(results)["updates"]):
+            record = {k: v for k, v in vars(res.state).items() if k != "transform"}
+            assert entry == {"class": res.class_id, **record}
+            # with no iteration the auto base step is never sized
+            assert entry["step"] == 0.0 and entry["iterations"] == 0

@@ -520,6 +520,29 @@ class TestPersistence:
             load_matrix(f)
         assert str(exc.value) == f"{f}: trailing bytes after the 4 x 3 matrix payload"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("cut-4", "truncated header"),
+            ("cut-8", "truncated header"),
+            ("version-2", "unsupported version 2"),
+            ("cut-payload", "truncated matrix payload"),
+        ],
+        ids=["cut-4", "cut-8", "version-2", "cut-payload"],
+    )
+    def test_damaged_file_names_it(self, tmp_path, edit, message):
+        f = tmp_path / "d.itdl"
+        save_matrix(random_unit_dictionary(16, 4, 3).atoms, f)
+        blob = bytearray(f.read_bytes())
+        if edit == "version-2":
+            blob[4] = 2
+        else:
+            blob = blob[: {"cut-4": 4, "cut-8": 8, "cut-payload": len(blob) - 8}[edit]]
+        f.write_bytes(bytes(blob))
+        with pytest.raises(ValueError) as exc:
+            load_matrix(f)
+        assert str(exc.value) == f"{f}: {message}"
+
     def test_unnormalized_dictionary_names_file(self, tmp_path):
         atoms = random_unit_dictionary(14, 4, 3).atoms.copy()
         atoms[:, 0] *= 2.0
