@@ -39,6 +39,11 @@ from .sparse_coding import SVD_CUTOFF, Dictionary, Selection, svd_keep
 # (perfbench/tracing.py) patches info_measures.pinv.
 from .sparse_coding import pinv  # noqa: F401
 
+# Below this bound on [A, d_k]'s s_min/s_max, recon_gain applies svd_keep
+# to the candidate's own extended support; the factor 100 covers rounding,
+# as in the certificate of sparse_coding.pinv.
+_RANK_SCREEN = 100.0 * SVD_CUTOFF
+
 # ---------------------------------------------------------------------------
 # bandwidths and KDE
 # ---------------------------------------------------------------------------
@@ -275,13 +280,22 @@ def recon_gain(
     model: ResidualModel,
 ) -> np.ndarray:
     """Log-likelihood improvement of each candidate joining the support: the
-    drop in squared least-squares residual over 2 sigma_r^2. One projection
-    scores the round (the orthogonal least-squares forward step): with Q
-    the left singular vectors of the selected atoms that pinv keeps
-    (svd_keep), R = Y - QQ^T Y and P = D_cands - Q(Q^T D_cands), the drop
-    is |P_k^T R|^2 / |P_k|^2. A P_k of norm below SVD_CUTOFF (its unit
-    atom lies in the span of Q) gains 0. A selected candidate raises
-    ValueError.
+    drop in squared least-squares residual over 2 sigma_r^2, with pinv's
+    rank rule (svd_keep) on the selected atoms plus the candidate. One
+    projection scores the round (the orthogonal least-squares forward
+    step): with Q the left singular vectors of the selected atoms A that
+    svd_keep keeps, R = Y - QQ^T Y and P = D_cands - Q(Q^T D_cands), the
+    drop is |P_k^T R|^2 / |P_k|^2.
+
+    With r the number of singular values svd_keep keeps in A, and A's
+    atoms of unit norm, the (r+1)-th singular value of [A, d_k] is at
+    least |P_k| (s_r/s_1 of A) / sqrt(10) of its largest. A candidate for
+    which that bound falls below 100 x SVD_CUTOFF may lose a singular
+    value to svd_keep, so its drop is taken from the kept left singular
+    vectors of [A, d_k] instead, as a least-squares refit would take it.
+    A P_k of norm below SVD_CUTOFF always loses one: its unit atom lies in
+    the span of Q within the cutoff, and it gains 0. A selected candidate
+    raises ValueError.
     """
     sel = list(selected.indices)
     cands = np.asarray(candidates, dtype=np.intp)
@@ -290,13 +304,21 @@ def recon_gain(
     atoms = dictionary.atoms
     Y = np.asarray(signals, dtype=np.float64)
     u, s, _ = np.linalg.svd(atoms[:, sel], full_matrices=False)
-    Q = u[:, svd_keep(s)]
+    kept = svd_keep(s)
+    Q = u[:, kept]
     R = Y - Q @ (Q.T @ Y)
     P = atoms[:, cands] - Q @ (Q.T @ atoms[:, cands])
     p_sq = np.einsum("nk,nk->k", P, P)
     C = P.T @ R
-    keep = np.sqrt(p_sq) >= SVD_CUTOFF
+    p_norm = np.sqrt(p_sq)
+    keep = p_norm >= SVD_CUTOFF
     drop = np.divide(np.einsum("kj,kj->k", C, C), p_sq, out=np.zeros(cands.size), where=keep)
+    s_ratio = s[kept][-1] / s[0] if kept.any() else 1.0
+    for i in np.flatnonzero(keep & (p_norm * s_ratio < _RANK_SCREEN)):
+        u_ext, s_ext, _ = np.linalg.svd(atoms[:, sel + [cands[i]]], full_matrices=False)
+        Q_ext = u_ext[:, svd_keep(s_ext)]
+        R_ext = Y - Q_ext @ (Q_ext.T @ Y)
+        drop[i] = np.sum(R * R) - np.sum(R_ext * R_ext)
     return drop / (2.0 * model.sigma_r**2)
 
 

@@ -262,6 +262,29 @@ def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -
     return pinv(sub) @ np.asarray(signals, dtype=np.float64)
 
 
+def _rank_one(E: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K-SVD's rank-1 step: the dominant singular pair of a deflated
+    residual E (n, w) as the unit atom u and its code row x = u^T E
+    (= s1 v1), from the top eigenpair of E's smaller Gram matrix: u = Ev /
+    |Ev| for the top eigenvector v of E^T E when w <= n, else the top
+    eigenvector of E E^T. u is signed so that u^T atom >= 0: the atom
+    keeps its orientation. If the Gram has no positive eigenvalue (E = 0),
+    the old atom is kept and x is its row atom^T E, zero for E = 0."""
+    n, w = E.shape
+    if w <= n:
+        lam, v = np.linalg.eigh(E.T @ E)
+        u = E @ v[:, -1]
+    else:
+        lam, U = np.linalg.eigh(E @ E.T)
+        u = U[:, -1]
+    if not lam[-1] > 0.0:
+        return atom, atom @ E
+    u /= np.linalg.norm(u)
+    if u @ atom < 0.0:
+        u = -u
+    return u, u @ E
+
+
 def ksvd_init(
     signals: np.ndarray,
     K: int,
@@ -272,11 +295,16 @@ def ksvd_init(
 ) -> Dictionary:
     """K-SVD dictionary initialization.
 
-    Alternates OMP coding with atom-by-atom rank-1 updates (dominant
-    singular pair of the deflated residual). The residual Y - DX is kept
-    through the sweep: each atom's deflated residual is its signals'
-    columns of it plus the atom's own rank-1 term, and the update writes
-    them back. Atoms left unused after a sweep are replaced by the
+    Alternates OMP coding with atom-by-atom rank-1 updates: each atom
+    becomes the dominant left singular vector of its deflated residual E,
+    taken from the top eigenpair of E's smaller Gram matrix (``_rank_one``)
+    and oriented to keep the old atom's sign, and its code row becomes
+    that vector's projection of E; an atom whose E is zero is kept, with a
+    zero row. The residual Y - DX is kept through the sweep: each atom's
+    deflated residual is its signals' columns of it plus the atom's own
+    rank-1 term, and the update writes them back. The atoms' supports are
+    read once per sweep from the OMP codes, since each update changes
+    only its own row. Atoms with an empty support are replaced by the
     currently worst-represented signals, each renormalized. If ``trace``
     is given, the post-sweep objective ||Y - DX||_F^2 is appended after
     every sweep.
@@ -299,17 +327,19 @@ def ksvd_init(
         X = omp_codes(d, Y, T)
         atoms = d.atoms.copy()
         resid = Y - atoms @ X
+        rows, cols = np.nonzero(X)
+        bounds = np.searchsorted(rows, np.arange(K + 1))
         for k in range(K):
-            support = np.flatnonzero(X[k, :] != 0.0)
+            support = cols[bounds[k] : bounds[k + 1]]
             if support.size == 0:
                 continue
-            E = resid[:, support] + np.outer(atoms[:, k], X[k, support])
-            u, s, vt = np.linalg.svd(E, full_matrices=False)
-            atoms[:, k] = u[:, 0]
-            X[k, support] = s[0] * vt[0, :]
-            resid[:, support] = E - np.outer(atoms[:, k], X[k, support])
-        unused = [k for k in range(K) if not (X[k, :] != 0.0).any()]
-        if unused:
+            E = resid[:, support]
+            E += atoms[:, k, None] * X[k, support]
+            atoms[:, k], X[k, support] = _rank_one(E, atoms[:, k])
+            E -= atoms[:, k, None] * X[k, support]
+            resid[:, support] = E
+        unused = np.flatnonzero(bounds[1:] == bounds[:-1])
+        if unused.size:
             worst = np.argsort(-np.linalg.norm(resid, axis=0))
             for slot, k in enumerate(unused):
                 col = Y[:, worst[slot % N]]

@@ -262,8 +262,10 @@ def loop_omp_codes(dictionary, signals, T):
 def loop_ksvd(Y, K, T, iters, seed):
     """K-SVD as ksvd_init runs it, coding with loop_omp_codes and
     rebuilding every atom's deflated residual from Y and the full codes.
-    Returns the atoms, the post-sweep objectives and the number of
-    unused atoms that were replaced."""
+    Each rank-1 step is the first singular pair of the full SVD, with u
+    and the code row signed so that u^T d_old >= 0; a zero residual keeps
+    the atom with a zero row. Returns the atoms, the post-sweep
+    objectives and the number of unused atoms that were replaced."""
     n, N = Y.shape
     rng = np.random.default_rng(seed)
     atoms = Y[:, rng.choice(N, size=K, replace=False)].copy()
@@ -275,15 +277,19 @@ def loop_ksvd(Y, K, T, iters, seed):
         d = Dictionary(atoms=unit_columns(atoms))
         X = loop_omp_codes(d, Y, T)
         atoms = d.atoms.copy()
+        unused = [k for k in range(K) if not (X[k, :] != 0.0).any()]
         for k in range(K):
             support = np.flatnonzero(X[k, :] != 0.0)
             if support.size == 0:
                 continue
             E = Y[:, support] - atoms @ X[:, support] + np.outer(atoms[:, k], X[k, support])
             u, s, vt = np.linalg.svd(E, full_matrices=False)
-            atoms[:, k] = u[:, 0]
-            X[k, support] = s[0] * vt[0, :]
-        unused = [k for k in range(K) if not (X[k, :] != 0.0).any()]
+            if s[0] == 0.0:
+                X[k, support] = 0.0
+                continue
+            sign = -1.0 if u[:, 0] @ atoms[:, k] < 0.0 else 1.0
+            atoms[:, k] = sign * u[:, 0]
+            X[k, support] = sign * s[0] * vt[0, :]
         if unused:
             worst = np.argsort(-np.linalg.norm(Y - atoms @ X, axis=0))
             for slot, k in enumerate(unused):

@@ -328,6 +328,53 @@ class TestReconGain:
         np.testing.assert_allclose(want, [1.0, 0.5625], rtol=1e-12)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_candidate_in_the_rank_window_matches_pinv(self):
+        # [e1, unit(e1 + 1.3e-10 e2)] has s_min/s_max = 6.5e-11: pinv drops
+        # the candidate's direction, although its component off e1 has norm
+        # 1.3e-10, and the kept direction turns by 6.5e-11 towards e2.
+        e = np.eye(4)
+        unit = lambda v: v / np.linalg.norm(v)
+        d = Dictionary(atoms=np.column_stack([e[0], unit(e[0] + 1.3e-10 * e[1]), e[2], e[3]]))
+        s = np.linalg.svd(d.atoms[:, :2], compute_uv=False)
+        assert 6e-11 < s[-1] / s[0] < 7e-11
+        Y = np.column_stack([e[1], e[0] + e[1]])
+        model = ResidualModel(sigma_r=1.0)
+        chosen = Selection(indices=(0,))
+        got = recon_gain(d, chosen, [1, 2, 3], Y, model)
+        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (1, 2, 3)]
+        assert want[0] == pytest.approx(6.5e-11, rel=1e-6)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-15)
+
+    @pytest.mark.parametrize("eps", [3e-11, 1.3e-10, 1.9e-10, 2.1e-10, 1e-9, 1e-8])
+    def test_candidate_either_side_of_the_cutoff_matches_pinv(self, eps):
+        # s_min/s_max of [e1, unit(e1 + eps e2)] is about eps / 2, so pinv
+        # drops the candidate's direction up to eps = 2e-10 and keeps it above
+        e = np.eye(4)
+        unit = lambda v: v / np.linalg.norm(v)
+        d = Dictionary(atoms=np.column_stack([e[0], unit(e[0] + eps * e[1]), e[2], e[3]]))
+        Y = np.column_stack([e[1], e[0] + e[1], e[0] - e[1] + 0.3 * e[2]])
+        model = ResidualModel(sigma_r=1.0)
+        chosen = Selection(indices=(0,))
+        got = recon_gain(d, chosen, [1, 2, 3], Y, model)
+        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (1, 2, 3)]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_candidate_that_costs_a_kept_direction_matches_pinv(self):
+        # The chosen e1 and unit(e1 + 2.2e-10 e2) have s_min/s_max = 1.1e-10,
+        # so pinv keeps e2. The candidate unit(e1 + e3) lies well off their
+        # span, but it raises s_max to 1.62, and pinv on all three drops
+        # e2: the round loses e2's signal and gains only e3's.
+        e = np.eye(4)
+        unit = lambda v: v / np.linalg.norm(v)
+        d = Dictionary(atoms=np.column_stack([e[0], unit(e[0] + 2.2e-10 * e[1]), unit(e[0] + e[2]), e[3]]))
+        Y = np.column_stack([e[1], e[2], e[0] + e[2]])
+        model = ResidualModel(sigma_r=1.0)
+        chosen = Selection(indices=(0, 1))
+        got = recon_gain(d, chosen, [2, 3], Y, model)
+        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (2, 3)]
+        np.testing.assert_allclose(want, [0.5, 0.0], atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
     def test_selected_candidate_rejected(self):
         d = random_unit_dictionary(15, 6, 8)
         Y = np.random.default_rng(15).standard_normal((6, 3))

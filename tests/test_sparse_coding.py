@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import loop_ksvd, loop_omp_codes, random_unit_dictionary, somp, svd_pinv
@@ -320,6 +320,54 @@ class TestKsvd:
         d1 = ksvd_init(Y, 6, 2, 3, 7)
         d2 = ksvd_init(Y, 6, 2, 3, 7)
         np.testing.assert_array_equal(d1.atoms, d2.atoms)
+
+    def test_atom_updates_take_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        Y = np.random.default_rng(5).standard_normal((8, 40))
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        ksvd_init(Y, 12, 3, 3, 0)
+
+
+class TestRankOne:
+    @settings(max_examples=300, deadline=None)
+    @example(seed=0, n=5, w=3, rank=0, log_scale=0.0, duplicate=False)
+    @example(seed=0, n=3, w=3, rank=0, log_scale=0.0, duplicate=False)
+    @example(seed=0, n=3, w=5, rank=0, log_scale=0.0, duplicate=False)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        w=st.integers(1, 9),
+        rank=st.integers(0, 9),
+        log_scale=st.floats(-3.0, 3.0),
+        duplicate=st.booleans(),
+    )
+    def test_dominant_pair_of_the_residual(self, seed, n, w, rank, log_scale, duplicate):
+        # n < w, n = w and n > w; full rank, rank-deficient and zero E (the
+        # examples give zero E in each shape); a repeated column; scales
+        # 1e-3 to 1e3
+        rng = np.random.default_rng(seed)
+        r = min(rank, n, w)
+        E = rng.standard_normal((n, r)) @ rng.standard_normal((r, w)) * 10.0**log_scale
+        if duplicate and w > 1:
+            E[:, -1] = E[:, 0]
+        atom = unit_columns(rng.standard_normal((n, 1)))[:, 0]
+        u, x = sparse_coding._rank_one(E.copy(), atom.copy())
+        assert np.isfinite(u).all() and np.isfinite(x).all()
+        assert x.shape == (w,)
+        if r == 0:
+            np.testing.assert_array_equal(u, atom)
+            np.testing.assert_array_equal(x, 0.0)
+            return
+        assert abs(np.linalg.norm(u) - 1.0) <= 4 * EPS
+        assert u @ atom >= 0.0
+        U, s, _ = np.linalg.svd(E)
+        energy = float(np.sum(E * E))
+        left = float(np.sum((E - np.outer(u, x)) ** 2))
+        assert abs(left - (energy - s[0] ** 2)) <= 4 * (n + w) * EPS * energy
+        if s.size == 1 or s[1] <= 0.9 * s[0]:
+            assert abs(u @ U[:, 0]) >= 1.0 - 1e-12
 
 
 class TestPinv:
