@@ -9,10 +9,8 @@ from .dataset import (
     Dataset,
     LoadError,
     load_csv,
-    load_mask,
     mask_pixels,
     save_csv,
-    save_mask,
     split,
     synth_gaussian_classes,
 )

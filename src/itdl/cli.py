@@ -181,13 +181,14 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         train.signals, cfg.atoms, cfg.sparsity, cfg.ksvd_iters, rng_seed
     )
     _atomic(out / "dict_initial.itdl", lambda tmp: sparse_coding.save_matrix(d0.atoms, tmp))
-    gp = build_gp_model(d0.atoms, rho=cfg.rho)
     weights = None
     if cfg.lambda2 is not None or cfg.lambda3 is not None:
         weights = itds.SelectionWeights(
             lambda2=cfg.lambda2 if cfg.lambda2 is not None else 0.0,
             lambda3=cfg.lambda3 if cfg.lambda3 is not None else 0.0,
         )
+    compact = itds.scores_compactness(cfg.ablation, weights)
+    gp = build_gp_model(d0.atoms, rho=cfg.rho) if compact else None
     select = itds.select_shared if cfg.mode == "shared" else itds.select_dedicated
     results = select(
         d0,

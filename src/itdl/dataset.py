@@ -15,7 +15,7 @@ import numpy as np
 
 
 class LoadError(ValueError):
-    """Malformed dataset or mask file."""
+    """Malformed dataset file, named with its 1-based row where one is at fault."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -217,23 +217,3 @@ def mask_pixels(ds: Dataset, missing_fraction: float, seed: int) -> tuple[Datase
         signals[drop, i] = 0.0
     return replace(ds, signals=signals), _freeze(mask)
 
-
-def save_mask(mask: np.ndarray, path) -> None:
-    """Persist a mask as 0/1 CSV, one row per signal column."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(mask.shape[1]):
-            fh.write(",".join("1" if v else "0" for v in mask[:, i]) + "\n")
-
-
-def load_mask(path) -> np.ndarray:
-    """Read a 0/1 CSV mask, one row per signal column. A cell other than 0 or
-    1, a row whose length differs from the first, or an empty or non-ASCII
-    file raises LoadError naming the file (and 1-based row)."""
-
-    def parse(cells):
-        bits = [c.strip() for c in cells]
-        if not all(b in ("0", "1") for b in bits):
-            raise LoadError("mask cells must be 0 or 1")
-        return [b == "1" for b in bits]
-
-    return np.array(_read_rows(path, parse), dtype=bool).T

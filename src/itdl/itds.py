@@ -95,7 +95,7 @@ def _score_round(
     chosen: list[int],
     pool: np.ndarray,
     terms: Collection[str],
-    gp_model: GpModel,
+    gp_model: GpModel | None,
     residual_model: ResidualModel,
     sigma: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,7 +164,7 @@ def _greedy_select(
     T: int,
     ablation: Collection[str],
     weights: SelectionWeights,
-    gp_model: GpModel,
+    gp_model: GpModel | None,
     residual_model: ResidualModel,
     sigma: float | None,
 ) -> tuple[Selection, tuple[RoundRecord, ...]]:
@@ -208,6 +208,13 @@ def _check_select_args(dictionary: Dictionary, T: int, ablation: Collection[str]
         raise ValueError(f"sparsity T={T} must not exceed the signal dimension n={dictionary.n}")
 
 
+def scores_compactness(ablation: Collection[str], weights: SelectionWeights | None) -> bool:
+    """Whether a selection scores the compactness term and so needs a GP
+    model: its ablation keeps the term, or weights=None estimates the
+    weights, which scores every term."""
+    return "compact" in ablation or weights is None
+
+
 def _select_groups(
     dictionary: Dictionary,
     signals: np.ndarray,
@@ -222,15 +229,15 @@ def _select_groups(
 ) -> list[SelectionResult]:
     """One greedy selection per (class_id, discrimination labels, own signals) group.
 
-    Codes and the GP model are shared by all groups; the residual model
-    defaults to each group's own signals and the weights to each group's
-    estimate.
+    Codes and the GP model are shared by all groups, and each is built only
+    where a term uses it; the residual model defaults to each group's own
+    signals and the weights to each group's estimate.
     """
     _check_select_args(dictionary, T, ablation)
     # the codes feed only the discrimination term and the weight estimate
     if initial_codes is None and ("discriminative" in ablation or weights is None):
         initial_codes = omp_codes(dictionary, signals, T)
-    if gp_model is None:
+    if gp_model is None and scores_compactness(ablation, weights):
         gp_model = build_gp_model(dictionary.atoms)
     results: list[SelectionResult] = []
     for class_id, group_labels, group_signals in groups:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import shared_style_dataset
-from itdl import classify, sparse_coding
+from itdl import classify, cli, sparse_coding
 from itdl.cli import ConfigError, RunConfig, _atomic, load_config, main, substream_seed
 from itdl.dataset import load_csv, save_csv, split
+from itdl.info_measures import build_gp_model
 from itdl.sparse_coding import load_matrix
 
 
@@ -613,6 +614,31 @@ class TestAblationFlag:
             for row in entry["rounds"]:
                 assert row["weighted_discrim"] == 0.0
                 assert row["weighted_recon"] == 0.0
+
+    @pytest.mark.parametrize(
+        "flags,built",
+        [
+            (["--ablation", "reconstructive", "--lambda3", "1"], False),
+            (["--ablation", "reconstructive"], True),
+            (["--ablation", "compact"], True),
+        ],
+        ids=["unscored-given", "unscored-estimated", "scored"],
+    )
+    def test_gp_model_built_only_when_compactness_scored(self, tmp_path, monkeypatch, flags, built):
+        # auto weights score every term, compactness included
+        train_csv, _ = write_data(tmp_path)
+        cfg = write_config(tmp_path)
+        calls = []
+
+        def counted(atoms, rho=None):
+            calls.append(rho)
+            return build_gp_model(atoms, rho)
+
+        monkeypatch.setattr(cli, "build_gp_model", counted)
+        out = tmp_path / "out"
+        rc = main(["select", "--config", str(cfg), "--train", str(train_csv), "--out", str(out), *flags])
+        assert rc == 0
+        assert len(calls) == int(built)
 
 
 class TestUpdateBenefitPairedRun:

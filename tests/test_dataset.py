@@ -7,10 +7,8 @@ from itdl.dataset import (
     Dataset,
     LoadError,
     load_csv,
-    load_mask,
     mask_pixels,
     save_csv,
-    save_mask,
     split,
     synth_gaussian_classes,
 )
@@ -270,28 +268,6 @@ class TestMaskPixels:
         masked, mask = mask_pixels(ds, 0.5, 7)
         assert np.all(masked.signals[~mask] == 0.0)
         np.testing.assert_array_equal(masked.signals[mask], ds.signals[mask])
-
-    def test_mask_csv_round_trip(self, tmp_path):
-        ds = synth_gaussian_classes(8, 2, 3, 0.2, 4)
-        _, mask = mask_pixels(ds, 0.4, 7)
-        f = tmp_path / "m.csv"
-        save_mask(mask, f)
-        np.testing.assert_array_equal(load_mask(f), mask)
-
-    @pytest.mark.parametrize(
-        "bad_row, message",
-        [
-            ("1,2,0", "row 2: mask cells must be 0 or 1"),
-            ("1,-1,1", "row 2: mask cells must be 0 or 1"),
-            ("1,1", "row 2: expected 3 cells, got 2"),
-            ("1,\u03c3,1", "not an ASCII text file"),
-        ],
-    )
-    def test_bad_mask_row_names_the_row(self, tmp_path, bad_row, message):
-        f = tmp_path / "m.csv"
-        f.write_text(f"1,0,1\n{bad_row}\n0,1,1\n", encoding="utf-8")
-        with pytest.raises(LoadError, match=re.escape(f"{f}: {message}")):
-            load_mask(f)
 
     def test_bad_fraction(self):
         ds = synth_gaussian_classes(8, 2, 3, 0.2, 4)

@@ -38,6 +38,7 @@ from itdl.itdu import qmi_grad_phi
 from itdl.sparse_coding import Dictionary, Selection
 
 RECON_PROPERTY = settings(max_examples=200, deadline=None)
+GP_PROPERTY = settings(max_examples=300, deadline=None)
 
 
 class TestGaussKernel:
@@ -226,6 +227,59 @@ class TestGpCompactness:
         cov[0, 1] = 0.5
         with pytest.raises(ValueError):
             GpModel(cov=cov)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_covariance_rejected(self, bad):
+        # nan passes the symmetry bound and Cholesky does not raise on it
+        for i, j in [(0, 0), (0, 2)]:
+            cov = np.eye(3)
+            cov[i, j] = cov[j, i] = bad
+            with pytest.raises(ValueError, match="covariance must be finite"):
+                GpModel(cov=cov)
+
+    def test_empty_covariance_rejected(self):
+        with pytest.raises(ValueError, match="covariance must be a nonempty square matrix"):
+            GpModel(cov=np.zeros((0, 0)))
+
+    def test_nan_atom_rejected(self):
+        atoms = random_unit_dictionary(7, 6, 9).atoms.copy()
+        atoms[2, 3] = np.nan
+        for rho in (None, 1.0):
+            with pytest.raises(ValueError, match="covariance must be finite"):
+                build_gp_model(atoms, rho)
+
+    def test_precision_is_the_inverse(self):
+        model = build_gp_model(random_unit_dictionary(7, 6, 9).atoms)
+        np.testing.assert_allclose(model.prec @ model.cov, np.eye(9), atol=1e-9)
+
+    @GP_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        extra=st.integers(2, 24),
+        twins=st.lists(st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3]), max_size=3),
+        size=st.integers(0, 8),
+    )
+    def test_round_matches_per_candidate_oracle(self, seed, n, extra, twins, size):
+        # Random unit atoms with planted exact and near-duplicate pairs: the
+        # round's two Schur complements against per-candidate solves.
+        rng = np.random.default_rng(seed)
+        K = n + extra
+        atoms = rng.standard_normal((n, K))
+        for scale in twins:
+            a, b = rng.choice(K, 2, replace=False)
+            atoms[:, b] = atoms[:, a] + scale * rng.standard_normal(n)
+        atoms /= np.linalg.norm(atoms, axis=0)
+        model = build_gp_model(atoms)
+        sel = rng.permutation(K)[: min(size, n, K - 2)].tolist()
+        selected = Selection(indices=tuple(sel))
+        cands = [k for k in range(K) if k not in sel]
+        got = gp_compact_gains(model, selected, cands)
+        want = np.array([gp_compact_gain(model, selected, c) for c in cands])
+        np.testing.assert_array_equal(got == -math.inf, want == -math.inf)
+        finite = want != -math.inf
+        tol = 1e-10 if np.linalg.cond(model.cov) <= 1e6 else 1e-7
+        np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=tol)
 
 
 class TestReconGain:

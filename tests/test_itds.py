@@ -318,6 +318,50 @@ class TestInitialCodes:
         assert got == want
 
 
+class TestGpModel:
+    @pytest.mark.parametrize("select", [select_shared, select_dedicated])
+    @pytest.mark.parametrize(
+        "ablation,weights,built",
+        [
+            (frozenset({"reconstructive"}), SelectionWeights(lambda3=1.0), False),
+            (frozenset({"discriminative", "reconstructive"}), None, True),
+            (frozenset({"compact", "reconstructive"}), SelectionWeights(lambda3=1.0), True),
+        ],
+        ids=["unscored-given", "unscored-estimated", "scored-given"],
+    )
+    def test_model_built_only_when_compactness_scored(
+        self, monkeypatch, select, ablation, weights, built
+    ):
+        ds, d, codes = small_problem(seed=18)
+        assert itds.scores_compactness(ablation, weights) == built
+        gp = build_gp_model(d.atoms)
+        want = select(d, ds.signals, ds.labels, 3, ablation, weights, initial_codes=codes, gp_model=gp)
+        calls = []
+
+        def counted(atoms):
+            calls.append(atoms)
+            return build_gp_model(atoms)
+
+        monkeypatch.setattr(itds, "build_gp_model", counted)
+        got = select(d, ds.signals, ds.labels, 3, ablation, weights, initial_codes=codes)
+        assert len(calls) == int(built)
+        assert got == want
+
+    def test_rounds_invert_nothing(self, monkeypatch):
+        # the precision is formed once, with the model; every round of the
+        # weight estimate and the per-class selections solves t x t systems only
+        ds, d, codes = small_problem(seed=19)
+        gp = build_gp_model(d.atoms)
+        want = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes, gp_model=gp)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called during selection")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        got = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes, gp_model=gp)
+        assert got == want
+
+
 class TestSelectionReport:
     def test_report_structure_and_ablation_zeroes(self):
         ds, d, codes = small_problem(seed=14)
