@@ -1,5 +1,6 @@
 """Hot numeric kernels: pairwise Gaussian sums and the pairwise-distance
-median behind the information measures.
+median behind the information measures, and the band tiles that fill the
+GP covariance over the atoms.
 
 Vectorized numpy, one implementation per kernel. Accumulation order is
 fixed, so every kernel reproduces its own results bit for bit.
@@ -40,6 +41,8 @@ The kernels:
 - The median pairwise distance selects the two middle squared distances
   in histogram passes over the band (sq_dist_median_pair), each pass
   taking the pairs i < j of every tile.
+- The GP covariance over the atoms (info_measures.build_gp_model), K x K
+  by definition, is the kernel tiles' upper triangle and its mirror.
 """
 
 from __future__ import annotations
@@ -81,12 +84,6 @@ def _sq_dists(left, right, out):
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     return out
-
-
-def _sq_dist_matrix(x: np.ndarray) -> np.ndarray:
-    """All squared distances between the rows of x (for small N: the GP
-    covariance over the atoms)."""
-    return _sq_dists(*_sides(x), np.empty((len(x), len(x))))
 
 
 def _sq_dist_tiles(x, bounds):

@@ -285,9 +285,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, train=True, test=False) -> None:
-    if train:
-        parser.add_argument("--train", required=True, help="training dataset CSV")
+def _add_io_flags(parser: argparse.ArgumentParser, test=False) -> None:
+    parser.add_argument("--train", required=True, help="training dataset CSV")
     if test:
         parser.add_argument("--test", required=True, help="test dataset CSV")
     parser.add_argument("--out", required=True, help="artifact output directory")

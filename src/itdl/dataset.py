@@ -26,7 +26,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Signals (n features x N samples) with labels in {0..p-1}; class c
-    has the raw label label_values[c] (c itself by default).
+    has the raw label label_values[c] (c itself by default), and no two
+    classes share one.
 
     p is the number of label values when they are given, else the largest
     label plus one; class_counts is the per-class sample count.
@@ -53,6 +54,8 @@ class Dataset:
             raise ValueError("labels must lie in {0..p-1}")
         if top > len(values):
             raise ValueError("need one raw label value per class")
+        if len(set(values)) != len(values):
+            raise ValueError(f"raw label values must be distinct, got {values}")
         counts = _freeze(np.bincount(labels, minlength=len(values)))
         if (counts < 1).any():
             raise ValueError("every class needs at least one sample")
@@ -69,32 +72,6 @@ class Dataset:
         return self.signals.shape[1]
 
 
-def _read_rows(path, parse) -> list:
-    """``parse(cells)`` of each non-blank line of a nonempty ASCII CSV file whose
-    rows all have the first row's width. Each LoadError, the reader's or
-    parse's, reads ``<path>: row N: ...`` (N 1-based), else ``<path>: ...``."""
-    rows = []
-    width = None
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                width = width or len(cells)
-                if len(cells) != width:
-                    raise LoadError(f"expected {width} cells, got {len(cells)}")
-                rows.append(parse(cells))
-    except UnicodeDecodeError:
-        raise LoadError(f"{path}: not an ASCII text file") from None
-    except LoadError as exc:
-        raise LoadError(f"{path}: row {lineno}: {exc}") from None
-    if not rows:
-        raise LoadError(f"{path}: empty file: no data rows")
-    return rows
-
-
 def load_csv(path) -> Dataset:
     """Read rows of ``label, feature_1, ..., feature_n``.
 
@@ -106,30 +83,45 @@ def load_csv(path) -> Dataset:
     or out-of-range label, all-zero-signal, empty or non-ASCII input
     raises LoadError naming the file (and 1-based row).
     """
-
-    def parse(cells):
-        if len(cells) < 2:
-            raise LoadError("expected a label and at least one feature")
-        try:
-            label_val = float(cells[0])
-            feats = [float(c) for c in cells[1:]]
-        except ValueError as exc:
-            raise LoadError(f"non-numeric cell ({exc})") from None
-        if not (math.isfinite(label_val) and all(map(math.isfinite, feats))):
-            raise LoadError("non-finite cell (nan or inf)")
-        if label_val != int(label_val):
-            raise LoadError(f"label {cells[0]!r} is not an integer")
-        try:
-            label = int(cells[0])  # exact, where float would round above 2**53
-        except ValueError:
-            label = int(label_val)  # integral float text such as 1.0 or 1e3
-        if not -(2**63) <= label < 2**63:
-            raise LoadError(f"label {cells[0]!r} is outside the int64 range")
-        if not any(v != 0.0 for v in feats):
-            raise LoadError("all-zero signal rejected")
-        return label, feats
-
-    raw_labels, rows = zip(*_read_rows(path, parse))
+    raw_labels, rows = [], []
+    width = None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise LoadError(f"expected {width} cells, got {len(cells)}")
+                if width < 2:
+                    raise LoadError("expected a label and at least one feature")
+                try:
+                    label_val = float(cells[0])
+                    feats = [float(c) for c in cells[1:]]
+                except ValueError as exc:
+                    raise LoadError(f"non-numeric cell ({exc})") from None
+                if not (math.isfinite(label_val) and all(map(math.isfinite, feats))):
+                    raise LoadError("non-finite cell (nan or inf)")
+                if label_val != int(label_val):
+                    raise LoadError(f"label {cells[0]!r} is not an integer")
+                try:
+                    label = int(cells[0])  # exact, where float would round above 2**53
+                except ValueError:
+                    label = int(label_val)  # integral float text such as 1.0 or 1e3
+                if not -(2**63) <= label < 2**63:
+                    raise LoadError(f"label {cells[0]!r} is outside the int64 range")
+                if not any(v != 0.0 for v in feats):
+                    raise LoadError("all-zero signal rejected")
+                raw_labels.append(label)
+                rows.append(feats)
+    except UnicodeDecodeError:
+        raise LoadError(f"{path}: not an ASCII text file") from None
+    except LoadError as exc:
+        raise LoadError(f"{path}: row {lineno}: {exc}") from None
+    if not rows:
+        raise LoadError(f"{path}: empty file: no data rows")
     values, labels = np.unique(np.array(raw_labels, dtype=np.int64), return_inverse=True)
     signals = np.array(rows, dtype=np.float64).T
     return Dataset(signals, labels, tuple(values.tolist()))

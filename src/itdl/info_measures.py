@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _sq_dist_matrix, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
+from ._kernels import _kernel_row_tiles, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
 from .sparse_coding import SVD_CUTOFF, Dictionary, Selection, svd_keep
 
 # Unused here. The import stays because the benchmark's tracer
@@ -215,7 +215,8 @@ class GpModel:
 
 def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
     """Squared-exponential covariance over atoms, length scale rho, plus
-    GP_JITTER on the diagonal.
+    GP_JITTER on the diagonal. The band tiles of the distance walker
+    (_kernels._kernel_row_tiles) fill its upper triangle, which is mirrored.
 
     rho defaults to the median pairwise atom distance (floored at 1e-6),
     which keeps the covariance scale-free across dictionaries.
@@ -225,10 +226,24 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
         rho = max(median_pairwise_distance(atoms), 1e-6)
     elif not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho!r}")
-    cov = np.exp(_sq_dist_matrix(atoms.T) / (-2.0 * rho * rho))
-    cov[np.diag_indices(atoms.shape[1])] += GP_JITTER
-    cov = 0.5 * (cov + cov.T)
-    return GpModel(cov=cov)
+    K = atoms.shape[1]
+    cov = np.empty((K, K))
+    for _, tile, w in _kernel_row_tiles(atoms.T, (0, K), rho * rho):
+        cov[tile, tile.start :] = w
+    # the upper triangle and its mirror, so that cov is exactly symmetric
+    return GpModel(cov=np.triu(cov) + np.triu(cov, 1).T + GP_JITTER * np.eye(K))
+
+
+def _round_indices(selected: Selection, candidates, K: int) -> tuple[list[int], np.ndarray]:
+    """A greedy round's selected atoms as a list and candidates as an index
+    array. A candidate outside 0..K-1 (a negative one would alias an atom)
+    or already selected raises ValueError."""
+    cands = np.asarray(candidates, dtype=np.intp)
+    if ((cands < 0) | (cands >= K)).any():
+        raise ValueError(f"candidate outside the atom indices 0..{K - 1}")
+    if np.isin(cands, selected.indices).any():
+        raise ValueError("candidate already selected")
+    return list(selected.indices), cands
 
 
 def _schur_diag(m: np.ndarray, sel: list[int], cands: np.ndarray) -> np.ndarray:
@@ -249,13 +264,10 @@ def gp_compact_gains(model: GpModel, selected: Selection, candidates: list[int])
     var(k | S) = cov_kk - cov_kS cov_SS^-1 cov_Sk. Of the precision, it is
     the precision diagonal of the unselected block (the block-inverse
     identity), the reciprocal of k's variance given the rest of U. A round
-    of t selected atoms solves two t x t systems; a selected candidate
-    raises ValueError.
+    of t selected atoms solves two t x t systems; a selected or
+    out-of-range candidate raises ValueError.
     """
-    sel = list(selected.indices)
-    cands = np.asarray(candidates, dtype=np.intp)
-    if np.isin(cands, sel).any():
-        raise ValueError("candidate already selected")
+    sel, cands = _round_indices(selected, candidates, model.size)
     v_sel = _schur_diag(model.cov, sel, cands)
     v_comp = np.maximum(1.0 / _schur_diag(model.prec, sel, cands), 1e-300)
     dup = v_sel < model.var_floor
@@ -307,13 +319,10 @@ def recon_gain(
     value to svd_keep, so its drop is taken from the kept left singular
     vectors of [A, d_k] instead, as a least-squares refit would take it.
     A P_k of norm below SVD_CUTOFF always loses one: its unit atom lies in
-    the span of Q within the cutoff, and it gains 0. A selected candidate
-    raises ValueError.
+    the span of Q within the cutoff, and it gains 0. A selected or
+    out-of-range candidate raises ValueError.
     """
-    sel = list(selected.indices)
-    cands = np.asarray(candidates, dtype=np.intp)
-    if np.isin(cands, sel).any():
-        raise ValueError("candidate already selected")
+    sel, cands = _round_indices(selected, candidates, dictionary.K)
     atoms = dictionary.atoms
     Y = np.asarray(signals, dtype=np.float64)
     u, s, _ = np.linalg.svd(atoms[:, sel], full_matrices=False)

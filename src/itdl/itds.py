@@ -222,21 +222,20 @@ def _select_groups(
     T: int,
     ablation: Collection[str],
     weights: SelectionWeights | None,
-    initial_codes: np.ndarray | None,
     gp_model: GpModel | None,
     residual_model: ResidualModel | None,
     sigma: float | None,
 ) -> list[SelectionResult]:
     """One greedy selection per (class_id, discrimination labels, own signals) group.
 
-    Codes and the GP model are shared by all groups, and each is built only
-    where a term uses it; the residual model defaults to each group's own
-    signals and the weights to each group's estimate.
+    The OMP codes and the GP model are shared by all groups, and each is
+    built only where a term uses it; the residual model defaults to each
+    group's own signals and the weights to each group's estimate.
     """
     _check_select_args(dictionary, T, ablation)
     # the codes feed only the discrimination term and the weight estimate
-    if initial_codes is None and ("discriminative" in ablation or weights is None):
-        initial_codes = omp_codes(dictionary, signals, T)
+    uses_codes = "discriminative" in ablation or weights is None
+    codes = omp_codes(dictionary, signals, T) if uses_codes else None
     if gp_model is None and scores_compactness(ablation, weights):
         gp_model = build_gp_model(dictionary.atoms)
     results: list[SelectionResult] = []
@@ -245,10 +244,10 @@ def _select_groups(
         w = weights
         if w is None:
             w = estimate_lambdas(
-                dictionary, initial_codes, group_labels, group_signals, gp_model, res_model, sigma
+                dictionary, codes, group_labels, group_signals, gp_model, res_model, sigma
             )
         selection, records = _greedy_select(
-            dictionary, initial_codes, group_labels, group_signals, T,
+            dictionary, codes, group_labels, group_signals, T,
             ablation, w, gp_model, res_model, sigma,
         )
         results.append(SelectionResult(selection, records, w, class_id))
@@ -263,7 +262,6 @@ def select_shared(
     ablation: Collection[str] = TERMS,
     weights: SelectionWeights | None = None,
     *,
-    initial_codes: np.ndarray | None = None,
     gp_model: GpModel | None = None,
     residual_model: ResidualModel | None = None,
     sigma: float | None = None,
@@ -276,7 +274,7 @@ def select_shared(
     labels = np.asarray(labels, dtype=np.int64)
     (result,) = _select_groups(
         dictionary, Y, [(None, labels, Y)], T, ablation, weights,
-        initial_codes, gp_model, residual_model, sigma,
+        gp_model, residual_model, sigma,
     )
     return result
 
@@ -289,7 +287,6 @@ def select_dedicated(
     ablation: Collection[str] = TERMS,
     weights: SelectionWeights | None = None,
     *,
-    initial_codes: np.ndarray | None = None,
     gp_model: GpModel | None = None,
     residual_model: ResidualModel | None = None,
     sigma: float | None = None,
@@ -310,7 +307,7 @@ def select_dedicated(
     groups = [(c, (labels == c).astype(np.int64), Y[:, labels == c]) for c in range(p)]
     return _select_groups(
         dictionary, Y, groups, T, ablation, weights,
-        initial_codes, gp_model, residual_model, sigma,
+        gp_model, residual_model, sigma,
     )
 
 

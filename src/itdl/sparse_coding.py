@@ -160,12 +160,12 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
 
     Greedy argmax of |d^T r| with lowest-index tie-break. A signal stops
     when its best score or its residual norm falls to 1e-12 x its norm; an
-    all-zero signal codes to zeros. The coefficients are the
-    least-squares fit on the final support, in pick order: R^-1 Q^T y
-    from the signal's own Gram-Schmidt factors where _certified_inverse
-    certifies R, else ``pinv`` of the chosen atoms. Columns are coded in
-    blocks, each step scoring the block's live signals with one matrix
-    product.
+    all-zero signal codes to zeros, and a non-finite one raises
+    ValueError. The coefficients are the least-squares fit on the final
+    support, in pick order: R^-1 Q^T y from the signal's own Gram-Schmidt
+    factors where _certified_inverse certifies R, else ``pinv`` of the
+    chosen atoms. Columns are coded in blocks, each step scoring the
+    block's live signals with one matrix product.
     """
     atoms = dictionary.atoms
     n, K = atoms.shape
@@ -174,6 +174,8 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
     Y = np.asarray(signals, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != n:
         raise ValueError("signals must be an (n, N) matrix")
+    if not np.isfinite(Y).all():
+        raise ValueError("signals must be finite (they hold nan or inf)")
     coeffs = np.zeros((K, Y.shape[1]))
     for start in range(0, Y.shape[1], _OMP_BLOCK):
         block = Y[:, start : start + _OMP_BLOCK]

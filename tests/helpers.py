@@ -14,7 +14,9 @@ checked; ``loop_ksvd`` rebuilds each atom's deflated residual from the
 signals and the full codes, against which K-SVD's kept residual is
 checked. Every least-squares oracle solves through ``svd_pinv``, the
 SVD pseudoinverse with the library's rank rule, so none of them moves
-with the library's QR route. ``somp`` (simultaneous OMP, one shared
+with the library's QR route; ``exact_pinv``, the full-rank
+pseudoinverse in rational arithmetic, is the reference that both routes
+are measured against. ``somp`` (simultaneous OMP, one shared
 support for all signals) is the baseline the reconstruction-only
 selection is checked against. The reference forms (single Gaussian
 kernel, per-point class density, scalar GP compactness gain, two-refit
@@ -25,6 +27,7 @@ evaluates in batched or closed form.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 
@@ -220,6 +223,29 @@ def svd_pinv(mat):
     u, s, vt = np.linalg.svd(np.asarray(mat, dtype=np.float64), full_matrices=False)
     inv_s = np.where(svd_keep(s), 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
     return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
+
+
+def exact_pinv(mat):
+    """Pseudoinverse of one full-rank (m, n) matrix, exact to rounding: solved
+    in rational arithmetic from the float entries, then rounded once to
+    float64. A tall matrix gives (A^T A)^-1 A^T, a wide one the transpose
+    of its transpose's."""
+    a = np.asarray(mat, dtype=np.float64)
+    if a.shape[0] < a.shape[1]:
+        return exact_pinv(a.T).T
+    cols = [[Fraction(float(v)) for v in col] for col in a.T]
+    n = len(cols)
+    # Gauss-Jordan on [A^T A | A^T]; any nonzero pivot is exact
+    rows = [[sum(p * q for p, q in zip(ci, cj)) for cj in cols] + ci for ci in cols]
+    for j in range(n):
+        piv = next(i for i in range(j, n) if rows[i][j] != 0)
+        rows[j], rows[piv] = rows[piv], rows[j]
+        rows[j] = [v / rows[j][j] for v in rows[j]]
+        for i in range(n):
+            if i != j and rows[i][j] != 0:
+                f = rows[i][j]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[j])]
+    return np.array([[float(v) for v in row[n:]] for row in rows])
 
 
 def loop_omp(atoms, y, T):

@@ -218,6 +218,11 @@ class TestSplit:
         with pytest.raises(ValueError, match="raw label"):
             Dataset(np.eye(2), np.array([0, 1]), label_values=(3,))
 
+    def test_duplicate_label_values_rejected(self):
+        # two classes with one raw label would save as one class
+        with pytest.raises(ValueError, match="raw label values must be distinct"):
+            Dataset(np.eye(3), np.array([0, 1, 1]), label_values=(5, 5))
+
     def test_class_count_and_counts_derived_from_labels(self):
         ds = Dataset(np.eye(4), np.array([2, 0, 2, 1]))
         assert ds.p == 3 and ds.label_values == (0, 1, 2)

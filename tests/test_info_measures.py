@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _dense_sq_dists,
     dense_median_pairwise_distance,
     gauss_kernel,
     gp_compact_gain,
@@ -22,6 +23,7 @@ from helpers import (
     somp,
 )
 from itdl.info_measures import (
+    GP_JITTER,
     GpModel,
     ResidualModel,
     bandwidth_rule,
@@ -221,6 +223,33 @@ class TestGpCompactness:
         model = build_gp_model(random_unit_dictionary(7, 6, 9).atoms)
         with pytest.raises(ValueError, match="already selected"):
             gp_compact_gains(model, Selection(indices=(0, 4)), [1, 4, 6])
+
+    @pytest.mark.parametrize("K", [9, 300])
+    def test_covariance_from_the_walker_tiles(self, K):
+        # K = 300 spans two walker tiles, so the mirrored writes are covered
+        atoms = random_unit_dictionary(K, 8, K).atoms
+        rho = 0.9
+        cov = build_gp_model(atoms, rho).cov
+        assert np.array_equal(cov, cov.T)
+        assert (np.diag(cov) == 1.0 + GP_JITTER).all()
+        arg = _dense_sq_dists(atoms.T) / (2.0 * rho * rho)
+        want = np.exp(-arg)
+        # a few ulp of the exponent, which exp scales by its argument
+        off = ~np.eye(K, dtype=bool)
+        err = np.abs(cov - want)[off]
+        assert (err <= 4 * np.finfo(float).eps * (1.0 + arg[off]) * want[off]).all()
+
+    def test_out_of_range_candidate_rejected(self):
+        # -1 aliases the selected atom 8: compactness gave -inf, reconstruction 0
+        d = random_unit_dictionary(7, 6, 9)
+        model = build_gp_model(d.atoms)
+        Y = np.random.default_rng(7).standard_normal((6, 3))
+        selected = Selection(indices=(8,))
+        for cands in ([-1, 0], [0, 9]):
+            with pytest.raises(ValueError, match="outside the atom indices"):
+                gp_compact_gains(model, selected, cands)
+            with pytest.raises(ValueError, match="outside the atom indices"):
+                recon_gain(d, selected, cands, Y, ResidualModel(sigma_r=1.0))
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)

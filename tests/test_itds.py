@@ -97,7 +97,6 @@ class TestSelectShared:
             3,
             mode,
             SelectionWeights(),
-            initial_codes=codes,
             gp_model=GpModel(cov=np.eye(d.K)),
         )
         assert res.selection.indices == (0, 1, 2)
@@ -118,7 +117,7 @@ class TestSelectShared:
                 ("full", TERMS, w),
                 ("compact", frozenset({"compact"}), SelectionWeights()),
             ):
-                res = select_shared(d, ds.signals, ds.labels, 3, mode, wts, initial_codes=codes)
+                res = select_shared(d, ds.signals, ds.labels, 3, mode, wts)
                 feats = np.ascontiguousarray(code_ls(d, res.selection, ds.signals).T)
                 model = train_linear(feats, ds.labels)
                 accs[tag] = float((predict(model, feats) == ds.labels).mean())
@@ -133,7 +132,7 @@ class TestSelectShared:
         w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model, sigma)
         res = select_shared(
             d, ds.signals, ds.labels, 3, TERMS, w,
-            initial_codes=codes, gp_model=gp, residual_model=res_model, sigma=sigma,
+            gp_model=gp, residual_model=res_model, sigma=sigma,
         )
         chosen = []
         for record in res.rounds:
@@ -155,7 +154,7 @@ class TestSelectShared:
         ds, d, codes = small_problem(seed=11)
         gp = build_gp_model(d.atoms)
         res_model = ResidualModel.from_signals(ds.signals)
-        kw = dict(initial_codes=codes, gp_model=gp, residual_model=res_model)
+        kw = dict(gp_model=gp, residual_model=res_model)
         auto = select_shared(d, ds.signals, ds.labels, 3, TERMS, **kw)
         w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
         given = select_shared(d, ds.signals, ds.labels, 3, TERMS, w, **kw)
@@ -173,15 +172,15 @@ class TestSelectShared:
     def test_deterministic(self):
         ds, d, codes = small_problem(seed=10)
         w = SelectionWeights(lambda2=0.3, lambda3=0.7)
-        a = select_shared(d, ds.signals, ds.labels, 3, TERMS, w, initial_codes=codes)
-        b = select_shared(d, ds.signals, ds.labels, 3, TERMS, w, initial_codes=codes)
+        a = select_shared(d, ds.signals, ds.labels, 3, TERMS, w)
+        b = select_shared(d, ds.signals, ds.labels, 3, TERMS, w)
         assert a.selection.indices == b.selection.indices
         assert a.rounds == b.rounds
 
     def test_compact_only_accepted_gains_nonincreasing(self):
         ds, d, codes = small_problem(seed=15, T=4)
         mode = frozenset({"compact"})
-        res = select_shared(d, ds.signals, ds.labels, 4, mode, SelectionWeights(), initial_codes=codes)
+        res = select_shared(d, ds.signals, ds.labels, 4, mode, SelectionWeights())
         gains = [r.gain_total for r in res.rounds]
         assert all(b <= a + 1e-9 for a, b in zip(gains, gains[1:]))
 
@@ -242,7 +241,7 @@ class TestSelectDedicated:
 
     def test_selection_lengths_and_distinctness(self):
         ds, d, codes = small_problem(seed=12)
-        res = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes)
+        res = select_dedicated(d, ds.signals, ds.labels, 3)
         assert [r.class_id for r in res] == [0, 1, 2]
         for r in res:
             assert len(r.selection) == 3
@@ -261,7 +260,7 @@ class TestSelectDedicated:
         ds, d, codes = small_problem(seed=13)
         mode = frozenset({"reconstructive"})
         w = SelectionWeights(lambda3=1.0)
-        res = select_dedicated(d, ds.signals, ds.labels, 3, mode, w, initial_codes=codes)
+        res = select_dedicated(d, ds.signals, ds.labels, 3, mode, w)
         for r in res:
             own = ds.signals[:, ds.labels == r.class_id]
             alone = select_shared(d, own, ds.labels[ds.labels == r.class_id], 3, mode, w)
@@ -271,7 +270,7 @@ class TestSelectDedicated:
     def test_single_weights_apply_to_every_class(self):
         ds, d, codes = small_problem(seed=16)
         w = SelectionWeights(lambda2=0.3, lambda3=0.7)
-        res = select_dedicated(d, ds.signals, ds.labels, 3, TERMS, w, initial_codes=codes)
+        res = select_dedicated(d, ds.signals, ds.labels, 3, TERMS, w)
         assert len(res) == ds.p
         assert all(r.weights is w for r in res)
         for r in res:
@@ -282,7 +281,7 @@ class TestSelectDedicated:
     def test_no_weights_estimates_per_class(self):
         ds, d, codes = small_problem(seed=17)
         gp = build_gp_model(d.atoms)
-        res = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes, gp_model=gp)
+        res = select_dedicated(d, ds.signals, ds.labels, 3, gp_model=gp)
         for r in res:
             own = ds.signals[:, ds.labels == r.class_id]
             labels01 = (ds.labels == r.class_id).astype(np.int64)
@@ -302,10 +301,10 @@ class TestInitialCodes:
         ids=["ablated-given", "ablated-estimated", "all-given"],
     )
     def test_codes_made_only_when_used(self, monkeypatch, select, ablation, weights, coded):
-        # the default codes feed only the discrimination term and the weight
+        # the OMP codes feed only the discrimination term and the weight
         # estimate; without either, none are made, and the selection is the same
         ds, d, codes = small_problem(seed=16)
-        want = select(d, ds.signals, ds.labels, 3, ablation, weights, initial_codes=codes)
+        want = select(d, ds.signals, ds.labels, 3, ablation, weights)
         calls = []
 
         def counted(*args):
@@ -335,7 +334,7 @@ class TestGpModel:
         ds, d, codes = small_problem(seed=18)
         assert itds.scores_compactness(ablation, weights) == built
         gp = build_gp_model(d.atoms)
-        want = select(d, ds.signals, ds.labels, 3, ablation, weights, initial_codes=codes, gp_model=gp)
+        want = select(d, ds.signals, ds.labels, 3, ablation, weights, gp_model=gp)
         calls = []
 
         def counted(atoms):
@@ -343,22 +342,24 @@ class TestGpModel:
             return build_gp_model(atoms)
 
         monkeypatch.setattr(itds, "build_gp_model", counted)
-        got = select(d, ds.signals, ds.labels, 3, ablation, weights, initial_codes=codes)
+        got = select(d, ds.signals, ds.labels, 3, ablation, weights)
         assert len(calls) == int(built)
         assert got == want
 
     def test_rounds_invert_nothing(self, monkeypatch):
         # the precision is formed once, with the model; every round of the
-        # weight estimate and the per-class selections solves t x t systems only
+        # weight estimate and the per-class selections solves t x t systems
+        # only (the OMP codes, whose certificate inverts, are made up front)
         ds, d, codes = small_problem(seed=19)
         gp = build_gp_model(d.atoms)
-        want = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes, gp_model=gp)
+        want = select_dedicated(d, ds.signals, ds.labels, 3, gp_model=gp)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.inv called during selection")
 
+        monkeypatch.setattr(itds, "omp_codes", lambda *args: codes)
         monkeypatch.setattr(np.linalg, "inv", refuse)
-        got = select_dedicated(d, ds.signals, ds.labels, 3, initial_codes=codes, gp_model=gp)
+        got = select_dedicated(d, ds.signals, ds.labels, 3, gp_model=gp)
         assert got == want
 
 
@@ -366,7 +367,7 @@ class TestSelectionReport:
     def test_report_structure_and_ablation_zeroes(self):
         ds, d, codes = small_problem(seed=14)
         mode = frozenset({"compact"})
-        res = select_shared(d, ds.signals, ds.labels, 3, mode, SelectionWeights(), initial_codes=codes)
+        res = select_shared(d, ds.signals, ds.labels, 3, mode, SelectionWeights())
         report = selection_report([res])
         entry = report["selections"][0]
         assert entry["lambda1"] == 1.0
@@ -380,4 +381,4 @@ class TestSelectionReport:
         for ablation in (frozenset(), frozenset({"bogus"}), "compact"):
             for select in (select_shared, select_dedicated):
                 with pytest.raises(ValueError, match="ablation"):
-                    select(d, ds.signals, ds.labels, 3, ablation, initial_codes=codes)
+                    select(d, ds.signals, ds.labels, 3, ablation)

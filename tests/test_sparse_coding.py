@@ -3,7 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import loop_ksvd, loop_omp_codes, random_unit_dictionary, somp, svd_pinv
+from helpers import (
+    exact_pinv,
+    loop_ksvd,
+    loop_omp_codes,
+    random_unit_dictionary,
+    somp,
+    svd_pinv,
+)
 from itdl import sparse_coding
 from itdl.sparse_coding import (
     Dictionary,
@@ -224,6 +231,15 @@ class TestBatchedOmp:
         with pytest.raises(ValueError):
             omp_codes(d, np.ones((4, 3)), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        # such a signal would otherwise code to all zeros
+        d = random_unit_dictionary(25, 5, 7)
+        Y = np.ones((5, 3))
+        Y[2, 1] = bad
+        with pytest.raises(ValueError, match="signals must be finite"):
+            omp_codes(d, Y, 2)
+
 
 class TestSomp:
     def test_single_signal_reduces_to_omp(self):
@@ -439,6 +455,9 @@ class TestPinv:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
+    # here the QR route is 0.8 eps kappa from the exact pseudoinverse and
+    # the SVD 21 eps kappa, past the bound: the SVD is no reference for it
+    @example(m=3, n=5, members=[("graded", 0.0, 0.0)] * 4 + [("duplicate", 0.0, 0.0)], seed=3)
     def test_certificate_routes_each_member(self, m, n, members, seed):
         rng = np.random.default_rng(seed)
         t = min(m, n)
@@ -469,9 +488,10 @@ class TestPinv:
                 assert got[k].tobytes() == want[k].tobytes()
                 continue
             # certified: svd_keep keeps every singular value, and the QR
-            # route agrees with the SVD within 4 max(m, n) eps kappa
+            # route is within 4 max(m, n) eps kappa of the exact pseudoinverse
             assert svd_keep(sv[k]).all()
-            err = np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k])
+            exact = exact_pinv(stack[k])
+            err = np.linalg.norm(got[k] - exact) / np.linalg.norm(exact)
             assert err <= 4 * max(m, n) * EPS * kappa
 
 
