@@ -37,7 +37,9 @@ The kernels:
 - The quadratic-MI value and gradient sort the samples by class once
   (stable) and walk band tiles that stay inside one class: the value as
   class-weighted column sums, the gradient as one product for the tile's
-  rows and one, mirrored, for the rows of its columns.
+  rows and one, mirrored, for the rows of its columns. qmi_grad adds up
+  the value in the same walk, tile by tile as qmi_value does, so one
+  walk gives both.
 - The median pairwise distance selects the two middle squared distances
   in histogram passes over the band (sq_dist_median_pair), each pass
   taking the pairs i < j of every tile.
@@ -275,20 +277,26 @@ def _qmi_band(xs, counts, sigma2):
         yield rows, w, coef
 
 
+def _qmi_tile_value(w, coef, k):
+    """A band tile's term of the value sum, for a tile of k rows: the
+    square block once, the pairs right of it twice."""
+    col = w.sum(axis=0)
+    return coef[0] * float(col[:k].sum()) + 2.0 * float(col[k:] @ coef[k:])
+
+
 def qmi_value(x, labels, counts, sigma2):
     n, d = x.shape
     xs = x[np.argsort(labels, kind="stable")]
     total = 0.0
     for rows, w, coef in _qmi_band(xs, counts, sigma2):
-        k = rows.stop - rows.start
-        col = w.sum(axis=0)
-        # the square block once, the pairs right of it twice
-        total += coef[0] * float(col[:k].sum()) + 2.0 * float(col[k:] @ coef[k:])
+        total += _qmi_tile_value(w, coef, rows.stop - rows.start)
     const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
     return const * total / (n * n)
 
 
 def qmi_grad(x, labels, counts, sigma2):
+    """(value, gradient) from one band walk: the value adds up the tiles
+    as qmi_value does, so the two values are equal bit for bit."""
     n, d = x.shape
     order = np.argsort(labels, kind="stable")
     xs = x[order]
@@ -297,8 +305,10 @@ def qmi_grad(x, labels, counts, sigma2):
     xone[:, d] = 1.0
     # [sum_j coef_ij w_ij x_j | sum_j coef_ij w_ij] of each class-sorted row
     acc = np.zeros((n, d + 1))
+    total = 0.0
     for rows, w, coef in _qmi_band(xs, counts, sigma2):
         k = rows.stop - rows.start
+        total += _qmi_tile_value(w, coef, k)
         acc[rows] += w @ (coef[:, None] * xone[rows.start :])
         # each row right of the tile takes its pairs with the tile's rows
         acc[rows.stop :] += coef[k:, None] * (w[:, k:].T @ xone[rows])
@@ -306,4 +316,4 @@ def qmi_grad(x, labels, counts, sigma2):
     grad[order] = acc[:, :d] - xs * acc[:, d:]
     const = (4.0 * math.pi * sigma2) ** (-0.5 * d)
     grad *= const / (n * n * sigma2)
-    return grad
+    return const * total / (n * n), grad

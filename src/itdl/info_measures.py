@@ -14,8 +14,9 @@ Three families of measures drive atom selection and update:
 The quadratic mutual information (KL divergence replaced by the quadratic
 divergence) has an exact finite-sum form and an analytic gradient with
 respect to the codes, both evaluated by the hot kernels in
-:mod:`itdl._kernels`. The gradient with respect to the coding transform
-is the ascent's, ``itdu.qmi_grad_phi``.
+:mod:`itdl._kernels`; ``qmi(..., grad=True)`` returns the value and the
+gradient from one pass over the pairs. The gradient with respect to the
+coding transform is the ascent's, ``itdu.qmi_grad_phi``.
 
 Every KDE measure takes its kernel bandwidth as a plain ``sigma``, which
 must be finite and positive. ``mi_codes_labels`` also takes None, which
@@ -348,21 +349,26 @@ def recon_gain(
 # quadratic mutual information and its gradient
 # ---------------------------------------------------------------------------
 
-def qmi(codes: np.ndarray, labels: np.ndarray, sigma: float) -> float:
+def qmi(
+    codes: np.ndarray, labels: np.ndarray, sigma: float, *, grad: bool = False
+) -> float | tuple[float, np.ndarray]:
     """Closed-form quadratic MI between codes and labels at kernel bandwidth sigma.
 
     Exact finite sum over sample pairs with variance-doubled kernels; a
-    single-class labeling gives exactly zero.
+    single-class labeling gives exactly zero. grad=True returns (value,
+    gradient with respect to every code column, shape (d, N)) from one
+    pass over the pairs (_kernels.qmi_grad), the value bit for bit the
+    one grad=False returns.
     """
-    _, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=False)
+    codes, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=False)
+    if not grad:
+        return 0.0 if x is None else float(qmi_value(x, labels, counts, var))
     if x is None:
-        return 0.0
-    return float(qmi_value(x, labels, counts, var))
+        return 0.0, np.zeros_like(codes)
+    value, g = qmi_grad(x, labels, counts, var)
+    return float(value), np.ascontiguousarray(g.T)
 
 
 def qmi_grad_codes(codes: np.ndarray, labels: np.ndarray, sigma: float) -> np.ndarray:
     """Gradient of qmi with respect to every code column, shape (d, N)."""
-    codes, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=False)
-    if x is None:
-        return np.zeros_like(codes)
-    return np.ascontiguousarray(qmi_grad(x, labels, counts, var).T)
+    return qmi(codes, labels, sigma, grad=True)[1]

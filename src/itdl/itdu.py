@@ -8,6 +8,16 @@ unit-normalized pseudoinverse of the final transform. Backtracking line
 search halves the step until the objective does not decrease, which
 makes the whole trace non-decreasing.
 
+Each objective evaluation is one walk over the band of sample pairs
+(``info_measures.qmi``). The initial codes and each accepted point are
+evaluated with ``grad=True``, which returns the objective and its
+gradient with respect to the codes from the same walk; backtracking
+trials evaluate the value alone. An iteration whose first trial is
+accepted therefore walks the pairs twice: once at the trial, once at the
+accepted point, whose value repeats the trial's bit for bit and whose
+gradient the next iteration steps along. No gradient is taken where no
+iteration follows (``max_iters`` reached, or ``max_iters=0``).
+
 The kernel bandwidth is frozen at its initial value for the entire
 ascent, otherwise the objective would move under the iterates.
 """
@@ -77,12 +87,20 @@ def update_dictionary(
     """Ascend the quadratic MI of the codes; return updated atoms and state.
 
     step=None sizes the initial step from the transform/gradient norm
-    ratio at the first iteration. sigma=None uses the interaction-scale
+    ratio at the first iteration; a given step must be finite and
+    positive, max_iters non-negative and tol finite and non-negative
+    (ValueError otherwise). sigma=None uses the interaction-scale
     bandwidth of the initial codes (ascent_bandwidth). If no step was ever
     accepted the input atoms are returned untouched. Raises LinAlgError if
     the final transform has lost rank, since its pseudoinverse would then
     not be the dictionary whose codes were ascended.
     """
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     D = np.ascontiguousarray(dict_selected, dtype=np.float64)
     Y = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -90,13 +108,22 @@ def update_dictionary(
     X = P @ Y
     sigma = ascent_bandwidth(X) if sigma is None else float(sigma)
     state = UpdateState(transform=np.ascontiguousarray(P.T), step=float(step or 0.0), sigma=sigma)
-    state.objective_trace.append(qmi(X, labels, sigma))
+
+    def evaluate(codes, iteration):
+        # (objective, its gradient w.r.t. the codes) in one band walk; the
+        # gradient only when a later iteration uses it
+        if iteration < max_iters:
+            return qmi(codes, labels, sigma, grad=True)
+        return qmi(codes, labels, sigma), None
 
     def objective(phi_trial):
         return qmi(phi_trial.T @ Y, labels, sigma)
 
+    value, grad_codes = evaluate(X, 0)
+    state.objective_trace.append(value)
     for state.iterations in range(1, max_iters + 1):
-        grad_phi = qmi_grad_phi(X, Y, labels, sigma)
+        # the chain rule of qmi_grad_phi, on the gradient of the last evaluation
+        grad_phi = Y @ grad_codes.T
         gnorm = float(np.linalg.norm(grad_phi))
         iq = state.objective_trace[-1]
         if not math.isfinite(iq) or not math.isfinite(gnorm):
@@ -111,11 +138,11 @@ def update_dictionary(
             state.converged = True
             break
         state.transform = state.transform + nu * grad_phi
-        X = state.transform.T @ Y
-        # Recomputes the accepted trial's value bit for bit, so it is finite
-        # (backtrack_step accepts only finite values). The call stays while
-        # perfbench/test_perfbench.py pins the number of qmi calls.
-        state.objective_trace.append(qmi(X, labels, sigma))
+        # The accepted trial's value again, bit for bit, so it is finite
+        # (backtrack_step accepts only finite values); the same walk returns
+        # the gradient that the next iteration steps along.
+        value, grad_codes = evaluate(state.transform.T @ Y, state.iterations)
+        state.objective_trace.append(value)
         state.accepted_steps.append(nu)
         state.grad_norms.append(gnorm)
         if abs(state.objective_trace[-1] - iq) / max(abs(iq), 1e-300) < tol:

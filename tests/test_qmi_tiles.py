@@ -6,7 +6,9 @@ columns from its first row on, so they never hold an N x N matrix and
 meet each unordered pair once. The band must cover every pair exactly
 once, and the kernels must agree with the all-pairs forms in
 tests/helpers.py for any sizes, with empty and singleton classes, and
-with tiles small enough to split every class into several.
+with tiles small enough to split every class into several. qmi_grad
+also returns the value from its walk, which must be qmi_value's bit for
+bit, so the ascent's fused evaluations repeat its value-only ones.
 """
 
 import math
@@ -20,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import dense_qmi_grad, dense_qmi_value, peak_bytes
 from itdl import _kernels
 from itdl._kernels import qmi_grad, qmi_value
+from itdl.info_measures import qmi, qmi_grad_codes
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -142,11 +145,25 @@ def test_tiled_value_matches_dense(case):
 def test_tiled_grad_matches_dense(case):
     x, labels, counts, sigma2, tile = case
     with mock.patch.object(_kernels, "_TILE", tile):
-        got = qmi_grad(x, labels, counts, sigma2)
+        _, got = qmi_grad(x, labels, counts, sigma2)
     want = dense_qmi_grad(x, labels, counts, sigma2)
     assert got.shape == want.shape
     scale = max(np.max(np.abs(want), initial=0.0), grad_scale(x, sigma2))
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(qmi_inputs())
+def test_fused_walk_repeats_value_and_gradient_bit_for_bit(case):
+    x, labels, counts, sigma2, tile = case
+    codes, sigma = x.T, math.sqrt(sigma2)
+    with mock.patch.object(_kernels, "_TILE", tile):
+        value, grad = qmi_grad(x, labels, counts, sigma2)
+        fused_value, fused_grad = qmi(codes, labels, sigma, grad=True)
+        assert value == qmi_value(x, labels, counts, sigma2)
+        assert fused_value == qmi(codes, labels, sigma)
+        assert np.array_equal(fused_grad, qmi_grad_codes(codes, labels, sigma))
+    assert fused_grad.shape == codes.shape
 
 
 def test_default_tile_splits_classes_and_matches_dense():
@@ -159,7 +176,7 @@ def test_default_tile_splits_classes_and_matches_dense():
     value = qmi_value(x, labels, counts, 2.0)
     assert abs(value - dense_qmi_value(x, labels, counts, 2.0)) <= 1e-12 * value_scale(x, 2.0)
     want = dense_qmi_grad(x, labels, counts, 2.0)
-    got = qmi_grad(x, labels, counts, 2.0)
+    _, got = qmi_grad(x, labels, counts, 2.0)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
