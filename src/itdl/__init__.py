@@ -57,7 +57,6 @@ from .itdu import (
     ClassUpdateResult,
     UpdateState,
     backtrack_step,
-    qmi_grad_phi,
     update_all_classes,
     update_dictionary,
     update_report,

@@ -197,10 +197,13 @@ def sq_dist_median_pair(x):
     distances between distinct rows of x (N >= 2, some row nonzero).
 
     The values are those of a sort of all M distances, found with memory
-    O(tile * N). At most _TILE distances are collected and partitioned in
-    one pass. More are histogrammed first, over _BINS bins on
-    [0, 4 max |x_i|^2], which holds every distance. The two ranks fall in
-    bins b1 <= b2, and only those bins stay candidates:
+    O(tile * N) and without forming the N x N distances: every pass walks
+    the band of row tiles, which computes each unordered pair once (a
+    tile's rows against the columns from its first row on). At most _TILE
+    distances are collected and partitioned in one pass. More are
+    histogrammed first, over _BINS bins on [0, 4 max |x_i|^2], which
+    holds every distance. The two ranks fall in bins b1 <= b2, and only
+    those bins stay candidates:
     - b1 < b2: the ranks are adjacent, so they are the largest candidate
       of bin b1 and the smallest of bin b2, found in one more pass;
     - at most _TILE candidates: one more pass collects and partitions them;

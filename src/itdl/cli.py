@@ -66,11 +66,12 @@ class RunConfig:
             raise ConfigError("ksvd_iters must be at least 1")
         if self.iters < 0:
             raise ConfigError("iters must be non-negative")
-        for name in ("sigma", "sigma_r", "rho", "step", "tol"):
+        for name in ("sigma", "sigma_r", "rho", "step"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {v}")
-        for name in ("lambda2", "lambda3"):
+        # tol 0 runs every ascent to iters
+        for name in ("tol", "lambda2", "lambda3"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {v}")
@@ -118,6 +119,7 @@ def _parse_value(key: str, raw: str):
 
 def load_config(path) -> RunConfig:
     cfg = RunConfig()
+    seen = {}
     with open(path, "r", encoding="ascii") as fh:
         try:
             lines = fh.readlines()
@@ -133,6 +135,11 @@ def load_config(path) -> RunConfig:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in seen:
+                raise ConfigError(
+                    f"{path}:{lineno}: config key {key!r} already set on line {seen[key]}"
+                )
+            seen[key] = lineno
             cfg = replace(cfg, **{key: _parse_value(key, raw)})
     return cfg
 

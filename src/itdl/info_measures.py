@@ -15,8 +15,9 @@ The quadratic mutual information (KL divergence replaced by the quadratic
 divergence) has an exact finite-sum form and an analytic gradient with
 respect to the codes, both evaluated by the hot kernels in
 :mod:`itdl._kernels`; ``qmi(..., grad=True)`` returns the value and the
-gradient from one pass over the pairs. The gradient with respect to the
-coding transform is the ascent's, ``itdu.qmi_grad_phi``.
+gradient from one pass over the pairs. The ascent's gradient with respect
+to its coding transform phi follows by the chain rule:
+``Y @ qmi(phi.T @ Y, labels, sigma, grad=True)[1].T``.
 
 Every KDE measure takes its kernel bandwidth as a plain ``sigma``, which
 must be finite and positive. ``mi_codes_labels`` also takes None, which
@@ -56,19 +57,9 @@ def median_pairwise_distance(codes: np.ndarray) -> float:
     that is more than half of the M = N(N-1)/2 pairs (at least M//2 + 1),
     the median is exactly 0.0 and is returned after an O(dN) count.
 
-    Otherwise the two middle squared distances, order statistics
-    (M-1)//2 and M//2, are selected exactly without forming the N x N
-    distances (_kernels.sq_dist_median_pair). Every pass walks the band
-    of row tiles, which computes each unordered pair once (a tile's rows
-    against the columns from its first row on). A histogram pass finds
-    the bins that hold the two, and a second pass collects
-    those bins and partitions them (or, for two bins, takes the largest
-    value of the lower and the smallest of the upper). When the bin
-    holds more than a tile's worth of values, for example when most
-    pairs sit at one distance, the range narrows to it and is
-    histogrammed again, until the values fit or are all equal. sqrt is
-    monotone, so the median is their square roots averaged as np.median
-    does. Memory is O(tile * N).
+    Otherwise the two middle squared distances come from
+    _kernels.sq_dist_median_pair; sqrt is monotone, so the median is
+    their square roots averaged as np.median does.
     """
     codes = np.asarray(codes, dtype=np.float64)
     n = codes.shape[1]

@@ -3,10 +3,10 @@
 The selected atoms are updated indirectly through the coding transform
 phi (the transposed pseudoinverse of the selected sub-dictionary), whose
 codes are phi^T Y: ascend the quadratic MI between codes and labels with
-respect to phi (``qmi_grad_phi``), then recover the atoms once, as the
-unit-normalized pseudoinverse of the final transform. Backtracking line
-search halves the step until the objective does not decrease, which
-makes the whole trace non-decreasing.
+respect to phi, along Y (dI/dX)^T by the chain rule, then recover the
+atoms once, as the unit-normalized pseudoinverse of the final transform.
+Backtracking line search halves the step until the objective does not
+decrease, which makes the whole trace non-decreasing.
 
 Each objective evaluation is one walk over the band of sample pairs
 (``info_measures.qmi``). The initial codes and each accepted point are
@@ -29,8 +29,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .info_measures import ascent_bandwidth, qmi, qmi_grad_codes
+from .info_measures import ascent_bandwidth, qmi
 from .sparse_coding import pinv, svd_keep, unit_columns
+
+# Unused here. The import stays because the benchmark's tracer
+# (perfbench/tracing.py) patches itdu.qmi_grad_codes.
+from .info_measures import qmi_grad_codes  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -65,14 +69,6 @@ def backtrack_step(phi, grad, nu0, objective, current):
             return nu, value
         nu *= 0.5
     return 0.0, current
-
-
-def qmi_grad_phi(
-    codes: np.ndarray, signals: np.ndarray, labels: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Gradient of qmi(X; labels) with respect to the coding map phi, given
-    the codes X = phi^T Y and the signals Y: by the chain rule, Y (dI/dX)^T."""
-    return np.asarray(signals, dtype=np.float64) @ qmi_grad_codes(codes, labels, sigma).T
 
 
 def update_dictionary(
@@ -122,7 +118,7 @@ def update_dictionary(
     value, grad_codes = evaluate(X, 0)
     state.objective_trace.append(value)
     for state.iterations in range(1, max_iters + 1):
-        # the chain rule of qmi_grad_phi, on the gradient of the last evaluation
+        # dI/dphi = Y (dI/dX)^T, from the last evaluation's gradient
         grad_phi = Y @ grad_codes.T
         gnorm = float(np.linalg.norm(grad_phi))
         iq = state.objective_trace[-1]

@@ -13,18 +13,19 @@ after every OMP pick, against which the library's batched coding is
 checked; ``loop_ksvd`` rebuilds each atom's deflated residual from the
 signals and the full codes, against which K-SVD's kept residual is
 checked. ``three_pass_update`` is the quadratic-MI ascent with a
-separate gradient walk at every iterate, against which the ascent's
-fused value-and-gradient walks are checked. Every least-squares oracle
-solves through ``svd_pinv``, the SVD pseudoinverse with the library's
-rank rule, so none of them moves with the library's QR route;
-``exact_pinv``, the full-rank pseudoinverse in rational arithmetic, is
-the reference that both routes are measured against. ``somp``
+separate gradient walk (``qmi_grad_phi``) at every iterate, against
+which the ascent's fused value-and-gradient walks are checked. Every
+least-squares oracle solves through ``svd_pinv``, the SVD pseudoinverse
+with the library's rank rule, so none of them moves with the library's
+QR route; ``exact_pinv``, the full-rank pseudoinverse in rational
+arithmetic, is the reference that both routes are measured against. ``somp``
 (simultaneous OMP, one shared support for all signals) is the baseline
 the reconstruction-only selection is checked against. The reference
 forms (single Gaussian kernel, per-point class density, scalar GP
 compactness gain, two-refit reconstruction gain, GP total MI,
-per-sample QMI gradient, discrete KL and quadratic divergence) spell out
-the definitions that the library evaluates in batched or closed form.
+per-sample and transform QMI gradients, discrete KL and quadratic
+divergence) spell out the definitions that the library evaluates in
+batched or closed form.
 """
 
 import math
@@ -35,7 +36,7 @@ import numpy as np
 
 from itdl.dataset import Dataset
 from itdl.info_measures import ascent_bandwidth, qmi, qmi_grad_codes
-from itdl.itdu import UpdateState, backtrack_step, qmi_grad_phi
+from itdl.itdu import UpdateState, backtrack_step
 from itdl.sparse_coding import Dictionary, Selection, pinv, svd_keep, unit_columns
 
 
@@ -478,6 +479,15 @@ def qmi_grad_x(
     if labels[i] != c:
         raise ValueError(f"sample {i} does not belong to class {c}")
     return qmi_grad_codes(codes, labels, sigma)[:, i].copy()
+
+
+def qmi_grad_phi(
+    codes: np.ndarray, signals: np.ndarray, labels: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Gradient of qmi(X; labels) with respect to the coding map phi, given
+    the codes X = phi^T Y and the signals Y, from its own gradient walk:
+    by the chain rule, Y (dI/dX)^T."""
+    return np.asarray(signals, dtype=np.float64) @ qmi_grad_codes(codes, labels, sigma).T
 
 
 def kl_qd_check(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:

@@ -89,6 +89,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(f).validate()
 
+    def test_key_set_twice_exit_2_names_file_line_and_key(self, tmp_path, capsys):
+        train_csv, test_csv = write_data(tmp_path)
+        cfg = write_config(tmp_path, iters=3)
+        cfg.write_text(cfg.read_text() + "# a second value\niters=5\n")
+        out = tmp_path / "x"
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(test_csv), "--out", str(out), "--iters", "0",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: configuration: {cfg}:8: config key 'iters' already set on line 5\n"
+        )
+        assert not out.exists()
+
     def test_comments_and_blanks(self, tmp_path):
         f = tmp_path / "c.txt"
         f.write_text("# comment\n\nseed=4  # trailing\n")
@@ -214,6 +229,8 @@ class TestCliErrors:
             ("step", "nan"),
             ("step", "inf"),
             ("tol", "nan"),
+            ("tol", "inf"),
+            ("tol", "-1"),
             ("lambda2", "inf"),
             ("lambda3", "nan"),
             ("lambda2", "-1"),
@@ -272,6 +289,36 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert f"stage {stage} failed" in err and expected in err
 
+    def test_truncated_dictionary_header_exit_1_names_file(self, tmp_path, capsys):
+        train_csv, _ = write_data(tmp_path)
+        cfg = write_config(tmp_path, mode="dedicated")
+        out = tmp_path / "o"
+        io = ["--config", str(cfg), "--train", str(train_csv), "--out", str(out)]
+        assert main(["select", *io]) == 0
+        path = out / "dict_initial.itdl"
+        path.write_bytes(path.read_bytes()[:8])
+        assert main(["update", *io]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: stage update failed: {path}: truncated header\n"
+        assert not (out / "dict_updated_c0.itdl").exists()
+
+    def test_malformed_test_file_row_exit_1_names_file(self, tmp_path, capsys):
+        train_csv, test_csv = write_data(tmp_path)
+        rows = test_csv.read_text().splitlines(keepends=True)
+        bad = tmp_path / "malformed.csv"
+        bad.write_text(rows[0] + rows[1].rsplit(",", 1)[0] + ",x\n" + "".join(rows[2:]))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x"
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(bad), "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage load failed: ") and err.count("\n") == 1
+        assert f"{bad}: row 2: non-numeric cell" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", ["scaled-atom", "extra-atom", "extra-row", "trailing-bytes"])
     def test_bad_updated_dictionary_exit_1_names_file(self, tmp_path, capsys, edit):
         train_csv, test_csv = write_data(tmp_path)
@@ -303,16 +350,18 @@ class TestCliErrors:
         assert "stage evaluate failed" in err and expected in err
         assert (out / "eval_report.json").read_bytes() == before
 
-    @pytest.mark.parametrize("command", ["select", "synth"])
+    @pytest.mark.parametrize("command", ["select", "synth", "run-all"])
     def test_out_naming_a_file_exit_1_names_it(self, tmp_path, capsys, command):
         out = tmp_path / "taken"
         out.write_text("a file\n")
         if command == "synth":
             argv = ["synth", "--out", str(out), "--seed", "1"]
         else:
-            train_csv, _ = write_data(tmp_path)
+            train_csv, test_csv = write_data(tmp_path)
             cfg = write_config(tmp_path)
-            argv = ["select", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)]
+            argv = [command, "--config", str(cfg), "--train", str(train_csv), "--out", str(out)]
+            if command == "run-all":
+                argv += ["--test", str(test_csv)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
@@ -460,10 +509,19 @@ class TestCliErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "text", ["1,3,5", "1", "1,a", "1,300", "1,10", "", "1,\u03c3"],
+        "text,message",
+        [
+            ("1,3,5", "expected 2 atom indices below 10, got [1, 3, 5]"),
+            ("1", "expected 2 atom indices below 10, got [1]"),
+            ("1,a", "bad selection"),
+            ("1,300", "expected 2 atom indices below 10, got [1, 300]"),
+            ("1,10", "expected 2 atom indices below 10, got [1, 10]"),
+            ("", "empty selection file"),
+            ("1,\u03c3", "not an ASCII text file"),
+        ],
         ids=["too-many", "too-few", "non-integer", "out-of-range", "index-K", "empty", "non-ascii"],
     )
-    def test_bad_selection_artifact_exit_1_names_file(self, tmp_path, capsys, text):
+    def test_bad_selection_artifact_exit_1_names_file(self, tmp_path, capsys, text, message):
         train_csv, _ = write_data(tmp_path)
         cfg = write_config(tmp_path, mode="dedicated")  # atoms=10, sparsity=2
         out = tmp_path / "o"
@@ -473,7 +531,7 @@ class TestCliErrors:
         rc = main(["update", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "stage update failed" in err and str(sel) in err
+        assert "stage update failed" in err and f"{sel}: {message}" in err
         assert not (out / "dict_updated_c0.itdl").exists()
 
     def test_flag_overrides_config(self, tmp_path):
@@ -487,6 +545,20 @@ class TestCliErrors:
         assert rc == 0
         report = json.loads((out / "update_report.json").read_text())
         assert report["updates"][0]["iterations"] == 0
+
+    def test_zero_tol_runs_every_ascent_to_iters(self, tmp_path):
+        train_csv, test_csv = write_data(tmp_path)
+        cfg = write_config(tmp_path, mode="dedicated", iters=6)
+        out = tmp_path / "o"
+        rc = main([
+            "run-all", "--config", str(cfg), "--train", str(train_csv),
+            "--test", str(test_csv), "--out", str(out), "--tol", "0",
+        ])
+        assert rc == 0
+        updates = json.loads((out / "update_report.json").read_text())["updates"]
+        assert len(updates) == 3
+        for u in updates:
+            assert (u["iterations"], len(u["accepted_steps"]), u["converged"]) == (6, 6, False)
 
     @pytest.mark.parametrize("mode", ["shared", "dedicated"])
     def test_fixed_sigma_reaches_every_stage(self, tmp_path, mode):

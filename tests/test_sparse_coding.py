@@ -226,6 +226,36 @@ class TestBatchedOmp:
             assert np.flatnonzero(got[:, j]).tolist() == [1, 2, 3]
             assert got[order, j].tobytes() == (svd_pinv(atoms[:, order]) @ Y[:, i]).tobytes()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
+    def test_pick_after_a_rank_window_support_follows_the_relative_rule(self):
+        # The same atoms. This signal picks unit(e3 + e4), c, b first. The
+        # batched basis drops b's new direction (norm 9.2e-11) by the
+        # absolute 1e-10 cutoff and keeps span(unit(e3 + e4), c), while
+        # pinv's relative rule keeps the support's top two singular
+        # directions. The residuals differ, and the batched code picks a
+        # 4th where the loop picks e5.
+        e = np.eye(6)
+        unit = lambda v: v / np.linalg.norm(v)
+        atoms = np.column_stack([
+            e[0],
+            unit(e[0] + 1e-3 * e[1]),
+            unit(e[0] + 1e-3 * e[1] + 1.3e-10 * e[2]),
+            unit(e[2] + e[3]),
+            e[4],
+        ])
+        y = np.array([[
+            0.7369383737267362, 0.0007369383636025779, -1.1326980541296225,
+            -1.225484097049275, 4.332030351977407e-12, -2.0711486198694326e-14,
+        ]]).T
+        d = Dictionary(atoms=atoms)
+        # the construction itself; pytest.fail is not an AssertionError,
+        # so a drift here fails the test instead of counting as expected
+        if sparse_coding._omp_supports(atoms, y, 3)[0].tolist() != [[3, 2, 1]]:
+            pytest.fail("the signal no longer picks unit(e3 + e4), c, b first")
+        if np.flatnonzero(loop_omp_codes(d, y, 4)).tolist() != [1, 2, 3, 4]:
+            pytest.fail("the loop oracle no longer picks e5 4th")
+        assert np.flatnonzero(omp_codes(d, y, 4)).tolist() == [1, 2, 3, 4]
+
     def test_signal_shape_checked(self):
         d = random_unit_dictionary(25, 5, 7)
         with pytest.raises(ValueError):
