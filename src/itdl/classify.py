@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, frozen_copy
 from .info_measures import bayes_bound, class_entropy, mi_codes_labels
 from .sparse_coding import pinv, rmse
 
@@ -25,8 +25,8 @@ class LinearModel:
     bias: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        b = np.ascontiguousarray(self.bias, dtype=np.float64)
+        w = frozen_copy(self.weights)
+        b = frozen_copy(self.bias)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
         if w.ndim != 2 or b.shape != (w.shape[0],):
@@ -150,19 +150,13 @@ def code_test_signals(atoms_by_class: list, signals: np.ndarray, shared: bool):
     return features, per_class
 
 
-def evaluate(
-    model: LinearModel,
-    atoms_by_class: list,
-    test: Dataset,
-    *,
-    sigma: float | None = None,
-) -> EvalReport:
+def evaluate(model: LinearModel, atoms_by_class: list, test: Dataset) -> EvalReport:
     """Accuracy, reconstruction RMSE, MI estimate and Bayes bound on a test set.
 
     A shared set (class id None) codes and reconstructs every signal; else
     each class's set rebuilds its own class's signals, as in training, and a
-    test class with no set raises ValueError. sigma is the bandwidth of the
-    MI estimate, None for bandwidth_rule.
+    test class with no set raises ValueError. The MI estimate always uses
+    bandwidth_rule of the features.
     """
     shared = atoms_by_class[0][0] is None
     missing = set() if shared else set(range(test.p)) - {c for c, _ in atoms_by_class}
@@ -180,7 +174,7 @@ def evaluate(
         recon[:, members] = atoms @ coeffs[:, members]
     err = rmse(test.signals, recon)
 
-    mi = mi_codes_labels(features.T, test.labels, sigma)
+    mi = mi_codes_labels(features.T, test.labels)
     bound = bayes_bound(class_entropy(test.labels), mi)
     return EvalReport(
         accuracy=accuracy,

@@ -237,7 +237,6 @@ def stage_update(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         step=cfg.step,
         max_iters=cfg.iters,
         tol=cfg.tol,
-        sigma=cfg.sigma,
     )
     for (_, path), (_, trace), res in zip(
         _class_paths(cfg, out, train.p, "dict_updated.itdl"),
@@ -269,7 +268,7 @@ def stage_evaluate(
     _atomic(out / "model_weights.itdl", lambda tmp: sparse_coding.save_matrix(weights, tmp))
     bias = ",".join(repr(float(v)) for v in model.bias) + "\n"
     _atomic(out / "model_bias.csv", lambda tmp: tmp.write_text(bias, encoding="ascii"))
-    report = classify.evaluate(model, atoms_by_class, test, sigma=cfg.sigma)
+    report = classify.evaluate(model, atoms_by_class, test)
     _write_json(out / "eval_report.json", asdict(report))
 
 

@@ -18,9 +18,13 @@ class LoadError(ValueError):
     """Malformed dataset file, named with its 1-based row where one is at fault."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def frozen_copy(arr, dtype=np.float64) -> np.ndarray:
+    """A read-only, C-ordered copy of ``arr`` that no caller holds: every
+    record keeps its array fields this way, so editing the caller's array
+    cannot change the record, and the record's arrays cannot be edited."""
+    out = np.array(arr, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +44,8 @@ class Dataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        signals = _freeze(np.ascontiguousarray(self.signals, dtype=np.float64))
-        labels = _freeze(np.asarray(self.labels, dtype=np.int64))
+        signals = frozen_copy(self.signals)
+        labels = frozen_copy(self.labels, np.int64)
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "labels", labels)
         if signals.ndim != 2:
@@ -56,7 +60,7 @@ class Dataset:
             raise ValueError("need one raw label value per class")
         if len(set(values)) != len(values):
             raise ValueError(f"raw label values must be distinct, got {values}")
-        counts = _freeze(np.bincount(labels, minlength=len(values)))
+        counts = frozen_copy(np.bincount(labels, minlength=len(values)), np.int64)
         if (counts < 1).any():
             raise ValueError("every class needs at least one sample")
         object.__setattr__(self, "label_values", values)
@@ -200,12 +204,12 @@ def mask_pixels(ds: Dataset, missing_fraction: float, seed: int) -> tuple[Datase
         )
     mask = np.ones_like(ds.signals, dtype=bool)
     if k == 0:
-        return ds, _freeze(mask)
+        return ds, frozen_copy(mask, bool)
     rng = np.random.default_rng(seed)
     signals = ds.signals.copy()
     for i in range(ds.size):
         drop = rng.choice(ds.n, size=k, replace=False)
         mask[drop, i] = False
         signals[drop, i] = 0.0
-    return replace(ds, signals=signals), _freeze(mask)
+    return replace(ds, signals=signals), frozen_copy(mask, bool)
 

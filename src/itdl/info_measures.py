@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import _kernel_row_tiles, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
+from .dataset import frozen_copy
 from .sparse_coding import SVD_CUTOFF, Dictionary, Selection, svd_keep
 
 # Unused here. The import stays because the benchmark's tracer
@@ -181,7 +182,7 @@ class GpModel:
     prec: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cov = np.ascontiguousarray(self.cov, dtype=np.float64)
+        cov = frozen_copy(self.cov)
         object.__setattr__(self, "cov", cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
             raise ValueError("covariance must be a nonempty square matrix")
@@ -192,7 +193,7 @@ class GpModel:
         # W^T W with W = L^-1, not inv(cov): at cond ~1e9 (near-duplicate atoms) the
         # gains then agree with per-candidate solves to 3e-8, inv(cov)'s to 4e-6
         w = np.linalg.inv(np.linalg.cholesky(cov))
-        object.__setattr__(self, "prec", w.T @ w)
+        object.__setattr__(self, "prec", frozen_copy(w.T @ w))
 
     @property
     def size(self) -> int:

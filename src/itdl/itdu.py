@@ -78,18 +78,18 @@ def update_dictionary(
     step: float | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
-    sigma: float | None = None,
 ) -> tuple[np.ndarray, UpdateState]:
     """Ascend the quadratic MI of the codes; return updated atoms and state.
 
     step=None sizes the initial step from the transform/gradient norm
     ratio at the first iteration; a given step must be finite and
     positive, max_iters non-negative and tol finite and non-negative
-    (ValueError otherwise). sigma=None uses the interaction-scale
-    bandwidth of the initial codes (ascent_bandwidth). If no step was ever
-    accepted the input atoms are returned untouched. Raises LinAlgError if
-    the final transform has lost rank, since its pseudoinverse would then
-    not be the dictionary whose codes were ascended.
+    (ValueError otherwise). The bandwidth is always the interaction-scale
+    ascent_bandwidth of the initial codes, frozen for the whole ascent and
+    reported as ``state.sigma``. If no step was ever accepted the input
+    atoms are returned untouched. Raises LinAlgError if the final transform
+    has lost rank, since its pseudoinverse would then not be the dictionary
+    whose codes were ascended.
     """
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
@@ -102,7 +102,7 @@ def update_dictionary(
     labels = np.asarray(labels, dtype=np.int64)
     P = pinv(D)
     X = P @ Y
-    sigma = ascent_bandwidth(X) if sigma is None else float(sigma)
+    sigma = ascent_bandwidth(X)
     state = UpdateState(transform=np.ascontiguousarray(P.T), step=float(step or 0.0), sigma=sigma)
 
     def evaluate(codes, iteration):
@@ -171,13 +171,13 @@ def update_all_classes(
     step: float | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
-    sigma: float | None = None,
 ) -> list[ClassUpdateResult]:
     """Run the atom update once per (class_id, atoms) entry.
 
     class_id=None (shared mode) ascends against the class labels; a class
     id ascends against its one-vs-rest labels. Both are computed over all
-    samples.
+    samples. Each ascent freezes the ascent_bandwidth of its own initial
+    codes.
     """
     labels = np.asarray(labels, dtype=np.int64)
     results: list[ClassUpdateResult] = []
@@ -191,7 +191,6 @@ def update_all_classes(
                 step=step,
                 max_iters=max_iters,
                 tol=tol,
-                sigma=sigma,
             )
         except Exception as exc:
             raise RuntimeError(f"atom update failed for class {class_id}: {exc}") from exc

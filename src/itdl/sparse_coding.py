@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import frozen_copy
+
 SVD_CUTOFF = 1e-10
 
 
@@ -29,8 +31,7 @@ class Dictionary:
     atoms: np.ndarray
 
     def __post_init__(self):
-        atoms = np.ascontiguousarray(self.atoms, dtype=np.float64)
-        atoms.setflags(write=False)
+        atoms = frozen_copy(self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] < 1:
             raise ValueError("atoms must be a non-empty 2-d matrix")

@@ -511,7 +511,7 @@ def kl_qd_check(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return kl, qd
 
 
-def three_pass_update(dict_selected, signals, labels, step=None, max_iters=100, tol=1e-6, sigma=None):
+def three_pass_update(dict_selected, signals, labels, step=None, max_iters=100, tol=1e-6):
     """The quadratic-MI ascent of ``itdu.update_dictionary`` with three band
     walks per accepted iteration: the gradient (``qmi_grad_phi``) at the
     iterate, ``qmi`` at each backtracking trial, and ``qmi`` again at the
@@ -520,7 +520,7 @@ def three_pass_update(dict_selected, signals, labels, step=None, max_iters=100, 
     labels = np.asarray(labels, dtype=np.int64)
     P = pinv(np.ascontiguousarray(dict_selected, dtype=np.float64))
     X = P @ Y
-    sigma = ascent_bandwidth(X) if sigma is None else float(sigma)
+    sigma = ascent_bandwidth(X)
     state = UpdateState(transform=np.ascontiguousarray(P.T), step=float(step or 0.0), sigma=sigma)
     state.objective_trace.append(qmi(X, labels, sigma))
     for state.iterations in range(1, max_iters + 1):

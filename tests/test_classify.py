@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -118,6 +119,12 @@ class TestTrainLinear:
         with pytest.raises(ValueError, match=message):
             train_linear(features, labels)
 
+    @pytest.mark.parametrize("reg", [0.0, -1.0])
+    def test_non_positive_reg_rejected(self, reg):
+        F = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="reg must be positive"):
+            train_linear(F, np.array([0, 1, 1, 0]), reg=reg)
+
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_no_pass_rejected(self, epochs):
         F = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
@@ -184,6 +191,21 @@ class TestTrainLinear:
         F[:, 0] += 10.0 * (np.arange(20) % 3)
         model = train_linear(F, np.arange(20) % 3, reg=1e-6, epochs=1)
         assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+
+
+class TestLinearModel:
+    @pytest.mark.parametrize(
+        "weights, bias, message",
+        [
+            (np.ones(3), np.zeros(1), "weights must be (p, F) with a length-p bias"),
+            (np.ones((2, 3)), np.zeros(3), "weights must be (p, F) with a length-p bias"),
+            (np.full((2, 3), np.inf), np.zeros(2), "model parameters must be finite"),
+            (np.ones((2, 3)), np.array([0.0, np.nan]), "model parameters must be finite"),
+        ],
+    )
+    def test_bad_parameters_rejected(self, weights, bias, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinearModel(weights=weights, bias=bias)
 
 
 class TestPredict:

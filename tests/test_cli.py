@@ -9,6 +9,7 @@ from itdl import classify, cli, sparse_coding
 from itdl.cli import ConfigError, RunConfig, _atomic, load_config, main, substream_seed
 from itdl.dataset import load_csv, save_csv, split
 from itdl.info_measures import build_gp_model
+from itdl.itds import TERMS
 from itdl.sparse_coding import load_matrix
 
 
@@ -103,6 +104,18 @@ class TestConfig:
             f"error: configuration: {cfg}:8: config key 'iters' already set on line 5\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["all", "ALL", ""])
+    def test_ablation_all_or_empty_keeps_every_term(self, tmp_path, raw):
+        f = tmp_path / "c.txt"
+        f.write_text(f"seed=1\nablation={raw}\n")
+        assert load_config(f).validate().ablation == frozenset(TERMS)
+
+    @pytest.mark.parametrize("raw", ["0", "false", "No", "OFF"])
+    def test_normalize_signals_false_spellings(self, tmp_path, raw):
+        f = tmp_path / "c.txt"
+        f.write_text(f"seed=1\nnormalize_signals={raw}\n")
+        assert load_config(f).normalize_signals is False
 
     def test_comments_and_blanks(self, tmp_path):
         f = tmp_path / "c.txt"
@@ -388,6 +401,19 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "artifact" in err and "update" in err
 
+    def test_missing_selection_artifact_exit_1_names_file(self, tmp_path, capsys):
+        train_csv, _ = write_data(tmp_path)
+        cfg = write_config(tmp_path, mode="dedicated")
+        out = tmp_path / "o"
+        assert main(["select", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "selection_c1.csv").unlink()
+        rc = main(["update", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: stage update failed: missing selection artifact: {out / 'selection_c1.csv'}\n"
+        )
+
     def test_missing_updated_dict_names_file(self, tmp_path, capsys):
         train_csv, test_csv = write_data(tmp_path)
         cfg = write_config(tmp_path)
@@ -561,9 +587,9 @@ class TestCliErrors:
             assert (u["iterations"], len(u["accepted_steps"]), u["converged"]) == (6, 6, False)
 
     @pytest.mark.parametrize("mode", ["shared", "dedicated"])
-    def test_fixed_sigma_reaches_every_stage(self, tmp_path, mode):
+    def test_fixed_sigma_sets_only_the_selection_bandwidth(self, tmp_path, mode):
         from itdl.classify import code_test_signals
-        from itdl.info_measures import mi_codes_labels
+        from itdl.info_measures import ascent_bandwidth, mi_codes_labels
 
         train_csv, test_csv = write_data(tmp_path)
         out = tmp_path / "o"
@@ -573,20 +599,26 @@ class TestCliErrors:
         ])
         assert rc == 0
         train, test = load_csv(train_csv), load_csv(test_csv)
-        # selection: round 1 discrimination is the MI of the picked atom's codes
-        codes = sparse_coding.omp_codes(
-            sparse_coding.load_dictionary(out / "dict_initial.itdl"), train.signals, 2
-        )
+        d0 = sparse_coding.load_dictionary(out / "dict_initial.itdl")
+        # selection: round 1 discrimination is the MI of the picked atom's codes at sigma
+        codes = sparse_coding.omp_codes(d0, train.signals, 2)
         for entry in json.loads((out / "selection_report.json").read_text())["selections"]:
             c = entry["class"]
             labels = train.labels if c is None else (train.labels == c).astype(np.int64)
             first = entry["rounds"][0]
             want = mi_codes_labels(codes[[first["index"]]], labels, 0.5)
             assert first["gain_discrim"] == want
-        # update: the ascent runs at the given bandwidth
+        # update: each ascent runs at the ascent bandwidth of its own initial codes
+        sel_names = ["selection.csv"] if mode == "shared" else [
+            f"selection_c{c}.csv" for c in range(3)
+        ]
         updates = json.loads((out / "update_report.json").read_text())["updates"]
-        assert [u["sigma"] for u in updates] == [0.5] * len(updates)
-        # evaluation: the MI estimate uses it too
+        assert len(updates) == len(sel_names)
+        for u, name in zip(updates, sel_names):
+            sel = sparse_coding.load_selection(out / name)
+            initial = sparse_coding.pinv(d0.atoms[:, list(sel.indices)]) @ train.signals
+            assert u["sigma"] == ascent_bandwidth(initial) != 0.5
+        # evaluation: the MI estimate derives its bandwidth from the features
         names = ["dict_updated.itdl"] if mode == "shared" else [
             f"dict_updated_c{c}.itdl" for c in range(3)
         ]
@@ -594,7 +626,24 @@ class TestCliErrors:
                  for c, name in enumerate(names)]
         features, _ = code_test_signals(atoms, test.signals, mode == "shared")
         report = json.loads((out / "eval_report.json").read_text())
-        assert report["mi_estimate"] == mi_codes_labels(features.T, test.labels, 0.5)
+        assert report["mi_estimate"] == mi_codes_labels(features.T, test.labels)
+
+    @pytest.mark.parametrize("mode", ["shared", "dedicated"])
+    def test_sigma_leaves_a_run_without_discrimination_unchanged(self, tmp_path, mode):
+        # no discrimination term, so no stage reads sigma
+        train_csv, test_csv = write_data(tmp_path)
+        cfg = write_config(tmp_path, mode=mode, ablation="compact,reconstructive")
+        outs = [tmp_path / "auto", tmp_path / "fixed"]
+        for out, extra in zip(outs, ([], ["--sigma", "0.001"])):
+            assert main([
+                "run-all", "--config", str(cfg), "--train", str(train_csv),
+                "--test", str(test_csv), "--out", str(out), *extra,
+            ]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "update_report.json" in names and "eval_report.json" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestNormalizeFlag:

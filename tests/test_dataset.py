@@ -35,6 +35,13 @@ class TestLoadCsv:
         with pytest.raises(LoadError, match=re.escape(f"{f}: row 2: expected 3 cells")):
             load_csv(f)
 
+    def test_label_only_row_names_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("\n3\n")
+        message = f"{f}: row 2: expected a label and at least one feature"
+        with pytest.raises(LoadError, match=re.escape(message)):
+            load_csv(f)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("")
@@ -243,6 +250,17 @@ class TestSplit:
     def test_bad_labels_rejected(self, labels, values, message):
         with pytest.raises(ValueError, match=message):
             Dataset(np.ones((1, len(labels))), np.array(labels, dtype=int), label_values=values)
+
+    @pytest.mark.parametrize(
+        "signals, labels, message",
+        [
+            (np.ones(3), np.array([0, 1, 1]), "signals must be a 2-d matrix"),
+            (np.ones((2, 3)), np.array([0, 1]), "labels length must match the number of signal columns"),
+        ],
+    )
+    def test_bad_shapes_rejected(self, signals, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(signals, labels)
 
     def test_tiny_class_rejected(self):
         ds = Dataset(signals=np.eye(3), labels=np.array([0, 0, 1]))

@@ -169,6 +169,11 @@ class TestSelectShared:
         with pytest.raises(ValueError):
             select_shared(d, ds.signals, ds.labels, 0, TERMS, SelectionWeights())
 
+    def test_sparsity_above_signal_dimension_rejected(self):
+        d = random_unit_dictionary(0, 2, 5)
+        with pytest.raises(ValueError, match="sparsity T=3 must not exceed the signal dimension n=2"):
+            select_shared(d, np.ones((2, 4)), np.array([0, 1, 0, 1]), 3, TERMS, SelectionWeights())
+
     def test_deterministic(self):
         ds, d, codes = small_problem(seed=10)
         w = SelectionWeights(lambda2=0.3, lambda3=0.7)

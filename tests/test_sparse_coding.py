@@ -668,6 +668,15 @@ class TestTypes:
         with pytest.raises(ValueError, match="unit l2 norm"):
             Dictionary(atoms=atoms)
 
+    @pytest.mark.parametrize("atoms", [np.ones(3), np.ones((1, 1, 1)), np.ones((3, 0))])
+    def test_dictionary_rejects_non_matrix(self, atoms):
+        with pytest.raises(ValueError, match="atoms must be a non-empty 2-d matrix"):
+            Dictionary(atoms=atoms)
+
+    def test_selection_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="selection indices must be non-negative"):
+            Selection(indices=(2, -1))
+
     def test_selection_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Selection(indices=(1, 1))
