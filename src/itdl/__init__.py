@@ -17,7 +17,6 @@ from .dataset import (
 from .sparse_coding import (
     Dictionary,
     Selection,
-    code_ls,
     ksvd_init,
     load_dictionary,
     load_matrix,
@@ -31,7 +30,6 @@ from .sparse_coding import (
 )
 from .info_measures import (
     GpModel,
-    ResidualModel,
     ascent_bandwidth,
     bandwidth_rule,
     bayes_bound,
@@ -41,7 +39,6 @@ from .info_measures import (
     gp_compact_gains,
     mi_codes_labels,
     qmi,
-    qmi_grad_codes,
     recon_gain,
 )
 from .itds import (

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, dataset, itds, itdu, sparse_coding
-from .info_measures import ResidualModel, build_gp_model, save_mi_trace
+from .info_measures import build_gp_model, save_mi_trace
 
 class ConfigError(ValueError):
     """Invalid configuration: maps to exit code 2."""
@@ -205,7 +205,7 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
         cfg.ablation,
         weights,
         gp_model=gp,
-        residual_model=None if cfg.sigma_r is None else ResidualModel(cfg.sigma_r),
+        sigma_r=cfg.sigma_r,
         sigma=cfg.sigma,
     )
     if cfg.mode == "shared":

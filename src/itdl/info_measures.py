@@ -36,16 +36,15 @@ import numpy as np
 
 from ._kernels import _kernel_row_tiles, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
 from .dataset import frozen_copy
-from .sparse_coding import SVD_CUTOFF, Dictionary, Selection, svd_keep
+from .sparse_coding import CERTIFIED_RATIO, SVD_CUTOFF, Dictionary, Selection, svd_keep
 
 # Unused here. The import stays because the benchmark's tracer
 # (perfbench/tracing.py) patches info_measures.pinv.
 from .sparse_coding import pinv  # noqa: F401
 
-# Below this bound on [A, d_k]'s s_min/s_max, recon_gain applies svd_keep
-# to the candidate's own extended support; the factor 100 covers rounding,
-# as in the certificate of sparse_coding.pinv.
-_RANK_SCREEN = 100.0 * SVD_CUTOFF
+# Floor of the KDE bandwidth rules: degenerate (single-point or duplicated)
+# code sets still give a usable kernel.
+BANDWIDTH_FLOOR = 1e-3
 
 # ---------------------------------------------------------------------------
 # bandwidths and KDE
@@ -77,14 +76,13 @@ def median_pairwise_distance(codes: np.ndarray) -> float:
 def bandwidth_rule(codes: np.ndarray) -> float:
     """Density-estimation bandwidth: median pairwise distance * N^(-1/(d+4)).
 
-    Floored at 1e-3 so degenerate (single-point or duplicated) code sets
-    still give a usable kernel. Sparse codes whose columns are mostly all
+    Floored at BANDWIDTH_FLOOR. Sparse codes whose columns are mostly all
     zero have a median of exactly 0 (see median_pairwise_distance), so
     they resolve to the floor without a distance pass.
     """
     codes = np.asarray(codes, dtype=np.float64)
     d, n = codes.shape
-    return max(median_pairwise_distance(codes) * n ** (-1.0 / (d + 4)), 1e-3)
+    return max(median_pairwise_distance(codes) * n ** (-1.0 / (d + 4)), BANDWIDTH_FLOOR)
 
 
 def ascent_bandwidth(codes: np.ndarray) -> float:
@@ -93,9 +91,10 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
     The ascent needs kernels that couple samples across the whole code
     cloud; at the density-estimation scale only nearest neighbours
     interact and the ascent scatters codes instead of grouping classes.
-    Eight median pairwise distances keeps every pair coupled.
+    Eight median pairwise distances keeps every pair coupled, floored at
+    BANDWIDTH_FLOOR.
     """
-    return max(8.0 * median_pairwise_distance(codes), 1e-3)
+    return max(8.0 * median_pairwise_distance(codes), BANDWIDTH_FLOOR)
 
 
 def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *, rule: bool):
@@ -170,6 +169,9 @@ def save_mi_trace(values, path) -> None:
 # ---------------------------------------------------------------------------
 
 GP_JITTER = 1e-8  # on the built covariance's diagonal: duplicate atoms stay SPD
+# Exact duplicate atoms leave a conditional variance of about 2 * GP_JITTER,
+# so the "fully explained" sentinel sits above it.
+GP_VAR_FLOOR = 10.0 * GP_JITTER
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +196,6 @@ class GpModel:
         # gains then agree with per-candidate solves to 3e-8, inv(cov)'s to 4e-6
         w = np.linalg.inv(np.linalg.cholesky(cov))
         object.__setattr__(self, "prec", frozen_copy(w.T @ w))
-
-    @property
-    def size(self) -> int:
-        return self.cov.shape[0]
-
-    @property
-    def var_floor(self) -> float:
-        # Exact duplicate atoms leave a conditional variance of about
-        # 2 * GP_JITTER, so the "fully explained" sentinel must sit above it.
-        return 10.0 * GP_JITTER
 
 
 def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
@@ -260,10 +252,10 @@ def gp_compact_gains(model: GpModel, selected: Selection, candidates: list[int])
     of t selected atoms solves two t x t systems; a selected or
     out-of-range candidate raises ValueError.
     """
-    sel, cands = _round_indices(selected, candidates, model.size)
+    sel, cands = _round_indices(selected, candidates, model.cov.shape[0])
     v_sel = _schur_diag(model.cov, sel, cands)
     v_comp = np.maximum(1.0 / _schur_diag(model.prec, sel, cands), 1e-300)
-    dup = v_sel < model.var_floor
+    dup = v_sel < GP_VAR_FLOOR
     gains = np.full(cands.size, -np.inf)
     gains[~dup] = 0.5 * np.log(v_sel[~dup] / v_comp[~dup])
     return gains
@@ -273,32 +265,17 @@ def gp_compact_gains(model: GpModel, selected: Selection, candidates: list[int])
 # reconstruction information
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualModel:
-    """Gaussian residual scale for the reconstruction likelihood."""
-
-    sigma_r: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma_r) and self.sigma_r > 0):
-            raise ValueError(f"sigma_r must be finite and positive, got {self.sigma_r!r}")
-
-    @staticmethod
-    def from_signals(signals: np.ndarray) -> "ResidualModel":
-        """A tenth of the mean signal norm."""
-        norms = np.linalg.norm(np.asarray(signals, dtype=np.float64), axis=0)
-        return ResidualModel(sigma_r=max(0.1 * float(norms.mean()), 1e-12))
-
-
 def recon_gain(
     dictionary: Dictionary,
     selected: Selection,
     candidates: list[int],
     signals: np.ndarray,
-    model: ResidualModel,
+    sigma_r: float | None = None,
 ) -> np.ndarray:
     """Log-likelihood improvement of each candidate joining the support: the
-    drop in squared least-squares residual over 2 sigma_r^2, with pinv's
+    drop in squared least-squares residual over 2 sigma_r^2, where the
+    Gaussian residual scale sigma_r must be finite and positive (None is a
+    tenth of the mean norm of the signals, floored at 1e-12), with pinv's
     rank rule (svd_keep) on the selected atoms plus the candidate. One
     projection scores the round (the orthogonal least-squares forward
     step): with Q the left singular vectors of the selected atoms A that
@@ -308,9 +285,10 @@ def recon_gain(
     With r the number of singular values svd_keep keeps in A, and A's
     atoms of unit norm, the (r+1)-th singular value of [A, d_k] is at
     least |P_k| (s_r/s_1 of A) / sqrt(10) of its largest. A candidate for
-    which that bound falls below 100 x SVD_CUTOFF may lose a singular
-    value to svd_keep, so its drop is taken from the kept left singular
-    vectors of [A, d_k] instead, as a least-squares refit would take it.
+    which that bound falls below CERTIFIED_RATIO (100 x SVD_CUTOFF) may
+    lose a singular value to svd_keep, so its drop is taken from the kept
+    left singular vectors of [A, d_k] instead, as a least-squares refit
+    would take it.
     A P_k of norm below SVD_CUTOFF always loses one: its unit atom lies in
     the span of Q within the cutoff, and it gains 0. A selected or
     out-of-range candidate raises ValueError.
@@ -318,6 +296,10 @@ def recon_gain(
     sel, cands = _round_indices(selected, candidates, dictionary.K)
     atoms = dictionary.atoms
     Y = np.asarray(signals, dtype=np.float64)
+    if sigma_r is None:
+        sigma_r = max(0.1 * float(np.linalg.norm(Y, axis=0).mean()), 1e-12)
+    elif not (math.isfinite(sigma_r) and sigma_r > 0):
+        raise ValueError(f"sigma_r must be finite and positive, got {sigma_r!r}")
     u, s, _ = np.linalg.svd(atoms[:, sel], full_matrices=False)
     kept = svd_keep(s)
     Q = u[:, kept]
@@ -329,12 +311,12 @@ def recon_gain(
     keep = p_norm >= SVD_CUTOFF
     drop = np.divide(np.einsum("kj,kj->k", C, C), p_sq, out=np.zeros(cands.size), where=keep)
     s_ratio = s[kept][-1] / s[0] if kept.any() else 1.0
-    for i in np.flatnonzero(keep & (p_norm * s_ratio < _RANK_SCREEN)):
+    for i in np.flatnonzero(keep & (p_norm * s_ratio < CERTIFIED_RATIO)):
         u_ext, s_ext, _ = np.linalg.svd(atoms[:, sel + [cands[i]]], full_matrices=False)
         Q_ext = u_ext[:, svd_keep(s_ext)]
         R_ext = Y - Q_ext @ (Q_ext.T @ Y)
         drop[i] = np.sum(R * R) - np.sum(R_ext * R_ext)
-    return drop / (2.0 * model.sigma_r**2)
+    return drop / (2.0 * sigma_r**2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ vectors: compactness first, whose -inf entries (atoms the chosen ones
 explain) leave the pool for good, then discrimination (one KDE estimate
 per candidate) and reconstruction (one orthogonal projection); the pick
 is the first maximum of the weighted total. Weight estimation scores
-round 1 with the same function, every term, and keeps the best
+round 1 with the same function, every term that has a weight to set
+(discrimination only when the selection scores it), and keeps the best
 single-atom gain of each.
 
 Both variants run one greedy selection per group of (class id,
@@ -20,8 +21,10 @@ signals for reconstruction. Each group estimates its own weights unless
 the caller fixes them.
 
 Both take the active terms as ``ablation``, a nonempty subset of TERMS
-(all three by default), and the discrimination bandwidth as ``sigma``
-(None derives it from the scored codes by bandwidth_rule).
+(all three by default), the discrimination bandwidth as ``sigma`` (None
+derives it from the scored codes by bandwidth_rule) and the residual
+scale as ``sigma_r`` (None derives it from each group's own signals, see
+recon_gain).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 
 from .info_measures import (
     GpModel,
-    ResidualModel,
     build_gp_model,
     gp_compact_gains,
     mi_codes_labels,
@@ -96,7 +98,7 @@ def _score_round(
     pool: np.ndarray,
     terms: Collection[str],
     gp_model: GpModel | None,
-    residual_model: ResidualModel,
+    sigma_r: float | None,
     sigma: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score adding each atom of the pool to the chosen ones.
@@ -121,34 +123,37 @@ def _score_round(
         mi = np.array([mi_codes_labels(codes[chosen + [k], :], labels, sigma) for k in pool])
     recon = np.zeros(pool.size)
     if "reconstructive" in terms:
-        recon = recon_gain(dictionary, sel, pool, signals, residual_model)
+        recon = recon_gain(dictionary, sel, pool, signals, sigma_r)
     return pool, compact, mi, recon
 
 
 def estimate_lambdas(
     dictionary: Dictionary,
-    codes: np.ndarray,
+    codes: np.ndarray | None,
     labels: np.ndarray,
     signals: np.ndarray,
     gp_model: GpModel,
-    residual_model: ResidualModel,
+    sigma_r: float | None = None,
     sigma: float | None = None,
 ) -> SelectionWeights:
     """Data-driven weights: best single-atom gain ratios.
 
     lambda2 and lambda3 are the maxima of the single-atom discrimination
     and reconstruction gains divided by the maximal single-atom
-    compactness gain (the first greedy round, every term scored). codes
-    are the (K, N) coefficients over the whole dictionary; sigma is the
-    KDE bandwidth, None for bandwidth_rule.
+    compactness gain (the first greedy round). codes are the (K, N)
+    coefficients over the whole dictionary, or None, which scores no
+    discrimination and gives lambda2 = 0; sigma is the KDE bandwidth,
+    None for bandwidth_rule, and sigma_r the residual scale, None for
+    recon_gain's rule.
     """
     labels = np.asarray(labels, dtype=np.int64)
     K = dictionary.K
-    if codes.shape[0] != K:
+    if codes is not None and codes.shape[0] != K:
         raise ValueError("weight estimation needs codes over the full initial dictionary")
+    terms = TERMS if codes is not None else ("compact", "reconstructive")
     _, compact, mi, recon = _score_round(
-        dictionary, codes, labels, signals, [], np.arange(K), TERMS,
-        gp_model, residual_model, sigma,
+        dictionary, codes, labels, signals, [], np.arange(K), terms,
+        gp_model, sigma_r, sigma,
     )
     denom = float(np.max(compact))
     if not math.isfinite(denom) or denom <= 1e-12:
@@ -165,7 +170,7 @@ def _greedy_select(
     ablation: Collection[str],
     weights: SelectionWeights,
     gp_model: GpModel | None,
-    residual_model: ResidualModel,
+    sigma_r: float | None,
     sigma: float | None,
 ) -> tuple[Selection, tuple[RoundRecord, ...]]:
     chosen: list[int] = []
@@ -175,7 +180,7 @@ def _greedy_select(
     for t in range(T):
         pool, compact, mi, recon = _score_round(
             dictionary, init_coeffs, discrim_labels, recon_signals, chosen, pool,
-            ablation, gp_model, residual_model, sigma,
+            ablation, gp_model, sigma_r, sigma,
         )
         discrim = mi - mi_base
         total = compact + weights.lambda2 * discrim + weights.lambda3 * recon
@@ -211,7 +216,7 @@ def _check_select_args(dictionary: Dictionary, T: int, ablation: Collection[str]
 def scores_compactness(ablation: Collection[str], weights: SelectionWeights | None) -> bool:
     """Whether a selection scores the compactness term and so needs a GP
     model: its ablation keeps the term, or weights=None estimates the
-    weights, which scores every term."""
+    weights, which divides by the best compactness gain."""
     return "compact" in ablation or weights is None
 
 
@@ -223,32 +228,30 @@ def _select_groups(
     ablation: Collection[str],
     weights: SelectionWeights | None,
     gp_model: GpModel | None,
-    residual_model: ResidualModel | None,
+    sigma_r: float | None,
     sigma: float | None,
 ) -> list[SelectionResult]:
     """One greedy selection per (class_id, discrimination labels, own signals) group.
 
     The OMP codes and the GP model are shared by all groups, and each is
-    built only where a term uses it; the residual model defaults to each
-    group's own signals and the weights to each group's estimate.
+    built only where a term uses it: the codes only for the discrimination
+    term, whose weight estimate is 0 without it. The weights default to
+    each group's estimate.
     """
     _check_select_args(dictionary, T, ablation)
-    # the codes feed only the discrimination term and the weight estimate
-    uses_codes = "discriminative" in ablation or weights is None
-    codes = omp_codes(dictionary, signals, T) if uses_codes else None
+    codes = omp_codes(dictionary, signals, T) if "discriminative" in ablation else None
     if gp_model is None and scores_compactness(ablation, weights):
         gp_model = build_gp_model(dictionary.atoms)
     results: list[SelectionResult] = []
     for class_id, group_labels, group_signals in groups:
-        res_model = residual_model or ResidualModel.from_signals(group_signals)
         w = weights
         if w is None:
             w = estimate_lambdas(
-                dictionary, codes, group_labels, group_signals, gp_model, res_model, sigma
+                dictionary, codes, group_labels, group_signals, gp_model, sigma_r, sigma
             )
         selection, records = _greedy_select(
             dictionary, codes, group_labels, group_signals, T,
-            ablation, w, gp_model, res_model, sigma,
+            ablation, w, gp_model, sigma_r, sigma,
         )
         results.append(SelectionResult(selection, records, w, class_id))
     return results
@@ -263,7 +266,7 @@ def select_shared(
     weights: SelectionWeights | None = None,
     *,
     gp_model: GpModel | None = None,
-    residual_model: ResidualModel | None = None,
+    sigma_r: float | None = None,
     sigma: float | None = None,
 ) -> SelectionResult:
     """One common support of T atoms for all classes, scored on every signal.
@@ -274,7 +277,7 @@ def select_shared(
     labels = np.asarray(labels, dtype=np.int64)
     (result,) = _select_groups(
         dictionary, Y, [(None, labels, Y)], T, ablation, weights,
-        gp_model, residual_model, sigma,
+        gp_model, sigma_r, sigma,
     )
     return result
 
@@ -288,7 +291,7 @@ def select_dedicated(
     weights: SelectionWeights | None = None,
     *,
     gp_model: GpModel | None = None,
-    residual_model: ResidualModel | None = None,
+    sigma_r: float | None = None,
     sigma: float | None = None,
 ) -> list[SelectionResult]:
     """An independent support of T atoms per class.
@@ -307,7 +310,7 @@ def select_dedicated(
     groups = [(c, (labels == c).astype(np.int64), Y[:, labels == c]) for c in range(p)]
     return _select_groups(
         dictionary, Y, groups, T, ablation, weights,
-        gp_model, residual_model, sigma,
+        gp_model, sigma_r, sigma,
     )
 
 

@@ -73,11 +73,14 @@ def svd_keep(s: np.ndarray) -> np.ndarray:
     return (s >= SVD_CUTOFF * s[..., :1]) & (s > 0.0)
 
 
-# Largest ||R||_F ||R^-1||_F of a certified triangular factor. The product
-# bounds s_max/s_min, so a certified matrix has s_min/s_max >= 100 x
-# SVD_CUTOFF: the factor 100 covers the rounding gap, of order n eps
-# s_max, between the singular values of R and those the SVD computes.
-_MAX_COND = 1.0 / (100.0 * SVD_CUTOFF)
+# Smallest s_min/s_max that is certain to keep every singular value under
+# svd_keep: the factor 100 covers the rounding gap, of order n eps s_max,
+# between a factor's singular values and those the SVD computes.
+CERTIFIED_RATIO = 100.0 * SVD_CUTOFF
+
+# Largest ||R||_F ||R^-1||_F of a certified triangular factor; the product
+# bounds s_max/s_min.
+_MAX_COND = 1.0 / CERTIFIED_RATIO
 
 
 def _certified_inverse(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from itdl.dataset import Dataset
-from itdl.info_measures import ascent_bandwidth, qmi, qmi_grad_codes
+from itdl.info_measures import GP_VAR_FLOOR, ascent_bandwidth, qmi, qmi_grad_codes
 from itdl.itdu import UpdateState, backtrack_step
 from itdl.sparse_coding import Dictionary, Selection, pinv, svd_keep, unit_columns
 
@@ -423,13 +423,13 @@ def gp_compact_gain(model, selected, candidate):
     Returns -inf when the selected set already explains the candidate.
     """
     sel = list(selected.indices)
-    K = model.size
+    K = model.cov.shape[0]
     if candidate in sel:
         raise ValueError("candidate already selected")
     if len(sel) + 1 >= K:
         raise ValueError("complement side would be empty")
     v_sel = _cond_var(model.cov, candidate, sel)
-    if v_sel < model.var_floor:
+    if v_sel < GP_VAR_FLOOR:
         return -math.inf
     comp = [i for i in range(K) if i != candidate and i not in set(sel)]
     v_comp = max(_cond_var(model.cov, candidate, comp), 1e-300)
@@ -444,7 +444,7 @@ def _residual_sq(atoms, indices, signals):
     return float(np.sum(resid * resid))
 
 
-def loop_recon_gain(dictionary, selected, candidate, signals, model):
+def loop_recon_gain(dictionary, selected, candidate, signals, sigma_r):
     """Reconstruction gain of one candidate atom: the drop in total squared
     residual over 2 sigma_r^2, with an svd_pinv least-squares refit on the
     support before and after the candidate joins it."""
@@ -454,12 +454,12 @@ def loop_recon_gain(dictionary, selected, candidate, signals, model):
     Y = np.asarray(signals, dtype=np.float64)
     base = _residual_sq(dictionary.atoms, sel, Y)
     extended = _residual_sq(dictionary.atoms, sel + [candidate], Y)
-    return (base - extended) / (2.0 * model.sigma_r**2)
+    return (base - extended) / (2.0 * sigma_r**2)
 
 
 def gp_total_mi(model, subset):
     """Mutual information between a subset and its complement under the GP."""
-    K = model.size
+    K = model.cov.shape[0]
     sub = sorted(set(subset))
     comp = [i for i in range(K) if i not in set(sub)]
     if not sub or not comp:

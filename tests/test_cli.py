@@ -393,13 +393,15 @@ class TestCliErrors:
         assert capsys.readouterr().err == f"error: configuration: {cfg}: not an ASCII text file\n"
         assert not out.exists()
 
-    def test_update_without_selection_exit_1(self, tmp_path, capsys):
+    def test_update_without_dictionary_exit_1_names_file(self, tmp_path, capsys):
         train_csv, _ = write_data(tmp_path)
         cfg = write_config(tmp_path)
-        rc = main(["update", "--config", str(cfg), "--train", str(train_csv), "--out", str(tmp_path / "empty")])
+        out = tmp_path / "empty"
+        rc = main(["update", "--config", str(cfg), "--train", str(train_csv), "--out", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "artifact" in err and "update" in err
+        assert capsys.readouterr().err == (
+            f"error: stage update failed: missing dictionary artifact: {out / 'dict_initial.itdl'}\n"
+        )
 
     def test_missing_selection_artifact_exit_1_names_file(self, tmp_path, capsys):
         train_csv, _ = write_data(tmp_path)

@@ -1,4 +1,4 @@
-"""The README's configuration documentation matches the CLI."""
+"""The README's configuration documentation matches the CLI, and its Library example runs."""
 
 import re
 from pathlib import Path
@@ -21,3 +21,11 @@ def test_flag_list_names_every_config_key():
     assert listed, "README has no CLI flag list"
     flags = re.findall(r"`(--[a-z0-9-]+)`", listed.group(1))
     assert flags == [f"--{key.replace('_', '-')}" for key in CONFIG_KEYS]
+
+
+def test_library_example_runs():
+    block = re.search(r"## Library\n\n```python\n(.*?)```", README, re.S)
+    assert block, "README has no Library example"
+    namespace = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    assert namespace["codes"].shape == (2, namespace["test"].size)

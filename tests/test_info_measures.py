@@ -26,7 +26,6 @@ from helpers import (
 from itdl.info_measures import (
     GP_JITTER,
     GpModel,
-    ResidualModel,
     bandwidth_rule,
     bayes_bound,
     build_gp_model,
@@ -249,7 +248,7 @@ class TestGpCompactness:
             with pytest.raises(ValueError, match="outside the atom indices"):
                 gp_compact_gains(model, selected, cands)
             with pytest.raises(ValueError, match="outside the atom indices"):
-                recon_gain(d, selected, cands, Y, ResidualModel(sigma_r=1.0))
+                recon_gain(d, selected, cands, Y, 1.0)
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)
@@ -314,43 +313,52 @@ class TestGpCompactness:
 class TestReconGain:
     @pytest.mark.parametrize("sigma_r", [0.0, -1.0, float("nan"), float("inf")])
     def test_residual_scale_must_be_finite_and_positive(self, sigma_r):
+        d = random_unit_dictionary(12, 6, 8)
+        Y = np.random.default_rng(12).standard_normal((6, 3))
         with pytest.raises(ValueError, match="sigma_r must be finite and positive"):
-            ResidualModel(sigma_r)
+            recon_gain(d, Selection(), [0, 1], Y, sigma_r)
+
+    def test_no_residual_scale_is_a_tenth_of_the_mean_signal_norm(self):
+        d = random_unit_dictionary(12, 6, 8)
+        Y = np.random.default_rng(12).standard_normal((6, 5)) * np.arange(1.0, 6.0)
+        sel = Selection(indices=(2,))
+        sigma_r = 0.1 * float(np.mean(np.linalg.norm(Y, axis=0)))
+        want = recon_gain(d, sel, [0, 1, 5], Y, sigma_r)
+        assert np.array_equal(recon_gain(d, sel, [0, 1, 5], Y), want)
 
     def test_in_span_signals_zero_gain(self):
         d = random_unit_dictionary(12, 6, 8)
         sel = Selection(indices=(0, 1))
         Y = d.atoms[:, :2] @ np.random.default_rng(0).standard_normal((2, 5))
-        model = ResidualModel(sigma_r=0.5)
-        gains = recon_gain(d, sel, list(range(2, 8)), Y, model)
+        sigma_r = 0.5
+        gains = recon_gain(d, sel, list(range(2, 8)), Y, sigma_r)
         np.testing.assert_allclose(gains, 0.0, atol=1e-9)
 
     def test_unit_atom_from_empty(self):
         d = random_unit_dictionary(13, 6, 8)
         y = d.atoms[:, 4][:, None]
-        model = ResidualModel(sigma_r=0.3)
-        (got,) = recon_gain(d, Selection(), [4], y, model)
+        sigma_r = 0.3
+        (got,) = recon_gain(d, Selection(), [4], y, sigma_r)
         assert got == pytest.approx(1.0 / (2 * 0.3**2), rel=1e-10)
 
     def test_never_negative(self):
         rng = np.random.default_rng(14)
         d = random_unit_dictionary(14, 7, 12)
         Y = rng.standard_normal((7, 9))
-        model = ResidualModel(sigma_r=1.0)
+        sigma_r = 1.0
         for _ in range(50):
             k = int(rng.integers(0, 4))
             sel = Selection(indices=tuple(rng.choice(12, size=k, replace=False).tolist()))
             cands = [c for c in range(12) if c not in sel.indices]
-            assert (recon_gain(d, sel, cands, Y, model) >= -1e-10).all()
+            assert (recon_gain(d, sel, cands, Y, sigma_r) >= -1e-10).all()
 
     def test_greedy_matches_somp_on_planted_instances(self):
         for seed in range(5):
             d, Y, _ = planted_support_instance(seed)
-            model = ResidualModel.from_signals(Y)
             chosen = []
             for _ in range(4):
                 cands = [k for k in range(d.K) if k not in chosen]
-                gains = recon_gain(d, Selection(indices=tuple(chosen)), cands, Y, model)
+                gains = recon_gain(d, Selection(indices=tuple(chosen)), cands, Y)
                 chosen.append(cands[int(np.argmax(gains))])
             sel, _ = somp(d, Y, 4)
             assert set(chosen) == set(sel.indices)
@@ -377,12 +385,12 @@ class TestReconGain:
         atoms /= np.linalg.norm(atoms, axis=0)
         d = Dictionary(atoms=atoms)
         Y = rng.standard_normal((n, int(rng.integers(1, 6))))
-        model = ResidualModel(sigma_r=float(rng.uniform(0.1, 2.0)))
+        sigma_r = float(rng.uniform(0.1, 2.0))
         selected = Selection(indices=tuple(sel))
         cands = [k for k in range(K) if k not in sel]
-        got = recon_gain(d, selected, cands, Y, model)
-        want = [loop_recon_gain(d, selected, k, Y, model) for k in cands]
-        scale = float(np.sum(Y * Y)) / (2.0 * model.sigma_r**2)
+        got = recon_gain(d, selected, cands, Y, sigma_r)
+        want = [loop_recon_gain(d, selected, k, Y, sigma_r) for k in cands]
+        scale = float(np.sum(Y * Y)) / (2.0 * sigma_r**2)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
         if sel:
             assert got[-2] == 0.0 and got[-1] == 0.0
@@ -404,10 +412,10 @@ class TestReconGain:
         assert 5e-11 < s[-1] / s[0] < 7e-11
         d = Dictionary(atoms=atoms)
         Y = np.column_stack([e[2] + 0.5 * e[3], e[3] - e[2]])
-        model = ResidualModel(sigma_r=1.0)
+        sigma_r = 1.0
         chosen = Selection(indices=(0, 1, 2))
-        got = recon_gain(d, chosen, [3, 4], Y, model)
-        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (3, 4)]
+        got = recon_gain(d, chosen, [3, 4], Y, sigma_r)
+        want = [loop_recon_gain(d, chosen, k, Y, sigma_r) for k in (3, 4)]
         np.testing.assert_allclose(want, [1.0, 0.5625], rtol=1e-12)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -421,10 +429,10 @@ class TestReconGain:
         s = np.linalg.svd(d.atoms[:, :2], compute_uv=False)
         assert 6e-11 < s[-1] / s[0] < 7e-11
         Y = np.column_stack([e[1], e[0] + e[1]])
-        model = ResidualModel(sigma_r=1.0)
+        sigma_r = 1.0
         chosen = Selection(indices=(0,))
-        got = recon_gain(d, chosen, [1, 2, 3], Y, model)
-        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (1, 2, 3)]
+        got = recon_gain(d, chosen, [1, 2, 3], Y, sigma_r)
+        want = [loop_recon_gain(d, chosen, k, Y, sigma_r) for k in (1, 2, 3)]
         assert want[0] == pytest.approx(6.5e-11, rel=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-15)
 
@@ -436,10 +444,10 @@ class TestReconGain:
         unit = lambda v: v / np.linalg.norm(v)
         d = Dictionary(atoms=np.column_stack([e[0], unit(e[0] + eps * e[1]), e[2], e[3]]))
         Y = np.column_stack([e[1], e[0] + e[1], e[0] - e[1] + 0.3 * e[2]])
-        model = ResidualModel(sigma_r=1.0)
+        sigma_r = 1.0
         chosen = Selection(indices=(0,))
-        got = recon_gain(d, chosen, [1, 2, 3], Y, model)
-        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (1, 2, 3)]
+        got = recon_gain(d, chosen, [1, 2, 3], Y, sigma_r)
+        want = [loop_recon_gain(d, chosen, k, Y, sigma_r) for k in (1, 2, 3)]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_candidate_that_costs_a_kept_direction_matches_pinv(self):
@@ -451,10 +459,10 @@ class TestReconGain:
         unit = lambda v: v / np.linalg.norm(v)
         d = Dictionary(atoms=np.column_stack([e[0], unit(e[0] + 2.2e-10 * e[1]), unit(e[0] + e[2]), e[3]]))
         Y = np.column_stack([e[1], e[2], e[0] + e[2]])
-        model = ResidualModel(sigma_r=1.0)
+        sigma_r = 1.0
         chosen = Selection(indices=(0, 1))
-        got = recon_gain(d, chosen, [2, 3], Y, model)
-        want = [loop_recon_gain(d, chosen, k, Y, model) for k in (2, 3)]
+        got = recon_gain(d, chosen, [2, 3], Y, sigma_r)
+        want = [loop_recon_gain(d, chosen, k, Y, sigma_r) for k in (2, 3)]
         np.testing.assert_allclose(want, [0.5, 0.0], atol=1e-12)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -462,7 +470,7 @@ class TestReconGain:
         d = random_unit_dictionary(15, 6, 8)
         Y = np.random.default_rng(15).standard_normal((6, 3))
         with pytest.raises(ValueError, match="already selected"):
-            recon_gain(d, Selection(indices=(0, 3)), [1, 3, 5], Y, ResidualModel(sigma_r=1.0))
+            recon_gain(d, Selection(indices=(0, 3)), [1, 3, 5], Y, 1.0)
 
 
 class TestQmi:

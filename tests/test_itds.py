@@ -12,7 +12,6 @@ from itdl import itds
 from itdl.dataset import synth_gaussian_classes
 from itdl.info_measures import (
     GpModel,
-    ResidualModel,
     build_gp_model,
     mi_codes_labels,
 )
@@ -48,15 +47,16 @@ class TestWeights:
     def test_estimate_matches_rederivation(self):
         ds, d, codes = small_problem(seed=3)
         gp = build_gp_model(d.atoms)
-        res_model = ResidualModel.from_signals(ds.signals)
-        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
-        # literally run the three separate first greedy steps
+        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp)
+        # literally run the three separate first greedy steps, sigma_r a
+        # tenth of the mean signal norm
+        sigma_r = 0.1 * float(np.linalg.norm(ds.signals, axis=0).mean())
         compact = max(gp_compact_gain(gp, Selection(), i) for i in range(d.K))
         discrim = max(
             mi_codes_labels(codes[i : i + 1], ds.labels) for i in range(d.K)
         )
         recon = max(
-            loop_recon_gain(d, Selection(), i, ds.signals, res_model) for i in range(d.K)
+            loop_recon_gain(d, Selection(), i, ds.signals, sigma_r) for i in range(d.K)
         )
         assert w.lambda2 == pytest.approx(discrim / compact, rel=1e-12)
         assert w.lambda3 == pytest.approx(recon / compact, rel=1e-12)
@@ -65,13 +65,13 @@ class TestWeights:
         ds, d, codes = small_problem(seed=4)
         gp = GpModel(cov=np.eye(d.K))
         with pytest.raises(WeightsError):
-            estimate_lambdas(d, codes, ds.labels, ds.signals, gp, ResidualModel(1.0))
+            estimate_lambdas(d, codes, ds.labels, ds.signals, gp, 1.0)
 
     def test_codes_must_cover_dictionary(self):
         ds, d, codes = small_problem(seed=5)
-        gp, res_model = build_gp_model(d.atoms), ResidualModel.from_signals(ds.signals)
+        gp = build_gp_model(d.atoms)
         with pytest.raises(ValueError):
-            estimate_lambdas(d, codes[:3], ds.labels, ds.signals, gp, res_model)
+            estimate_lambdas(d, codes[:3], ds.labels, ds.signals, gp)
 
 
 class TestSelectShared:
@@ -110,8 +110,7 @@ class TestSelectShared:
             ds = synth_gaussian_classes(16, 4, 30, 0.35, seed)
             d = ksvd_init(ds.signals, 24, 3, 2, seed + 50)
             codes = omp_codes(d, ds.signals, 3)
-            gp, res_model = build_gp_model(d.atoms), ResidualModel.from_signals(ds.signals)
-            w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
+            w = estimate_lambdas(d, codes, ds.labels, ds.signals, build_gp_model(d.atoms))
             accs = {}
             for tag, mode, wts in (
                 ("full", TERMS, w),
@@ -127,12 +126,11 @@ class TestSelectShared:
     def test_argmax_property_by_rescoring(self):
         ds, d, codes = small_problem(seed=7)
         gp = build_gp_model(d.atoms)
-        res_model = ResidualModel.from_signals(ds.signals)
-        sigma = 0.3
-        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model, sigma)
+        sigma, sigma_r = 0.3, 0.2
+        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, sigma_r, sigma)
         res = select_shared(
             d, ds.signals, ds.labels, 3, TERMS, w,
-            gp_model=gp, residual_model=res_model, sigma=sigma,
+            gp_model=gp, sigma_r=sigma_r, sigma=sigma,
         )
         chosen = []
         for record in res.rounds:
@@ -145,7 +143,7 @@ class TestSelectShared:
                     continue
                 gc = gp_compact_gain(gp, sel, cand)
                 gd = mi_codes_labels(codes[chosen + [cand], :], ds.labels, sigma) - mi_base
-                gr = loop_recon_gain(d, sel, cand, ds.signals, res_model)
+                gr = loop_recon_gain(d, sel, cand, ds.signals, sigma_r)
                 total = gc + w.lambda2 * gd + w.lambda3 * gr
                 assert record.gain_total >= total - 1e-9
             chosen.append(record.index)
@@ -153,10 +151,9 @@ class TestSelectShared:
     def test_no_weights_estimates_them(self):
         ds, d, codes = small_problem(seed=11)
         gp = build_gp_model(d.atoms)
-        res_model = ResidualModel.from_signals(ds.signals)
-        kw = dict(gp_model=gp, residual_model=res_model)
+        kw = dict(gp_model=gp, sigma_r=0.2)
         auto = select_shared(d, ds.signals, ds.labels, 3, TERMS, **kw)
-        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, res_model)
+        w = estimate_lambdas(d, codes, ds.labels, ds.signals, gp, 0.2)
         given = select_shared(d, ds.signals, ds.labels, 3, TERMS, w, **kw)
         assert auto.weights == w
         assert auto.selection == given.selection
@@ -290,8 +287,7 @@ class TestSelectDedicated:
         for r in res:
             own = ds.signals[:, ds.labels == r.class_id]
             labels01 = (ds.labels == r.class_id).astype(np.int64)
-            res_model = ResidualModel.from_signals(own)
-            assert r.weights == estimate_lambdas(d, codes, labels01, own, gp, res_model)
+            assert r.weights == estimate_lambdas(d, codes, labels01, own, gp)
 
 
 class TestInitialCodes:
@@ -300,14 +296,14 @@ class TestInitialCodes:
         "ablation,weights,coded",
         [
             (frozenset({"compact", "reconstructive"}), SelectionWeights(lambda3=1.0), False),
-            (frozenset({"compact", "reconstructive"}), None, True),
+            (frozenset({"compact", "reconstructive"}), None, False),
             (frozenset(TERMS), SelectionWeights(1.0, 1.0), True),
         ],
         ids=["ablated-given", "ablated-estimated", "all-given"],
     )
     def test_codes_made_only_when_used(self, monkeypatch, select, ablation, weights, coded):
-        # the OMP codes feed only the discrimination term and the weight
-        # estimate; without either, none are made, and the selection is the same
+        # the OMP codes feed only the discrimination term: without it none
+        # are made, and the selection is the same
         ds, d, codes = small_problem(seed=16)
         want = select(d, ds.signals, ds.labels, 3, ablation, weights)
         calls = []
@@ -320,6 +316,31 @@ class TestInitialCodes:
         got = select(d, ds.signals, ds.labels, 3, ablation, weights)
         assert len(calls) == int(coded)
         assert got == want
+
+    @pytest.mark.parametrize("select", [select_shared, select_dedicated])
+    def test_estimate_without_discrimination_makes_no_codes_and_no_kde_call(
+        self, monkeypatch, select
+    ):
+        # auto weights for a selection that does not score discrimination:
+        # lambda2 is 0 with neither OMP codes nor a KDE estimate behind it,
+        # and the atoms are those of the same selection with weights fixed
+        # at (0, the estimated lambda3)
+        ds, d, _ = small_problem(seed=18)
+        ablation = frozenset({"compact", "reconstructive"})
+        gp = build_gp_model(d.atoms)
+        calls = []
+        for name in ("omp_codes", "mi_codes_labels"):
+            real = getattr(itds, name)
+            spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            monkeypatch.setattr(itds, name, spy)
+        auto = select(d, ds.signals, ds.labels, 3, ablation, gp_model=gp)
+        assert calls == []
+        for res in auto if isinstance(auto, list) else [auto]:
+            assert res.weights.lambda2 == 0.0 and res.weights.lambda3 > 0.0
+            fixed = select(d, ds.signals, ds.labels, 3, ablation, res.weights, gp_model=gp)
+            if isinstance(fixed, list):
+                fixed = fixed[res.class_id]
+            assert res.selection.indices == fixed.selection.indices
 
 
 class TestGpModel:
