@@ -5,8 +5,8 @@ GP covariance over the atoms.
 Vectorized numpy, one implementation per kernel. Accumulation order is
 fixed, so every kernel reproduces its own results bit for bit.
 
-Sample matrices are (N, d) float64, labels int64 in {0..p-1}, counts
-int64 of length p.
+Sample and point matrices are (N, d) float64, labels and classes int64
+in {0..p-1}, counts int64 of length p and point weights float64.
 
 No kernel builds an N x N matrix. One walker, _sq_dist_tiles, computes
 squared distances a tile of rows at a time, into one buffer that every
@@ -29,11 +29,10 @@ pair once, about half of the N^2 pairs. A kernel adds the square block
 once and mirrors the pairs right of it to the rows of their columns.
 
 The kernels:
-- The class-kernel sums (resubstitution KDE) walk the band of the
-  active rows of sparse codes only. All-zero rows coincide, so their
-  pairs come in closed form: kernel 1 between two of them, and
-  exp(-|x_a|^2 / (2 var)) between one of them and active row a. Dense
-  codes are the case without all-zero rows.
+- The class-kernel sums (resubstitution KDE) walk the band of weighted
+  points, each standing for that many coinciding samples of one class.
+  The caller merges each class's all-zero codes into one point, so
+  sparse codes make few points and dense codes one per sample.
 - The quadratic-MI value and gradient sort the samples by class once
   (stable) and walk band tiles that stay inside one class: the value as
   class-weighted column sums, the gradient as one product for the tile's
@@ -128,33 +127,16 @@ def _kernel_row_tiles(x, bounds, var):
 # class-conditional Gaussian sums (resubstitution KDE)
 # ---------------------------------------------------------------------------
 
-def class_kernel_sums(x, labels, var):
-    active = x.any(axis=1)
-    xa, la = x[active], labels[active]
-    # All-zero rows coincide: kernel 1 between two of them, and k0[a]
-    # between one of them and active row a. zeros and k0_class sum these
-    # per class; a zero row's marginal adds up the per-class totals, so
-    # that with one class s_own == s_all bit for bit.
-    k0 = np.exp((xa * xa).sum(axis=1) * (-0.5 / var))
-    zeros = np.bincount(labels, weights=~active)
-    k0_class = np.bincount(la, weights=k0, minlength=len(zeros))
-    n_zero = len(x) - len(xa)
-    s_all = np.full(len(x), n_zero + k0_class.sum())
-    s_own = (zeros + k0_class)[labels]
-    # active rows: their pairs with the zero rows, then the band of the active rows
-    row_all, row_own = n_zero * k0, zeros[la] * k0
-    for _, tile, w in _kernel_row_tiles(xa, (0, len(xa)), var):
+def class_kernel_sums(points, classes, weights, var):
+    s_all, s_own = np.zeros(len(points)), np.zeros(len(points))
+    for _, tile, w in _kernel_row_tiles(points, (0, len(points)), var):
         k = tile.stop - tile.start
-        w_own = w * (la[tile, None] == la[tile.start :])
-        row_all[tile] += w.sum(axis=1)
-        row_own[tile] += w_own.sum(axis=1)
-        # the active rows right of the tile (none after the last tile) take
-        # their pairs with the tile's rows
-        if k < w.shape[1]:
-            row_all[tile.stop :] += w[:, k:].sum(axis=0)
-            row_own[tile.stop :] += w_own[:, k:].sum(axis=0)
-    s_all[active] = row_all
-    s_own[active] = row_own
+        w_own = w * (classes[tile, None] == classes[tile.start :])
+        s_all[tile] += w @ weights[tile.start :]
+        s_own[tile] += w_own @ weights[tile.start :]
+        # the points right of the tile take their pairs with the tile's rows
+        s_all[tile.stop :] += weights[tile] @ w[:, k:]
+        s_own[tile.stop :] += weights[tile] @ w_own[:, k:]
     return s_all, s_own
 
 

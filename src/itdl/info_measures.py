@@ -78,9 +78,12 @@ def bandwidth_rule(codes: np.ndarray) -> float:
 
     Floored at BANDWIDTH_FLOOR. Sparse codes whose columns are mostly all
     zero have a median of exactly 0 (see median_pairwise_distance), so
-    they resolve to the floor without a distance pass.
+    they resolve to the floor without a distance pass. Non-finite codes
+    raise ValueError.
     """
     codes = np.asarray(codes, dtype=np.float64)
+    if not np.isfinite(codes).all():
+        raise ValueError("codes must be finite (they hold nan or inf)")
     d, n = codes.shape
     return max(median_pairwise_distance(codes) * n ** (-1.0 / (d + 4)), BANDWIDTH_FLOOR)
 
@@ -92,24 +95,29 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
     cloud; at the density-estimation scale only nearest neighbours
     interact and the ascent scatters codes instead of grouping classes.
     Eight median pairwise distances keeps every pair coupled, floored at
-    BANDWIDTH_FLOOR.
+    BANDWIDTH_FLOOR. Non-finite codes raise ValueError.
     """
+    if not np.isfinite(codes).all():
+        raise ValueError("codes must be finite (they hold nan or inf)")
     return max(8.0 * median_pairwise_distance(codes), BANDWIDTH_FLOOR)
 
 
 def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *, rule: bool):
     """Codes, labels and bandwidth as the kernels take them.
 
-    Returns the float (d, N) codes (1-d codes are one row), the contiguous
-    (N, d) samples, the int64 labels, their class counts and the squared
-    bandwidth. A given sigma must be finite and positive; None derives it
-    by bandwidth_rule where ``rule`` is set and is an error otherwise (the
-    quadratic MI). The samples are None when fewer than two classes are
-    present, where every measure is zero.
+    Returns the float (d, N) codes (1-d codes are one row), the int64
+    labels, their class counts and the squared bandwidth. Labels must be
+    one per code column. A given sigma must be finite and positive; None
+    derives it by bandwidth_rule where ``rule`` is set and is an error
+    otherwise (the quadratic MI). The counts are None when fewer than two
+    classes are present, where every measure is zero.
     """
     codes = np.asarray(codes, dtype=np.float64)
     if codes.ndim == 1:
         codes = codes[None, :]
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or labels.size != codes.shape[1]:
+        raise ValueError(f"{labels.size} labels for {codes.shape[1]} code columns; need one label per column")
     if sigma is None:
         if not rule:
             raise ValueError(
@@ -118,29 +126,36 @@ def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *
         sigma = bandwidth_rule(codes)
     elif not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"bandwidth sigma must be finite and positive, got {sigma!r}")
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
     counts = np.bincount(labels)
-    x = np.ascontiguousarray(codes.T) if np.count_nonzero(counts) >= 2 else None
     sigma = float(sigma)
-    return codes, x, labels, counts, sigma * sigma
+    return codes, labels, (counts if np.count_nonzero(counts) >= 2 else None), sigma * sigma
 
 
 def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None = None) -> float:
     """Resubstitution estimate of I(codes; labels), clamped at zero.
 
     sigma is the kernel bandwidth; None derives it from the codes by
-    bandwidth_rule.
+    bandwidth_rule. Non-finite codes raise ValueError.
 
     H(X) and H(X|c) use the same KDE evaluated at the samples themselves;
     the kernel normalization cancels in the difference, so only the
-    class-conditional and marginal kernel sums are needed.
+    class-conditional and marginal kernel sums are needed: over a point per
+    nonzero column, and a point per class weighted by its all-zero columns.
     """
-    _, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=True)
-    if x is None:
+    codes, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=True)
+    if counts is None:
         return 0.0
-    s_all, s_own = class_kernel_sums(x, labels, var)
-    n = x.shape[0]
-    mi = float(np.mean(np.log(s_own / counts[labels]) - np.log(s_all / n)))
+    active = codes.any(axis=0)
+    zeros = np.bincount(labels[~active], minlength=len(counts))
+    merged = np.flatnonzero(zeros)
+    points = np.concatenate((codes[:, active].T, np.zeros((len(merged), len(codes)))))
+    classes = np.concatenate((labels[active], merged))
+    weights = np.concatenate((np.ones(len(points) - len(merged)), zeros[merged]))
+    s_all, s_own = class_kernel_sums(points, classes, weights, var)
+    n = len(labels)
+    mi = float(weights @ (np.log(s_own / counts[classes]) - np.log(s_all / n))) / n
+    if not math.isfinite(mi):
+        raise ValueError("codes must be finite (they hold nan or inf)")
     return max(mi, 0.0)
 
 
@@ -332,13 +347,15 @@ def qmi(
     single-class labeling gives exactly zero. grad=True returns (value,
     gradient with respect to every code column, shape (d, N)) from one
     pass over the pairs (_kernels.qmi_grad), the value bit for bit the
-    one grad=False returns.
+    one grad=False returns. Non-finite codes give a non-finite value,
+    not an error: the ascent's backtracking rejects such a trial.
     """
-    codes, x, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=False)
+    codes, labels, counts, var = _kernel_inputs(codes, labels, sigma, rule=False)
+    if counts is None:
+        return (0.0, np.zeros_like(codes)) if grad else 0.0
+    x = np.ascontiguousarray(codes.T)
     if not grad:
-        return 0.0 if x is None else float(qmi_value(x, labels, counts, var))
-    if x is None:
-        return 0.0, np.zeros_like(codes)
+        return float(qmi_value(x, labels, counts, var))
     value, g = qmi_grad(x, labels, counts, var)
     return float(value), np.ascontiguousarray(g.T)
 

@@ -26,6 +26,7 @@ from helpers import (
 from itdl.info_measures import (
     GP_JITTER,
     GpModel,
+    ascent_bandwidth,
     bandwidth_rule,
     bayes_bound,
     build_gp_model,
@@ -671,3 +672,42 @@ class TestBandwidth:
         for measure in (qmi, qmi_grad_codes):
             with pytest.raises(ValueError, match="quadratic MI needs a given bandwidth sigma"):
                 measure(codes, np.array(labels), None)
+
+
+class TestMeasureInputs:
+    @pytest.mark.parametrize("n_labels", [5, 7], ids=["one-short", "one-extra"])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_qmi_needs_one_label_per_code_column(self, n_labels, grad):
+        codes = np.random.default_rng(2).standard_normal((2, 6))
+        with pytest.raises(ValueError, match=f"{n_labels} labels for 6 code columns"):
+            qmi(codes, np.arange(n_labels) % 2, 0.5, grad=grad)
+
+    @pytest.mark.parametrize("n_labels", [5, 7], ids=["one-short", "one-extra"])
+    @pytest.mark.parametrize("sigma", [None, 0.5])
+    def test_mi_codes_labels_needs_one_label_per_code_column(self, n_labels, sigma):
+        codes = np.random.default_rng(2).standard_normal((2, 6))
+        with pytest.raises(ValueError, match=f"{n_labels} labels for 6 code columns"):
+            mi_codes_labels(codes, np.arange(n_labels) % 2, sigma)
+
+    @staticmethod
+    def nan_codes():
+        codes = np.random.default_rng(3).standard_normal((2, 6))
+        codes[1, 4] = np.nan
+        return codes, np.array([0, 0, 0, 1, 1, 1])
+
+    @pytest.mark.parametrize("rule", [bandwidth_rule, ascent_bandwidth])
+    def test_bandwidth_rules_reject_nan_codes(self, rule):
+        with pytest.raises(ValueError, match="codes must be finite"):
+            rule(self.nan_codes()[0])
+
+    @pytest.mark.parametrize("sigma", [None, 0.5])
+    def test_mi_codes_labels_rejects_nan_codes(self, sigma):
+        with pytest.raises(ValueError, match="codes must be finite"):
+            mi_codes_labels(*self.nan_codes(), sigma)
+
+    def test_qmi_of_nan_codes_is_not_finite(self):
+        # not an error: the ascent's backtracking rejects a non-finite trial
+        assert not math.isfinite(qmi(*self.nan_codes(), 0.5))
+        value, grad = qmi(*self.nan_codes(), 0.5, grad=True)
+        assert not math.isfinite(value)
+        assert not np.isfinite(grad).all()

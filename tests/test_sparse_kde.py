@@ -3,10 +3,12 @@
 median_pairwise_distance returns 0 without forming distances once the
 all-zero columns make up more than half of the pairs, and otherwise
 selects the middle distances in histogram passes over row tiles. The
-class kernel sums walk the band of the active rows only.
-Both must agree with the plain all-pairs forms in tests/helpers.py, with
-tiles small enough to split every class and histograms small enough to
-force every narrowing pass, and neither may hold an N x N matrix.
+class kernel sums walk the band of weighted points, and mi_codes_labels
+merges each class's all-zero code columns into one point.
+Both must agree with the plain all-pairs forms in tests/helpers.py, on
+the samples the points stand for, with tiles small enough to split every
+class and histograms small enough to force every narrowing pass, and
+neither may hold an N x N matrix.
 """
 
 from unittest import mock
@@ -23,7 +25,7 @@ from helpers import (
     dense_mi_codes_labels,
     peak_bytes,
 )
-from itdl import _kernels
+from itdl import _kernels, info_measures
 from itdl._kernels import class_kernel_sums
 from itdl.info_measures import bandwidth_rule, median_pairwise_distance, mi_codes_labels
 
@@ -57,9 +59,35 @@ def coded_labels(draw, grid=False, p=3):
     return codes, labels
 
 
-def kernel_sums(codes, labels, var):
-    x = np.ascontiguousarray(codes.T)
-    return class_kernel_sums(x, labels, var), dense_class_kernel_sums(x, labels, var)
+@st.composite
+def weighted_points(draw, grid=False, p=3, codes=None):
+    """(points, classes, weights): the columns of sparse_codes (or of the
+    given codes) as points, each of a class in 0..p-1 and standing for 1
+    to 4 samples."""
+    if codes is None:
+        codes = draw(sparse_codes(grid=grid))
+    n = codes.shape[1]
+    classes = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    return np.ascontiguousarray(codes.T), classes, weights
+
+
+def kernel_sums(points, classes, weights, var):
+    """class_kernel_sums repeated to the samples the points stand for, and
+    the dense sums over those samples."""
+    got = class_kernel_sums(points, classes, weights.astype(np.float64), var)
+    samples, labels = np.repeat(points, weights, axis=0), np.repeat(classes, weights)
+    return tuple(np.repeat(s, weights) for s in got), dense_class_kernel_sums(samples, labels, var)
+
+
+def zero_points(points, classes, weights):
+    """points, classes and weights followed by one all-zero point per class
+    0..len(weights) - 1 of its weight, as mi_codes_labels merges them."""
+    return (
+        np.vstack([points, np.zeros((len(weights), points.shape[1]))]),
+        np.concatenate([classes, np.arange(len(weights))]),
+        np.concatenate([np.ones(len(points), dtype=int), weights]),
+    )
 
 
 def threshold_cases(target):
@@ -121,24 +149,23 @@ class TestMedianPairwiseDistance:
 
 class TestClassKernelSums:
     @PROPERTY
-    @given(coded_labels(grid=True))
+    @given(weighted_points(grid=True))
     def test_floor_bandwidth_is_exact(self, data):
-        codes, labels = data
-        (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, FLOOR * FLOOR)
+        (s_all, s_own), (d_all, d_own) = kernel_sums(*data, FLOOR * FLOOR)
         np.testing.assert_array_equal(s_all, d_all)
         np.testing.assert_array_equal(s_own, d_own)
 
     @PROPERTY
-    @given(coded_labels(), st.floats(0.1, 3.0))
+    @given(weighted_points(), st.floats(0.1, 3.0))
     def test_fixed_sigma(self, data, sigma):
-        codes, labels = data
-        (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, sigma * sigma)
+        (s_all, s_own), (d_all, d_own) = kernel_sums(*data, sigma * sigma)
         np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
         np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
 
     def test_all_zero_codes(self):
-        labels = np.array([0, 1, 1, 2, 2, 2], dtype=np.int64)
-        (s_all, s_own), (d_all, d_own) = kernel_sums(np.zeros((2, 6)), labels, 0.25)
+        # the six all-zero samples of classes 0, 1, 1, 2, 2, 2 as mi_codes_labels passes them
+        data = zero_points(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.array([1, 2, 3]))
+        (s_all, s_own), (d_all, d_own) = kernel_sums(*data, 0.25)
         np.testing.assert_array_equal(s_all, np.full(6, 6.0))
         np.testing.assert_array_equal(s_own, [1.0, 2.0, 2.0, 3.0, 3.0, 3.0])
         np.testing.assert_array_equal(s_all, d_all)
@@ -146,38 +173,39 @@ class TestClassKernelSums:
 
     def test_no_zero_rows_is_the_dense_sum(self):
         rng = np.random.default_rng(5)
-        codes = rng.standard_normal((4, 30))
-        labels = rng.integers(0, 3, 30)
-        (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, 0.7)
-        np.testing.assert_array_equal(s_all, d_all)
-        np.testing.assert_array_equal(s_own, d_own)
+        points = rng.standard_normal((30, 4))
+        classes = rng.integers(0, 3, 30)
+        (s_all, s_own), (d_all, d_own) = kernel_sums(points, classes, np.ones(30, dtype=int), 0.7)
+        # rtol, not bit for bit: the weighted sum is a BLAS product, which
+        # adds in another order than the dense row sum
+        np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
 
     def test_self_kernel_is_exactly_one_at_the_floor(self):
-        # 12 random 4-dim active rows among 128 at the floor bandwidth: every
-        # other pair's kernel underflows to 0, so an active row's marginal
-        # sum is its kernel with itself, which is 1 only if its distance to
-        # itself is exactly 0 (the Gram formula alone leaves ~1e-15 here)
+        # 12 random 4-dim active points and the 116 all-zero samples of 3
+        # classes at the floor bandwidth: every other pair's kernel
+        # underflows to 0, so an active point's marginal sum is its kernel
+        # with itself, which is 1 only if its distance to itself is exactly
+        # 0 (the Gram formula alone leaves ~1e-15 here)
         rng = np.random.default_rng(0)
-        x = np.zeros((128, 4))
-        rows = rng.choice(128, 12, replace=False)
-        x[rows] = rng.standard_normal((12, 4))
-        labels = rng.integers(0, 3, 128)
-        s_all, _ = class_kernel_sums(x, labels, FLOOR * FLOOR)
-        np.testing.assert_array_equal(s_all[rows], 1.0)
+        points, classes, weights = zero_points(
+            rng.standard_normal((12, 4)), rng.integers(0, 3, 12), np.array([40, 39, 37])
+        )
+        s_all, _ = class_kernel_sums(points, classes, weights.astype(np.float64), FLOOR * FLOOR)
+        np.testing.assert_array_equal(s_all[:12], 1.0)
 
     def test_single_active_row(self):
-        codes = np.zeros((3, 8))
-        codes[:, 2] = [0.2, -0.1, 0.3]
-        labels = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int64)
-        (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, 0.09)
+        # one active sample of class 0, then the all-zero samples: 3 of
+        # class 0 and 4 of class 1
+        data = zero_points(np.array([[0.2, -0.1, 0.3]]), np.array([0]), np.array([3, 4]))
+        (s_all, s_own), (d_all, d_own) = kernel_sums(*data, 0.09)
         np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
         np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
 
     @PROPERTY
-    @given(sparse_codes(), st.floats(0.1, 3.0))
-    def test_single_class_labeling(self, codes, sigma):
-        labels = np.zeros(codes.shape[1], dtype=np.int64)
-        (s_all, s_own), (d_all, _) = kernel_sums(codes, labels, sigma * sigma)
+    @given(weighted_points(p=1), st.floats(0.1, 3.0))
+    def test_single_class_labeling(self, data, sigma):
+        (s_all, s_own), (d_all, _) = kernel_sums(*data, sigma * sigma)
         np.testing.assert_array_equal(s_own, s_all)
         np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
 
@@ -203,6 +231,23 @@ class TestMiCodesLabels:
     def test_single_class_labeling(self):
         codes = codes_with_zero_columns(12, 9, seed=2)
         assert mi_codes_labels(codes, np.zeros(12, dtype=np.int64), None) == 0.0
+
+    @pytest.mark.parametrize("sigma", [None, 0.5])
+    def test_kernel_sees_one_point_per_class_and_active_column(self, sigma):
+        # 15 active columns among 200 of 4 classes: at most 4 + 15 points
+        codes = codes_with_zero_columns(200, 185, seed=4)
+        labels = np.random.default_rng(4).integers(0, 4, 200)
+        rows = []
+
+        def spy(*args):
+            rows.append(len(args[0]))
+            return class_kernel_sums(*args)
+
+        with mock.patch.object(info_measures, "class_kernel_sums", spy):
+            got = mi_codes_labels(codes, labels, sigma)
+        assert len(rows) == 1 and rows[0] <= 4 + 15
+        want = dense_mi_codes_labels(codes, labels, sigma or bandwidth_rule(codes))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 @st.composite
@@ -232,10 +277,9 @@ class TestTiledKde:
     @given(tiled_codes(), st.integers(1, 5), st.floats(0.1, 3.0), st.data())
     def test_class_sums_fixed_sigma(self, case, p, sigma, data):
         codes, tile, _ = case
-        n = codes.shape[1]
-        labels = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        points = data.draw(weighted_points(p=p, codes=codes))
         with tiled(tile):
-            (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, sigma * sigma)
+            (s_all, s_own), (d_all, d_own) = kernel_sums(*points, sigma * sigma)
         np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
         np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
 
@@ -243,10 +287,9 @@ class TestTiledKde:
     @given(tiled_codes(grid=True), st.integers(1, 5), st.data())
     def test_class_sums_floor_bandwidth_is_exact(self, case, p, data):
         codes, tile, _ = case
-        n = codes.shape[1]
-        labels = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        points = data.draw(weighted_points(p=p, codes=codes))
         with tiled(tile):
-            (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, FLOOR * FLOOR)
+            (s_all, s_own), (d_all, d_own) = kernel_sums(*points, FLOOR * FLOOR)
         np.testing.assert_array_equal(s_all, d_all)
         np.testing.assert_array_equal(s_own, d_own)
 
@@ -289,14 +332,12 @@ class TestTiledKde:
 
     @pytest.mark.parametrize("tile", [1, 70, 1 << 16])
     def test_class_sums_compute_each_active_pair_once(self, tile):
-        # 20 active rows among 400: the band of the active rows makes at
-        # most A(A + step)/2 distances, where all active rows against all
-        # rows would make A * N = 8000
+        # 20 active points and the 380 all-zero samples of 3 classes as 3
+        # points: the band of the P = 23 points makes at most P(P + step)/2
+        # distances, where all active points against all 400 samples would
+        # make 20 * 400 = 8000
         rng = np.random.default_rng(8)
-        codes = np.zeros((3, 400))
-        active = rng.choice(400, 20, replace=False)
-        codes[:, active] = rng.standard_normal((3, 20))
-        labels = rng.integers(0, 3, 400)
+        data = zero_points(rng.standard_normal((20, 3)), rng.integers(0, 3, 20), np.array([130, 126, 124]))
         made = []
 
         def counted(left, right, out):
@@ -305,9 +346,9 @@ class TestTiledKde:
 
         sq_dists = _kernels._sq_dists
         with tiled(tile), mock.patch.object(_kernels, "_sq_dists", counted):
-            (s_all, s_own), (d_all, d_own) = kernel_sums(codes, labels, 0.5)
-        step = min(max(1, tile // 20), 20)  # a tile holds at most the 20 active rows
-        assert sum(made) <= 20 * (20 + step) // 2
+            (s_all, s_own), (d_all, d_own) = kernel_sums(*data, 0.5)
+        step = min(max(1, tile // 23), 23)  # a tile holds at most the 23 points
+        assert sum(made) <= 23 * (23 + step) // 2
         np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
         np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
 
