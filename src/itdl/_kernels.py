@@ -30,9 +30,9 @@ once and mirrors the pairs right of it to the rows of their columns.
 
 The kernels:
 - The class-kernel sums (resubstitution KDE) walk the band of weighted
-  points, each standing for that many coinciding samples of one class.
-  The caller merges each class's all-zero codes into one point, so
-  sparse codes make few points and dense codes one per sample.
+  points, each standing for that many coinciding samples of one class
+  (the caller merges each class's all-zero codes into one point). Weights
+  multiply elementwise, so unit weights give the plain row sums bit for bit.
 - The quadratic-MI value and gradient sort the samples by class once
   (stable) and walk band tiles that stay inside one class: the value as
   class-weighted column sums, the gradient as one product for the tile's
@@ -132,11 +132,11 @@ def class_kernel_sums(points, classes, weights, var):
     for _, tile, w in _kernel_row_tiles(points, (0, len(points)), var):
         k = tile.stop - tile.start
         w_own = w * (classes[tile, None] == classes[tile.start :])
-        s_all[tile] += w @ weights[tile.start :]
-        s_own[tile] += w_own @ weights[tile.start :]
+        s_all[tile] += (w * weights[tile.start :]).sum(axis=1)
+        s_own[tile] += (w_own * weights[tile.start :]).sum(axis=1)
         # the points right of the tile take their pairs with the tile's rows
-        s_all[tile.stop :] += weights[tile] @ w[:, k:]
-        s_own[tile.stop :] += weights[tile] @ w_own[:, k:]
+        s_all[tile.stop :] += (weights[tile, None] * w[:, k:]).sum(axis=0)
+        s_own[tile.stop :] += (weights[tile, None] * w_own[:, k:]).sum(axis=0)
     return s_all, s_own
 
 

@@ -153,7 +153,7 @@ def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None =
     weights = np.concatenate((np.ones(len(points) - len(merged)), zeros[merged]))
     s_all, s_own = class_kernel_sums(points, classes, weights, var)
     n = len(labels)
-    mi = float(weights @ (np.log(s_own / counts[classes]) - np.log(s_all / n))) / n
+    mi = float((weights * (np.log(s_own / counts[classes]) - np.log(s_all / n))).sum()) / n
     if not math.isfinite(mi):
         raise ValueError("codes must be finite (they hold nan or inf)")
     return max(mi, 0.0)

@@ -176,10 +176,8 @@ class TestClassKernelSums:
         points = rng.standard_normal((30, 4))
         classes = rng.integers(0, 3, 30)
         (s_all, s_own), (d_all, d_own) = kernel_sums(points, classes, np.ones(30, dtype=int), 0.7)
-        # rtol, not bit for bit: the weighted sum is a BLAS product, which
-        # adds in another order than the dense row sum
-        np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(s_all, d_all)
+        np.testing.assert_array_equal(s_own, d_own)
 
     def test_self_kernel_is_exactly_one_at_the_floor(self):
         # 12 random 4-dim active points and the 116 all-zero samples of 3
