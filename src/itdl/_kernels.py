@@ -43,7 +43,8 @@ The kernels:
   in histogram passes over the band (sq_dist_median_pair), each pass
   taking the pairs i < j of every tile.
 - The GP covariance over the atoms (info_measures.build_gp_model), K x K
-  by definition, is the kernel tiles' upper triangle and its mirror.
+  by definition, is the kernel of the distance tiles' upper triangle
+  and its mirror, with the near pairs' distances made exact there.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ def stage_select(cfg: RunConfig, train: dataset.Dataset, out: Path) -> None:
             lambda2=cfg.lambda2 if cfg.lambda2 is not None else 0.0,
             lambda3=cfg.lambda3 if cfg.lambda3 is not None else 0.0,
         )
-    compact = itds.scores_compactness(cfg.ablation, weights)
+    compact = "compact" in itds.scored_terms(cfg.ablation, weights)
     gp = build_gp_model(d0.atoms, rho=cfg.rho) if compact else None
     select = itds.select_shared if cfg.mode == "shared" else itds.select_dedicated
     results = select(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _kernel_row_tiles, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
+from ._kernels import _sq_dist_tiles, class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
 from .dataset import frozen_copy
 from .sparse_coding import CERTIFIED_RATIO, SVD_CUTOFF, Dictionary, Selection, svd_keep
 
@@ -53,7 +53,8 @@ BANDWIDTH_FLOOR = 1e-3
 def median_pairwise_distance(codes: np.ndarray) -> float:
     """Median Euclidean distance over distinct column pairs.
 
-    z all-zero columns give z(z-1)/2 pairs at distance exactly 0. When
+    Codes that hold nan or inf have a nan median, as np.median gives. z
+    all-zero columns give z(z-1)/2 pairs at distance exactly 0. When
     that is more than half of the M = N(N-1)/2 pairs (at least M//2 + 1),
     the median is exactly 0.0 and is returned after an O(dN) count.
 
@@ -62,6 +63,8 @@ def median_pairwise_distance(codes: np.ndarray) -> float:
     their square roots averaged as np.median does.
     """
     codes = np.asarray(codes, dtype=np.float64)
+    if not np.isfinite(codes).all():
+        return math.nan
     n = codes.shape[1]
     if n < 2:
         return 0.0
@@ -82,10 +85,11 @@ def bandwidth_rule(codes: np.ndarray) -> float:
     raise ValueError.
     """
     codes = np.asarray(codes, dtype=np.float64)
-    if not np.isfinite(codes).all():
+    median = median_pairwise_distance(codes)
+    if math.isnan(median):
         raise ValueError("codes must be finite (they hold nan or inf)")
     d, n = codes.shape
-    return max(median_pairwise_distance(codes) * n ** (-1.0 / (d + 4)), BANDWIDTH_FLOOR)
+    return max(median * n ** (-1.0 / (d + 4)), BANDWIDTH_FLOOR)
 
 
 def ascent_bandwidth(codes: np.ndarray) -> float:
@@ -97,9 +101,10 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
     Eight median pairwise distances keeps every pair coupled, floored at
     BANDWIDTH_FLOOR. Non-finite codes raise ValueError.
     """
-    if not np.isfinite(codes).all():
+    median = median_pairwise_distance(codes)
+    if math.isnan(median):
         raise ValueError("codes must be finite (they hold nan or inf)")
-    return max(8.0 * median_pairwise_distance(codes), BANDWIDTH_FLOOR)
+    return max(8.0 * median, BANDWIDTH_FLOOR)
 
 
 def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *, rule: bool):
@@ -216,7 +221,9 @@ class GpModel:
 def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
     """Squared-exponential covariance over atoms, length scale rho, plus
     GP_JITTER on the diagonal. The band tiles of the distance walker
-    (_kernels._kernel_row_tiles) fill its upper triangle, which is mirrored.
+    (_kernels._sq_dist_tiles) fill the upper triangle of the squared
+    distances, near pairs are made exact (_exact_near_pairs), and the
+    kernel's upper triangle is mirrored.
 
     rho defaults to the median pairwise atom distance (floored at 1e-6),
     which keeps the covariance scale-free across dictionaries.
@@ -227,11 +234,38 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
     elif not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho!r}")
     K = atoms.shape[1]
-    cov = np.empty((K, K))
-    for _, tile, w in _kernel_row_tiles(atoms.T, (0, K), rho * rho):
-        cov[tile, tile.start :] = w
+    var = rho * rho
+    d2 = np.zeros((K, K))
+    for _, tile, t in _sq_dist_tiles(atoms.T, (0, K)):
+        d2[tile, tile.start :] = t
+    _exact_near_pairs(d2, atoms, var)
+    # d2 times -0.5 / var, then exp, as _kernels._kernel_row_tiles does
+    cov = np.exp(d2 * (-0.5 / var))
     # the upper triangle and its mirror, so that cov is exactly symmetric
     return GpModel(cov=np.triu(cov) + np.triu(cov, 1).T + GP_JITTER * np.eye(K))
+
+
+def _exact_near_pairs(d2: np.ndarray, atoms: np.ndarray, var: float) -> None:
+    """Recompute in place, from the difference of the two atoms, the upper
+    triangle's squared distances whose kernel value the one-product
+    formula's cancellation can move by more than GP_JITTER / (4 K).
+
+    That formula's error is at most E = 2 (n + 3) eps (|a|^2 + |b|^2), which
+    moves the kernel exponent by up to E / (2 var) and the kernel by at most
+    exp(-(d2 - E) / (2 var)) * min(1, E / var). Under a small rho (a pool of
+    near-duplicate atoms) that passes the jitter and leaves the covariance
+    indefinite. The pairs kept have a symmetric error of spectral norm at
+    most GP_JITTER / 4. With unit atoms and rho near 1 no pair is recomputed.
+    """
+    n, K = atoms.shape
+    sq = (atoms * atoms).sum(axis=0)
+    err = 2.0 * (n + 3) * np.finfo(np.float64).eps * (sq[:, None] + sq)
+    bound = np.exp(np.maximum(d2 - err, 0.0) * (-0.5 / var)) * np.minimum(1.0, err / var)
+    near = np.triu(bound > GP_JITTER / (4 * K), 1)
+    for i in np.flatnonzero(near.any(axis=1)):
+        j = np.flatnonzero(near[i])
+        diff = atoms[:, j] - atoms[:, i, None]
+        d2[i, j] = (diff * diff).sum(axis=0)
 
 
 def _round_indices(selected: Selection, candidates, K: int) -> tuple[list[int], np.ndarray]:

@@ -9,9 +9,9 @@ vectors: compactness first, whose -inf entries (atoms the chosen ones
 explain) leave the pool for good, then discrimination (one KDE estimate
 per candidate) and reconstruction (one orthogonal projection); the pick
 is the first maximum of the weighted total. Weight estimation scores
-round 1 with the same function, every term that has a weight to set
-(discrimination only when the selection scores it), and keeps the best
-single-atom gain of each.
+round 1 with the same function, over the selection's terms plus
+compactness, and keeps the best single-atom gain of each; a term the
+ablation leaves out is scored nowhere and gets weight 0.
 
 Both variants run one greedy selection per group of (class id,
 discrimination labels, own signals). Shared mode is the single group
@@ -96,7 +96,6 @@ def _score_round(
     signals: np.ndarray,
     chosen: list[int],
     pool: np.ndarray,
-    terms: Collection[str],
     gp_model: GpModel | None,
     sigma_r: float | None,
     sigma: float | None,
@@ -104,25 +103,25 @@ def _score_round(
     """Score adding each atom of the pool to the chosen ones.
 
     Returns (pool, compact, mi, recon): the atoms that stay in the pool and
-    their raw gains under each term of ``terms``, zeros for the others.
-    Compactness is scored first; atoms it scores -inf (the chosen atoms
-    explain them) leave the pool before the other terms are scored. mi is
-    the KDE mutual information of the codes restricted to the chosen atoms
-    plus the candidate, not yet a gain over the chosen atoms' own.
+    their raw gains under each term given its input (gp_model, codes,
+    signals), zeros for the others. Compactness is scored first; atoms it
+    scores -inf (the chosen atoms explain them) leave the pool before the
+    other terms. mi is the KDE mutual information of the codes restricted
+    to the chosen atoms plus the candidate, not yet a gain over theirs.
     """
     sel = Selection(indices=tuple(chosen))
     compact = np.zeros(pool.size)
-    if "compact" in terms:
+    if gp_model is not None:
         compact = gp_compact_gains(gp_model, sel, pool)
         keep = compact != -math.inf
         pool, compact = pool[keep], compact[keep]
     if pool.size == 0:
         raise RuntimeError("all remaining atoms are excluded as duplicates")
     mi = np.zeros(pool.size)
-    if "discriminative" in terms:
+    if codes is not None:
         mi = np.array([mi_codes_labels(codes[chosen + [k], :], labels, sigma) for k in pool])
     recon = np.zeros(pool.size)
-    if "reconstructive" in terms:
+    if signals is not None:
         recon = recon_gain(dictionary, sel, pool, signals, sigma_r)
     return pool, compact, mi, recon
 
@@ -131,7 +130,7 @@ def estimate_lambdas(
     dictionary: Dictionary,
     codes: np.ndarray | None,
     labels: np.ndarray,
-    signals: np.ndarray,
+    signals: np.ndarray | None,
     gp_model: GpModel,
     sigma_r: float | None = None,
     sigma: float | None = None,
@@ -141,19 +140,17 @@ def estimate_lambdas(
     lambda2 and lambda3 are the maxima of the single-atom discrimination
     and reconstruction gains divided by the maximal single-atom
     compactness gain (the first greedy round). codes are the (K, N)
-    coefficients over the whole dictionary, or None, which scores no
-    discrimination and gives lambda2 = 0; sigma is the KDE bandwidth,
-    None for bandwidth_rule, and sigma_r the residual scale, None for
-    recon_gain's rule.
+    coefficients over the whole dictionary; codes None scores no
+    discrimination and gives lambda2 = 0, signals None no reconstruction
+    and lambda3 = 0. sigma is the KDE bandwidth, None for bandwidth_rule,
+    and sigma_r the residual scale, None for recon_gain's rule.
     """
     labels = np.asarray(labels, dtype=np.int64)
     K = dictionary.K
     if codes is not None and codes.shape[0] != K:
         raise ValueError("weight estimation needs codes over the full initial dictionary")
-    terms = TERMS if codes is not None else ("compact", "reconstructive")
     _, compact, mi, recon = _score_round(
-        dictionary, codes, labels, signals, [], np.arange(K), terms,
-        gp_model, sigma_r, sigma,
+        dictionary, codes, labels, signals, [], np.arange(K), gp_model, sigma_r, sigma
     )
     denom = float(np.max(compact))
     if not math.isfinite(denom) or denom <= 1e-12:
@@ -165,9 +162,8 @@ def _greedy_select(
     dictionary: Dictionary,
     init_coeffs: np.ndarray | None,
     discrim_labels: np.ndarray,
-    recon_signals: np.ndarray,
+    recon_signals: np.ndarray | None,
     T: int,
-    ablation: Collection[str],
     weights: SelectionWeights,
     gp_model: GpModel | None,
     sigma_r: float | None,
@@ -180,7 +176,7 @@ def _greedy_select(
     for t in range(T):
         pool, compact, mi, recon = _score_round(
             dictionary, init_coeffs, discrim_labels, recon_signals, chosen, pool,
-            ablation, gp_model, sigma_r, sigma,
+            gp_model, sigma_r, sigma,
         )
         discrim = mi - mi_base
         total = compact + weights.lambda2 * discrim + weights.lambda3 * recon
@@ -213,11 +209,22 @@ def _check_select_args(dictionary: Dictionary, T: int, ablation: Collection[str]
         raise ValueError(f"sparsity T={T} must not exceed the signal dimension n={dictionary.n}")
 
 
-def scores_compactness(ablation: Collection[str], weights: SelectionWeights | None) -> bool:
-    """Whether a selection scores the compactness term and so needs a GP
-    model: its ablation keeps the term, or weights=None estimates the
-    weights, which divides by the best compactness gain."""
-    return "compact" in ablation or weights is None
+def _signal_labels(labels: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """The labels as int64, checked to be one non-negative class per signal."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (signals.shape[1],):
+        raise ValueError(f"{labels.size} labels for {signals.shape[1]} signals")
+    if (labels < 0).any():
+        raise ValueError(f"negative label {labels.min()}")
+    return labels
+
+
+def scored_terms(ablation: Collection[str], weights: SelectionWeights | None) -> frozenset[str]:
+    """The terms a selection scores: its ablation's, in every round, plus
+    compactness when weights=None, since the estimate divides by the best
+    compactness gain. A term outside the set is never scored, and the
+    estimate gives it weight 0."""
+    return frozenset(ablation) | ({"compact"} if weights is None else frozenset())
 
 
 def _select_groups(
@@ -233,25 +240,26 @@ def _select_groups(
 ) -> list[SelectionResult]:
     """One greedy selection per (class_id, discrimination labels, own signals) group.
 
-    The OMP codes and the GP model are shared by all groups, and each is
-    built only where a term uses it: the codes only for the discrimination
-    term, whose weight estimate is 0 without it. The weights default to
-    each group's estimate.
+    The OMP codes and the GP model are shared by all groups. A term's
+    input (codes, GP model, a group's signals) is passed on only where
+    scored_terms keeps the term, and to the rounds only where the ablation
+    does. The weights default to each group's estimate.
     """
     _check_select_args(dictionary, T, ablation)
-    codes = omp_codes(dictionary, signals, T) if "discriminative" in ablation else None
-    if gp_model is None and scores_compactness(ablation, weights):
+    scored = scored_terms(ablation, weights)
+    codes = omp_codes(dictionary, signals, T) if "discriminative" in scored else None
+    if gp_model is None and "compact" in scored:
         gp_model = build_gp_model(dictionary.atoms)
     results: list[SelectionResult] = []
     for class_id, group_labels, group_signals in groups:
-        w = weights
-        if w is None:
-            w = estimate_lambdas(
-                dictionary, codes, group_labels, group_signals, gp_model, sigma_r, sigma
-            )
+        if "reconstructive" not in scored:
+            group_signals = None
+        w = weights if weights is not None else estimate_lambdas(
+            dictionary, codes, group_labels, group_signals, gp_model, sigma_r, sigma
+        )
         selection, records = _greedy_select(
             dictionary, codes, group_labels, group_signals, T,
-            ablation, w, gp_model, sigma_r, sigma,
+            w, gp_model if "compact" in ablation else None, sigma_r, sigma,
         )
         results.append(SelectionResult(selection, records, w, class_id))
     return results
@@ -274,7 +282,7 @@ def select_shared(
     weights=None estimates them from the class labels and all signals.
     """
     Y = np.asarray(signals, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _signal_labels(labels, Y)
     (result,) = _select_groups(
         dictionary, Y, [(None, labels, Y)], T, ablation, weights,
         gp_model, sigma_r, sigma,
@@ -301,7 +309,7 @@ def select_dedicated(
     apply to every class; weights=None estimates them per class.
     """
     Y = np.asarray(signals, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _signal_labels(labels, Y)
     p = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=p)
     if (counts < 2).any():

@@ -239,6 +239,23 @@ class TestGpCompactness:
         err = np.abs(cov - want)[off]
         assert (err <= 4 * np.finfo(float).eps * (1.0 + arg[off]) * want[off]).all()
 
+    def test_near_duplicate_pool_stays_positive_definite(self):
+        # four of five atoms within 1e-7 of each other: the median distance
+        # falls under the rho floor 1e-6, where the one-product distances'
+        # cancellation alone made the covariance indefinite
+        rng = np.random.default_rng(12261)
+        atoms = rng.standard_normal((3, 5))
+        for a, b, scale in [(1, 3, 0.0), (3, 4, 1e-9), (3, 0, 1e-7)]:
+            atoms[:, b] = atoms[:, a] + scale * rng.standard_normal(3)
+        atoms /= np.linalg.norm(atoms, axis=0)
+        rho = 1e-6
+        assert dense_median_pairwise_distance(atoms) < rho
+        cov = build_gp_model(atoms).cov
+        diff = atoms[:, :, None] - atoms[:, None, :]
+        want = np.exp(-(diff * diff).sum(axis=0) / (2.0 * rho * rho)) + GP_JITTER * np.eye(5)
+        np.testing.assert_allclose(cov, want, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(cov).min() > 0.5 * GP_JITTER
+
     def test_out_of_range_candidate_rejected(self):
         # -1 aliases the selected atom 8: compactness gave -inf, reconstruction 0
         d = random_unit_dictionary(7, 6, 9)

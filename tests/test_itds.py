@@ -318,25 +318,33 @@ class TestInitialCodes:
         assert got == want
 
     @pytest.mark.parametrize("select", [select_shared, select_dedicated])
+    @pytest.mark.parametrize(
+        "kept,scorers,unscored,weighed",
+        [
+            ("reconstructive", ("omp_codes", "mi_codes_labels"), "lambda2", "lambda3"),
+            ("discriminative", ("recon_gain",), "lambda3", "lambda2"),
+        ],
+        ids=["discrimination", "reconstruction"],
+    )
     def test_estimate_without_discrimination_makes_no_codes_and_no_kde_call(
-        self, monkeypatch, select
+        self, monkeypatch, select, kept, scorers, unscored, weighed
     ):
-        # auto weights for a selection that does not score discrimination:
-        # lambda2 is 0 with neither OMP codes nor a KDE estimate behind it,
-        # and the atoms are those of the same selection with weights fixed
-        # at (0, the estimated lambda3)
+        # auto weights for a selection that leaves a term out: its lambda
+        # is 0 with no call to its scorer (for discrimination neither OMP
+        # codes nor a KDE estimate) behind it, and the atoms are those of
+        # the same selection with the estimate as fixed weights
         ds, d, _ = small_problem(seed=18)
-        ablation = frozenset({"compact", "reconstructive"})
+        ablation = frozenset({"compact", kept})
         gp = build_gp_model(d.atoms)
         calls = []
-        for name in ("omp_codes", "mi_codes_labels"):
+        for name in scorers:
             real = getattr(itds, name)
             spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
             monkeypatch.setattr(itds, name, spy)
         auto = select(d, ds.signals, ds.labels, 3, ablation, gp_model=gp)
         assert calls == []
         for res in auto if isinstance(auto, list) else [auto]:
-            assert res.weights.lambda2 == 0.0 and res.weights.lambda3 > 0.0
+            assert getattr(res.weights, unscored) == 0.0 and getattr(res.weights, weighed) > 0.0
             fixed = select(d, ds.signals, ds.labels, 3, ablation, res.weights, gp_model=gp)
             if isinstance(fixed, list):
                 fixed = fixed[res.class_id]
@@ -358,7 +366,7 @@ class TestGpModel:
         self, monkeypatch, select, ablation, weights, built
     ):
         ds, d, codes = small_problem(seed=18)
-        assert itds.scores_compactness(ablation, weights) == built
+        assert ("compact" in itds.scored_terms(ablation, weights)) == built
         gp = build_gp_model(d.atoms)
         want = select(d, ds.signals, ds.labels, 3, ablation, weights, gp_model=gp)
         calls = []
@@ -408,3 +416,25 @@ class TestSelectionReport:
             for select in (select_shared, select_dedicated):
                 with pytest.raises(ValueError, match="ablation"):
                     select(d, ds.signals, ds.labels, 3, ablation)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("select", [select_shared, select_dedicated])
+    @pytest.mark.parametrize(
+        "ablation", [frozenset(TERMS), frozenset({"compact", "reconstructive"})],
+        ids=["all", "compact,reconstructive"],
+    )
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda y: y[:-1], "23 labels for 24 signals"),
+            (lambda y: np.append(y, 0), "25 labels for 24 signals"),
+            (lambda y: np.where(np.arange(y.size) == 5, -1, y), "negative label -1"),
+        ],
+        ids=["too-short", "too-long", "negative"],
+    )
+    def test_labels_must_be_one_class_per_signal(self, select, ablation, change, message):
+        # checked up front, also where no term reads the labels
+        ds, d, _ = small_problem(seed=20)
+        with pytest.raises(ValueError, match=message):
+            select(d, ds.signals, change(ds.labels), 3, ablation)

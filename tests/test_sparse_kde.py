@@ -27,7 +27,12 @@ from helpers import (
 )
 from itdl import _kernels, info_measures
 from itdl._kernels import class_kernel_sums
-from itdl.info_measures import bandwidth_rule, median_pairwise_distance, mi_codes_labels
+from itdl.info_measures import (
+    ascent_bandwidth,
+    bandwidth_rule,
+    median_pairwise_distance,
+    mi_codes_labels,
+)
 
 FLOOR = 1e-3
 # Nonzero quarter steps: every product and sum of a few of them is exact,
@@ -145,6 +150,17 @@ class TestMedianPairwiseDistance:
         codes = np.zeros((2, 7))
         codes[:, 4] = [0.5, -1.5]
         assert median_pairwise_distance(codes) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [6, 400], ids=["partition", "histogram"])
+    def test_non_finite_codes_have_a_nan_median(self, n, bad):
+        # both median paths: one partition of every distance, and histogram passes
+        codes = np.random.default_rng(0).standard_normal((2, n))
+        codes[1, 3] = bad
+        assert np.isnan(median_pairwise_distance(codes))
+        for rule in (bandwidth_rule, ascent_bandwidth):
+            with pytest.raises(ValueError, match="codes must be finite"):
+                rule(codes)
 
 
 class TestClassKernelSums:
