@@ -42,7 +42,7 @@ class RunConfig:
     rho: float | None = None
     step: float | None = None
     iters: int = 100
-    tol: float = 1e-6
+    tol: float = itdu.TURN_TOL
     seed: int | None = None
     ablation: frozenset = frozenset(itds.TERMS)
     lambda2: float | None = None

@@ -27,6 +27,19 @@ def frozen_copy(arr, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def signal_labels(labels, signals: np.ndarray) -> np.ndarray:
+    """The labels as int64, checked to be one non-negative class per
+    signal, the columns of a nonempty (n, N) signal matrix."""
+    if signals.shape[1] == 0:
+        raise ValueError("no signals: the signal matrix has 0 columns")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (signals.shape[1],):
+        raise ValueError(f"{labels.size} labels for {signals.shape[1]} signals")
+    if (labels < 0).any():
+        raise ValueError(f"negative label {labels.min()}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Signals (n features x N samples) with labels in {0..p-1}; class c

@@ -111,8 +111,8 @@ def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *
     """Codes, labels and bandwidth as the kernels take them.
 
     Returns the float (d, N) codes (1-d codes are one row), the int64
-    labels, their class counts and the squared bandwidth. Labels must be
-    one per code column. A given sigma must be finite and positive; None
+    labels, their class counts and the squared bandwidth. The codes must
+    have a column and the labels be one per column. A given sigma must be finite and positive; None
     derives it by bandwidth_rule where ``rule`` is set and is an error
     otherwise (the quadratic MI). The counts are None when fewer than two
     classes are present, where every measure is zero.
@@ -120,6 +120,8 @@ def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *
     codes = np.asarray(codes, dtype=np.float64)
     if codes.ndim == 1:
         codes = codes[None, :]
+    if codes.shape[1] == 0:
+        raise ValueError("no codes: the code matrix has 0 columns")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size != codes.shape[1]:
         raise ValueError(f"{labels.size} labels for {codes.shape[1]} code columns; need one label per column")

@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import signal_labels
 from .info_measures import (
     GpModel,
     build_gp_model,
@@ -209,16 +210,6 @@ def _check_select_args(dictionary: Dictionary, T: int, ablation: Collection[str]
         raise ValueError(f"sparsity T={T} must not exceed the signal dimension n={dictionary.n}")
 
 
-def _signal_labels(labels: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    """The labels as int64, checked to be one non-negative class per signal."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (signals.shape[1],):
-        raise ValueError(f"{labels.size} labels for {signals.shape[1]} signals")
-    if (labels < 0).any():
-        raise ValueError(f"negative label {labels.min()}")
-    return labels
-
-
 def scored_terms(ablation: Collection[str], weights: SelectionWeights | None) -> frozenset[str]:
     """The terms a selection scores: its ablation's, in every round, plus
     compactness when weights=None, since the estimate divides by the best
@@ -282,7 +273,7 @@ def select_shared(
     weights=None estimates them from the class labels and all signals.
     """
     Y = np.asarray(signals, dtype=np.float64)
-    labels = _signal_labels(labels, Y)
+    labels = signal_labels(labels, Y)
     (result,) = _select_groups(
         dictionary, Y, [(None, labels, Y)], T, ablation, weights,
         gp_model, sigma_r, sigma,
@@ -309,7 +300,7 @@ def select_dedicated(
     apply to every class; weights=None estimates them per class.
     """
     Y = np.asarray(signals, dtype=np.float64)
-    labels = _signal_labels(labels, Y)
+    labels = signal_labels(labels, Y)
     p = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=p)
     if (counts < 2).any():

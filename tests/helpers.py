@@ -14,7 +14,9 @@ checked; ``loop_ksvd`` rebuilds each atom's deflated residual from the
 signals and the full codes, against which K-SVD's kept residual is
 checked. ``three_pass_update`` is the quadratic-MI ascent with a
 separate gradient walk (``qmi_grad_phi``) at every iterate, against
-which the ascent's fused value-and-gradient walks are checked. Every
+which the ascent's fused value-and-gradient walks are checked; it
+measures how far a step turned the transform's columns by its own angle
+formula (``max_column_turn``). Every
 least-squares oracle solves through ``svd_pinv``, the SVD pseudoinverse
 with the library's rank rule, so none of them moves with the library's
 QR route; ``exact_pinv``, the full-rank pseudoinverse in rational
@@ -36,7 +38,7 @@ import numpy as np
 
 from itdl.dataset import Dataset
 from itdl.info_measures import GP_VAR_FLOOR, ascent_bandwidth, qmi, qmi_grad_codes
-from itdl.itdu import UpdateState, backtrack_step
+from itdl.itdu import TURN_TOL, UpdateState, backtrack_step
 from itdl.sparse_coding import Dictionary, Selection, pinv, svd_keep, unit_columns
 
 
@@ -511,11 +513,23 @@ def kl_qd_check(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return kl, qd
 
 
-def three_pass_update(dict_selected, signals, labels, step=None, max_iters=100, tol=1e-6):
+def max_column_turn(before, after):
+    """Largest angle between a column of ``before`` and the same column of
+    ``after``: per column, atan2 of the part of v orthogonal to u over
+    u . v, for the unit directions u and v."""
+    u = before / np.linalg.norm(before, axis=0)
+    v = after / np.linalg.norm(after, axis=0)
+    cos = np.sum(u * v, axis=0)
+    return float(np.max(np.arctan2(np.linalg.norm(v - u * cos, axis=0), cos)))
+
+
+def three_pass_update(dict_selected, signals, labels, step=None, max_iters=100, tol=TURN_TOL):
     """The quadratic-MI ascent of ``itdu.update_dictionary`` with three band
     walks per accepted iteration: the gradient (``qmi_grad_phi``) at the
     iterate, ``qmi`` at each backtracking trial, and ``qmi`` again at the
-    accepted point. Same rules, same (atoms, UpdateState)."""
+    accepted point. It stops after an accepted step in which no transform
+    column turned by tol radians or more (``max_column_turn``). Same
+    rules, same (atoms, UpdateState)."""
     Y = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     P = pinv(np.ascontiguousarray(dict_selected, dtype=np.float64))
@@ -538,12 +552,13 @@ def three_pass_update(dict_selected, signals, labels, step=None, max_iters=100, 
         if nu * gnorm == 0.0:
             state.converged = True
             break
+        turn = max_column_turn(state.transform, state.transform + nu * grad_phi)
         state.transform = state.transform + nu * grad_phi
         X = state.transform.T @ Y
         state.objective_trace.append(qmi(X, labels, sigma))
         state.accepted_steps.append(nu)
         state.grad_norms.append(gnorm)
-        if abs(state.objective_trace[-1] - iq) / max(abs(iq), 1e-300) < tol:
+        if turn < tol:
             state.converged = True
             break
     if not state.accepted_steps:

@@ -706,6 +706,11 @@ class TestMeasureInputs:
         with pytest.raises(ValueError, match=f"{n_labels} labels for 6 code columns"):
             mi_codes_labels(codes, np.arange(n_labels) % 2, sigma)
 
+    @pytest.mark.parametrize("sigma", [None, 0.5])
+    def test_mi_codes_labels_rejects_empty_codes(self, sigma):
+        with pytest.raises(ValueError, match="no codes: the code matrix has 0 columns"):
+            mi_codes_labels(np.zeros((2, 0)), [], sigma)
+
     @staticmethod
     def nan_codes():
         codes = np.random.default_rng(3).standard_normal((2, 6))

@@ -438,3 +438,9 @@ class TestLabels:
         ds, d, _ = small_problem(seed=20)
         with pytest.raises(ValueError, match=message):
             select(d, ds.signals, change(ds.labels), 3, ablation)
+
+    @pytest.mark.parametrize("select", [select_shared, select_dedicated])
+    def test_no_signals_rejected(self, select):
+        ds, d, _ = small_problem(seed=20)
+        with pytest.raises(ValueError, match="no signals: the signal matrix has 0 columns"):
+            select(d, ds.signals[:, :0], ds.labels[:0], 3)

@@ -1,11 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import shared_style_dataset, three_pass_update
+from itdl.cli import RunConfig
 from itdl.dataset import split, synth_gaussian_classes
 from itdl.itds import select_dedicated
 from itdl.itdu import (
+    TURN_TOL,
     backtrack_step,
+    column_turns,
     update_all_classes,
     update_dictionary,
     update_report,
@@ -79,6 +86,43 @@ class TestRenormalize:
         np.testing.assert_array_equal(unit_columns(atoms), [[0.0, 0.5]] * 4)
 
 
+class TestColumnTurns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 6),
+        extra=st.integers(2, 6),
+        log_scales=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    )
+    def test_atoms_depend_only_on_the_transform_column_directions(
+        self, seed, T, extra, log_scales
+    ):
+        # the rule's premise: scaling the transform's columns by positive c
+        # scales the rows of pinv(phi^T) by 1/c, which unit_columns cancels
+        phi = np.random.default_rng(seed).standard_normal((T + extra, T))
+        c = 10.0 ** np.array(log_scales[:T])
+        np.testing.assert_allclose(
+            unit_columns(pinv((phi * c).T)), unit_columns(pinv(phi.T)), rtol=0, atol=1e-10
+        )
+
+    def test_turn_of_a_rotated_column_is_its_angle(self):
+        # column j of `after` is column j of `before` turned by theta_j in
+        # the plane of the first two axes, at another norm
+        theta = np.array([1e-9, 1e-3, 0.5])
+        before = np.zeros((3, 3))
+        before[0] = 1.0
+        after = 2.5 * np.stack([np.cos(theta), np.sin(theta), np.zeros(3)])
+        np.testing.assert_allclose(column_turns(before, after), theta, rtol=1e-12, atol=0)
+        # where the arccos of the cosine loses the angle altogether
+        assert np.arccos(np.cos(1e-9)) == 0.0
+
+    def test_unturned_and_reversed_columns(self):
+        phi = np.random.default_rng(5).standard_normal((4, 2))
+        np.testing.assert_array_equal(column_turns(phi, 4.0 * phi), 0.0)
+        assert column_turns(phi, 3.0 * phi).max() < 1e-15
+        np.testing.assert_allclose(column_turns(phi, -phi), np.pi, rtol=1e-15)
+
+
 class TestUpdateDictionary:
     def test_zero_gradient_is_bitwise_fixed_point(self):
         # one class: the objective and its gradient are exactly zero, so the
@@ -107,6 +151,37 @@ class TestUpdateDictionary:
         atoms, Y, labels = two_class_instance(seed=2)
         with pytest.raises(ValueError, match=message):
             update_dictionary(atoms, Y, labels, **kwargs)
+
+    def test_default_tol_is_the_one_constant(self):
+        assert TURN_TOL == 0.01
+        defaults = [
+            inspect.signature(fn).parameters["tol"].default
+            for fn in (update_dictionary, update_all_classes, three_pass_update)
+        ]
+        assert defaults + [RunConfig().tol] == [TURN_TOL] * 4
+
+    def test_no_signals_rejected(self):
+        atoms, Y, _ = two_class_instance(seed=2)
+        with pytest.raises(ValueError, match="no signals: the signal matrix has 0 columns"):
+            update_dictionary(atoms, Y[:, :0], np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda y: y[:-1], "29 labels for 30 signals"),
+            (lambda y: np.append(y, 0), "31 labels for 30 signals"),
+            (lambda y: np.where(np.arange(y.size) == 5, -1, y), "negative label -1"),
+        ],
+        ids=["too-short", "too-long", "negative"],
+    )
+    def test_labels_must_be_one_class_per_signal(self, change, message):
+        atoms, Y, labels = two_class_instance(seed=2)
+        with pytest.raises(ValueError, match=message):
+            update_dictionary(atoms, Y, change(labels))
+        # checked before any one-vs-rest labeling, which would hide a
+        # negative label
+        with pytest.raises(ValueError, match=message):
+            update_all_classes([(None, atoms), (0, atoms), (1, atoms)], Y, change(labels))
 
     def test_trace_strictly_increases_initially(self):
         atoms, Y, labels = two_class_instance(seed=2)
@@ -179,12 +254,28 @@ class TestUpdateDictionary:
         with pytest.raises(RuntimeError, match="class 1: coding transform has rank 1 < 2"):
             update_all_classes([(0, atoms), (1, twin)], Y, labels, max_iters=3)
 
-    def test_tol_stops_after_a_small_relative_gain(self):
+    def test_tol_stops_after_a_step_that_turns_no_column_by_tol(self):
         atoms, Y, labels = two_class_instance(seed=2)
         _, state = update_dictionary(atoms, Y, labels, max_iters=8, tol=1.0)
         assert state.converged and not state.aborted
         assert state.iterations == 1 and len(state.objective_trace) == 2
         assert len(state.accepted_steps) == len(state.grad_norms) == 1
+        # at tol 0.01: every step before the last turns some column by tol
+        # or more, the last turns none; tol 0 would go on to max_iters
+        _, state = update_dictionary(atoms, Y, labels, max_iters=40, tol=1e-2)
+        assert state.converged and 1 < state.iterations < 40
+        walk = [
+            update_dictionary(atoms, Y, labels, max_iters=k, tol=0.0)[1]
+            for k in range(state.iterations + 1)
+        ]
+        assert np.array_equal(walk[-1].transform, state.transform)
+        turns = [column_turns(a.transform, b.transform).max() for a, b in zip(walk, walk[1:])]
+        assert min(turns[:-1]) >= 1e-2 > turns[-1]
+        _, full = update_dictionary(atoms, Y, labels, max_iters=state.iterations + 5, tol=0.0)
+        assert not full.converged and full.iterations == state.iterations + 5
+        # where the objective still grows by far more than a 1e-6 relative gain
+        before, last = state.objective_trace[-2:]
+        assert last - before > 1e-3 * before
 
     def test_non_finite_objective_aborts_without_sizing_a_step(self, monkeypatch):
         import itdl.itdu as itdu_mod
@@ -241,10 +332,15 @@ class TestFusedAscent:
         }[labels_of]
         self.assert_matches_oracle(atoms, Y, labels, kwargs)
 
-    def test_matches_three_pass_oracle_when_tol_stops(self):
-        atoms, Y, labels = two_class_instance(seed=2)
-        state = self.assert_matches_oracle(atoms, Y, labels, {"max_iters": 40, "tol": 1e-2})
-        assert state.converged and 1 < state.iterations < 40
+    @pytest.mark.parametrize("instance", ["two-class", "three-class"])
+    @pytest.mark.parametrize("tol", [3e-2, 1e-2, 3e-3])
+    def test_matches_three_pass_oracle_when_the_columns_stop_turning(self, instance, tol):
+        # the oracle measures each turn by its own angle formula
+        atoms, Y, labels = (
+            two_class_instance(seed=2) if instance == "two-class" else three_class_instance()
+        )
+        state = self.assert_matches_oracle(atoms, Y, labels, {"max_iters": 100, "tol": tol})
+        assert state.converged and 1 < state.iterations < 100
 
     @staticmethod
     def assert_matches_oracle(atoms, Y, labels, kwargs):
@@ -306,8 +402,11 @@ class TestFusedAscent:
         atoms, Y, labels = two_class_instance(seed=2)
         _, state = update_dictionary(atoms, Y, labels, max_iters=40, tol=1e-2)
         points = [grad for in_trial, grad in calls if not in_trial]
-        assert state.converged and len(points) == 1 + len(state.accepted_steps) < 41
-        assert all(points)  # the stop is not known before the value is
+        accepted = len(state.accepted_steps)
+        assert state.converged and accepted == state.iterations < 40
+        # the turn is known before the stopping point is evaluated, so that
+        # evaluation takes no gradient
+        assert points == [True] * accepted + [False]
         calls.clear()
         _, state = update_dictionary(atoms, Y, labels, max_iters=0)
         assert calls == [(False, False)] and state.objective_trace != []
