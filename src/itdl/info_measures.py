@@ -82,9 +82,9 @@ def bandwidth_rule(codes: np.ndarray) -> float:
     Floored at BANDWIDTH_FLOOR. Sparse codes whose columns are mostly all
     zero have a median of exactly 0 (see median_pairwise_distance), so
     they resolve to the floor without a distance pass. Non-finite codes
-    raise ValueError.
+    raise ValueError, as do codes with no columns; 1-d codes are one row.
     """
-    codes = np.asarray(codes, dtype=np.float64)
+    codes = _code_matrix(codes)
     median = median_pairwise_distance(codes)
     if math.isnan(median):
         raise ValueError("codes must be finite (they hold nan or inf)")
@@ -99,12 +99,24 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
     cloud; at the density-estimation scale only nearest neighbours
     interact and the ascent scatters codes instead of grouping classes.
     Eight median pairwise distances keeps every pair coupled, floored at
-    BANDWIDTH_FLOOR. Non-finite codes raise ValueError.
+    BANDWIDTH_FLOOR. Non-finite codes raise ValueError, as do codes with
+    no columns; 1-d codes are one row.
     """
-    median = median_pairwise_distance(codes)
+    median = median_pairwise_distance(_code_matrix(codes))
     if math.isnan(median):
         raise ValueError("codes must be finite (they hold nan or inf)")
     return max(8.0 * median, BANDWIDTH_FLOOR)
+
+
+def _code_matrix(codes: np.ndarray) -> np.ndarray:
+    """The float (d, N) code matrix, 1-d codes as one row; codes with no
+    columns raise ValueError."""
+    codes = np.asarray(codes, dtype=np.float64)
+    if codes.ndim == 1:
+        codes = codes[None, :]
+    if codes.shape[1] == 0:
+        raise ValueError("no codes: the code matrix has 0 columns")
+    return codes
 
 
 def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *, rule: bool):
@@ -117,11 +129,7 @@ def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *
     otherwise (the quadratic MI). The counts are None when fewer than two
     classes are present, where every measure is zero.
     """
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim == 1:
-        codes = codes[None, :]
-    if codes.shape[1] == 0:
-        raise ValueError("no codes: the code matrix has 0 columns")
+    codes = _code_matrix(codes)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size != codes.shape[1]:
         raise ValueError(f"{labels.size} labels for {codes.shape[1]} code columns; need one label per column")
@@ -228,9 +236,12 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
     kernel's upper triangle is mirrored.
 
     rho defaults to the median pairwise atom distance (floored at 1e-6),
-    which keeps the covariance scale-free across dictionaries.
+    which keeps the covariance scale-free across dictionaries. Atoms that
+    are not a 2-d matrix with at least one column raise ValueError.
     """
     atoms = np.asarray(atoms, dtype=np.float64)
+    if atoms.ndim != 2 or atoms.shape[1] < 1:
+        raise ValueError(f"atoms must be a 2-d matrix with at least one column, got shape {atoms.shape}")
     if rho is None:
         rho = max(median_pairwise_distance(atoms), 1e-6)
     elif not (math.isfinite(rho) and rho > 0):

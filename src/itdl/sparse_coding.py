@@ -7,7 +7,8 @@ relative cutoff (``svd_keep``), so near-duplicate atoms cannot blow up
 the coefficients. A solve whose triangular factor is certified well
 conditioned, so that the cutoff keeps every singular value, is made from
 that factor (a batched QR in ``pinv``, OMP's own Gram-Schmidt in
-``omp_codes``); every other solve goes through the SVD.
+``omp_codes``, which refits every signal it cannot certify through
+``pinv``); every other solve goes through the SVD.
 """
 
 from __future__ import annotations
@@ -166,10 +167,9 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
     when its best score or its residual norm falls to 1e-12 x its norm; an
     all-zero signal codes to zeros, and a non-finite one raises
     ValueError. The coefficients are the least-squares fit on the final
-    support, in pick order: R^-1 Q^T y from the signal's own Gram-Schmidt
-    factors where _certified_inverse certifies R, else ``pinv`` of the
-    chosen atoms. Columns are coded in blocks, each step scoring the
-    block's live signals with one matrix product.
+    support under pinv's rank rule (see ``_omp_block``). Columns are coded
+    in blocks, each step scoring the block's live signals with one matrix
+    product.
     """
     atoms = dictionary.atoms
     n, K = atoms.shape
@@ -182,46 +182,35 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
         raise ValueError("signals must be finite (they hold nan or inf)")
     coeffs = np.zeros((K, Y.shape[1]))
     for start in range(0, Y.shape[1], _OMP_BLOCK):
-        block = Y[:, start : start + _OMP_BLOCK]
-        support, size, R, z = _omp_supports(atoms, block, T)
-        for t in range(1, T + 1):
-            cols = np.flatnonzero(size == t)
-            if cols.size == 0:
-                continue
-            chosen = support[cols, :t]
-            R_inv, ok = _certified_inverse(R[cols, :t, :t])
-            coef = (R_inv @ z[cols, :t, None])[..., 0]
-            if not ok.all():
-                bad = ~ok
-                # (G, n, t) stack of the uncertified signals' chosen atoms, in pick order
-                P = pinv(atoms.T[chosen[bad]].swapaxes(1, 2))
-                coef[bad] = (P @ block.T[cols[bad], :, None])[..., 0]
-            coeffs[chosen, start + cols[:, None]] = coef
+        support, coef = _omp_block(atoms, Y[:, start : start + _OMP_BLOCK], T)
+        cols, picks = np.nonzero(support >= 0)
+        coeffs[support[cols, picks], start + cols] = coef[cols, picks]
     return coeffs
 
 
-def _omp_supports(
-    atoms: np.ndarray, Y: np.ndarray, T: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """OMP supports of the columns of Y: (N, T) atom indices in pick order,
-    the (N,) number of atoms each signal picked, and each signal's
-    factors of its chosen atoms A = QR: the (N, T, T) upper-triangular R
-    and the (N, T) z = Q^T y.
+def _omp_block(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """OMP of the columns of Y: the (N, T) atom indices in pick order, -1
+    past a signal's last pick, and the (N, T) coefficients on them.
 
-    Each signal keeps an orthonormal basis Q of its chosen atoms, grown by
-    Gram-Schmidt (applied twice), and its residual is the signal minus
-    its projection onto that basis. R's column holds the summed
-    projection coefficients of both passes, with the new direction's norm
-    on the diagonal. A new direction of norm below the pinv cutoff adds
-    nothing to the basis, as pinv drops it.
+    Each signal keeps an orthonormal basis Q of its chosen atoms A = QR,
+    grown by Gram-Schmidt (applied twice), and R^-1: a pick whose new
+    direction q has projection coefficients p appends the column
+    [-R^-1 p; 1] / ||q||. While ||R||_F ||R^-1||_F <= _MAX_COND (||R||_F
+    = sqrt(t) for t unit atoms), _certified_inverse's certificate, svd_keep
+    keeps every singular value of A; the residual is then y minus its
+    projection onto Q and the coefficients are R^-1 Q^T y. From the first
+    pick that fails the bound, the signal is refit after every pick as
+    pinv fits it, coefficients pinv(A) y and residual y - A pinv(A) y;
+    more atoms only grow ||R||_F ||R^-1||_F, so it never returns to Q.
     """
     n, N = Y.shape
     tol = 1e-12 * np.linalg.norm(Y, axis=0)
-    support = np.zeros((N, T), dtype=np.intp)
-    size = np.zeros(N, dtype=np.intp)
+    support = np.full((N, T), -1, dtype=np.intp)
+    coef = np.zeros((N, T))
     basis = np.zeros((N, T, n))
-    R = np.zeros((N, T, T))
-    z = np.zeros((N, T))
+    R_inv = np.zeros((N, T, T))
+    inv_sq = np.zeros(N)  # ||R^-1||_F^2
+    fast = np.ones(N, dtype=bool)
     resid = Y.T.copy()
     live = np.flatnonzero(tol > 0.0)
     for t in range(T):
@@ -234,26 +223,37 @@ def _omp_supports(
         picked = scores[best, lanes] > tol[live]
         live, best = live[picked], best[picked]
         support[live, t] = best
-        size[live] = t + 1
-        q = atoms.T[best]
-        prev = basis[live, :t]
+        f = live[fast[live]]
+        q = atoms.T[support[f, t]]
+        prev = basis[f, :t]
         proj = 0.0
         for _ in range(2):
             c = np.einsum("ltn,ln->lt", prev, q)
             q -= np.einsum("ltn,lt->ln", prev, c)
             proj = proj + c
-        norm = np.linalg.norm(q, axis=1)
-        R[live, :t, t] = proj
-        R[live, t, t] = norm
-        q *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm >= SVD_CUTOFF)[:, None]
-        basis[live, t] = q
-        r = resid[live]
+        norm = np.linalg.norm(q, axis=1)[:, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf or nan fails the bound
+            col = np.hstack([-np.einsum("lst,lt->ls", R_inv[f, :t, :t], proj), np.ones_like(norm)]) / norm
+            inv_sq[f] += (col * col).sum(axis=1)
+            ok = (t + 1) * inv_sq[f] <= _MAX_COND * _MAX_COND
+        fast[f[~ok]] = False
+        f, col, q = f[ok], col[ok], q[ok] / norm[ok]
+        R_inv[f, : t + 1, t] = col
+        basis[f, t] = q
+        r = resid[f]
         zt = np.einsum("ln,ln->l", q, r)
         r -= q * zt[:, None]
-        z[live, t] = zt
-        resid[live] = r
-        live = live[np.linalg.norm(r, axis=1) > tol[live]]
-    return support, size, R, z
+        resid[f] = r
+        coef[f, : t + 1] += col * zt[:, None]
+        slow = live[~fast[live]]
+        if slow.size:
+            A = atoms.T[support[slow, : t + 1]].swapaxes(1, 2)  # (G, n, t + 1), in pick order
+            y = Y.T[slow, :, None]
+            x = pinv(A) @ y
+            coef[slow, : t + 1] = x[..., 0]
+            resid[slow] = (y - A @ x)[..., 0]
+        live = live[np.linalg.norm(resid[live], axis=1) > tol[live]]
+    return support, coef
 
 
 def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -> np.ndarray:

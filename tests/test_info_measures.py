@@ -155,6 +155,11 @@ class TestGpCompactness:
         with pytest.raises(ValueError, match="rho must be finite and positive"):
             build_gp_model(random_unit_dictionary(7, 6, 9).atoms, rho=rho)
 
+    @pytest.mark.parametrize("atoms", [np.zeros((4, 0)), np.ones(4)], ids=["no-columns", "1-d"])
+    def test_atoms_must_be_a_matrix_with_a_column(self, atoms):
+        with pytest.raises(ValueError, match="atoms must be a 2-d matrix with at least one column"):
+            build_gp_model(atoms)
+
     def test_default_rho_is_the_dense_median_distance(self):
         # the single-atom pool has no pair; its 1x1 covariance is 1 for any rho
         for seed, K in [(1, 1), (2, 2), (3, 9), (4, 40)]:
@@ -721,6 +726,14 @@ class TestMeasureInputs:
     def test_bandwidth_rules_reject_nan_codes(self, rule):
         with pytest.raises(ValueError, match="codes must be finite"):
             rule(self.nan_codes()[0])
+
+    @pytest.mark.parametrize("rule", [bandwidth_rule, ascent_bandwidth])
+    def test_bandwidth_rules_reject_empty_codes_and_read_1d_codes_as_one_row(self, rule):
+        for empty in (np.zeros((2, 0)), np.zeros(0)):
+            with pytest.raises(ValueError, match="no codes: the code matrix has 0 columns"):
+                rule(empty)
+        row = np.random.default_rng(4).standard_normal(7)
+        assert rule(row) == rule(row[None, :])
 
     @pytest.mark.parametrize("sigma", [None, 0.5])
     def test_mi_codes_labels_rejects_nan_codes(self, sigma):

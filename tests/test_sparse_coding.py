@@ -31,6 +31,25 @@ from itdl.sparse_coding import (
 EPS = np.finfo(np.float64).eps
 
 
+def rank_window():
+    """Atoms e1, b = unit(e1 + 1e-3 e2), c = unit(e1 + 1e-3 e2 + 1.3e-10 e3),
+    unit(e3 + e4) and e5 in R^6, and 20,000 signals: sparse combinations
+    of the atoms plus noise of scale 1e-14 to 0.1."""
+    e = np.eye(6)
+    unit = lambda v: v / np.linalg.norm(v)
+    atoms = np.column_stack([
+        e[0],
+        unit(e[0] + 1e-3 * e[1]),
+        unit(e[0] + 1e-3 * e[1] + 1.3e-10 * e[2]),
+        unit(e[2] + e[3]),
+        e[4],
+    ])
+    rng = np.random.default_rng(0)
+    N = 20000
+    coef = rng.standard_normal((5, N)) * (rng.random((5, N)) < 0.7)
+    return atoms, atoms @ coef + rng.standard_normal((6, N)) * 10.0 ** rng.uniform(-14, -1, (6, N))
+
+
 class TestOmp:
     """omp_codes on one signal column."""
 
@@ -201,60 +220,66 @@ class TestBatchedOmp:
         # The support [unit(e3 + e4), c, b] has s_min/s_max = 4.6e-11, so
         # its R is not certified: the coefficients must be the SVD
         # pseudoinverse's, which drops the b - c direction, not R^-1 Q^T y.
-        e = np.eye(6)
-        unit = lambda v: v / np.linalg.norm(v)
-        atoms = np.column_stack([
-            e[0],
-            unit(e[0] + 1e-3 * e[1]),
-            unit(e[0] + 1e-3 * e[1] + 1.3e-10 * e[2]),
-            unit(e[2] + e[3]),
-            e[4],
-        ])
+        atoms, Y = rank_window()
         order = [3, 2, 1]
         s = np.linalg.svd(atoms[:, order], compute_uv=False)
         assert 4e-11 < s[-1] / s[0] < 5e-11
-        # sparse combinations of the atoms plus noise of scale 1e-14 to 0.1
-        rng = np.random.default_rng(0)
-        N = 20000
-        coef = rng.standard_normal((5, N)) * (rng.random((5, N)) < 0.7)
-        Y = atoms @ coef + rng.standard_normal((6, N)) * 10.0 ** rng.uniform(-14, -1, (6, N))
-        support, size, _, _ = sparse_coding._omp_supports(atoms, Y, 3)
-        hits = np.flatnonzero((size == 3) & (support == order).all(axis=1))
+        support, _ = sparse_coding._omp_block(atoms, Y, 3)
+        hits = np.flatnonzero((support == order).all(axis=1))
         assert hits.size >= 1
         got = omp_codes(Dictionary(atoms=atoms), Y[:, hits], 3)
         for j, i in enumerate(hits):
             assert np.flatnonzero(got[:, j]).tolist() == [1, 2, 3]
             assert got[order, j].tobytes() == (svd_pinv(atoms[:, order]) @ Y[:, i]).tobytes()
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
+    @pytest.mark.parametrize("delta", [1e-9, 1e-8])
+    def test_support_past_the_certificate_codes_through_pinv(self, delta):
+        # s_max/s_min = 2/delta is above the certificate's 1e8 and inside
+        # svd_keep's window, so the code is pinv's (SVD) bit for bit
+        e = np.eye(4)
+        b = e[0] + delta * e[1]
+        atoms = np.column_stack([e[0], b / np.linalg.norm(b), e[2]])
+        y = (e[0] + 0.3 * e[1])[:, None]
+        got = omp_codes(Dictionary(atoms=atoms), y, 2)
+        assert np.flatnonzero(got).tolist() == [0, 1]
+        assert got[[1, 0], 0].tobytes() == (svd_pinv(atoms[:, [1, 0]]) @ y[:, 0]).tobytes()
+
+    def test_rank_window_supports_code_a_4th_atom_as_the_loop_does(self):
+        # Every signal whose 3 picks are b, c and unit(e3 + e4), in any
+        # order, is refit through pinv from its uncertified pick on, so its
+        # residual and its 4th pick are the loop oracle's.
+        atoms, Y = rank_window()
+        support, _ = sparse_coding._omp_block(atoms, Y, 3)
+        hits = np.flatnonzero((np.sort(support, axis=1) == [1, 2, 3]).all(axis=1))
+        assert hits.size >= 5
+        d = Dictionary(atoms=atoms)
+        got, want = omp_codes(d, Y[:, hits], 4), loop_omp_codes(d, Y[:, hits], 4)
+        assert got.tobytes() == want.tobytes()
+
     def test_pick_after_a_rank_window_support_follows_the_relative_rule(self):
-        # The same atoms. This signal picks unit(e3 + e4), c, b first. The
-        # batched basis drops b's new direction (norm 9.2e-11) by the
-        # absolute 1e-10 cutoff and keeps span(unit(e3 + e4), c), while
-        # pinv's relative rule keeps the support's top two singular
-        # directions. The residuals differ, and the batched code picks a
-        # 4th where the loop picks e5.
-        e = np.eye(6)
-        unit = lambda v: v / np.linalg.norm(v)
-        atoms = np.column_stack([
-            e[0],
-            unit(e[0] + 1e-3 * e[1]),
-            unit(e[0] + 1e-3 * e[1] + 1.3e-10 * e[2]),
-            unit(e[2] + e[3]),
-            e[4],
-        ])
+        # The same atoms. This signal picks unit(e3 + e4), c, b first. b's
+        # new direction (norm 9.2e-11) fails the certificate, so the code
+        # keeps pinv's top two singular directions of the support, as the
+        # loop does, and its 4th pick is the loop's e5.
+        atoms, _ = rank_window()
         y = np.array([[
             0.7369383737267362, 0.0007369383636025779, -1.1326980541296225,
             -1.225484097049275, 4.332030351977407e-12, -2.0711486198694326e-14,
         ]]).T
         d = Dictionary(atoms=atoms)
-        # the construction itself; pytest.fail is not an AssertionError,
-        # so a drift here fails the test instead of counting as expected
-        if sparse_coding._omp_supports(atoms, y, 3)[0].tolist() != [[3, 2, 1]]:
-            pytest.fail("the signal no longer picks unit(e3 + e4), c, b first")
-        if np.flatnonzero(loop_omp_codes(d, y, 4)).tolist() != [1, 2, 3, 4]:
-            pytest.fail("the loop oracle no longer picks e5 4th")
+        assert sparse_coding._omp_block(atoms, y, 3)[0].tolist() == [[3, 2, 1]]
+        assert np.flatnonzero(loop_omp_codes(d, y, 4)).tolist() == [1, 2, 3, 4]
         assert np.flatnonzero(omp_codes(d, y, 4)).tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coefficients_match_the_exact_pseudoinverse(self, seed):
+        d = random_unit_dictionary(seed, 10, 20)
+        Y = np.random.default_rng(seed + 50).standard_normal((10, 8))
+        X = omp_codes(d, Y, 5)
+        for x, y in zip(X.T, Y.T):
+            chosen = np.flatnonzero(x)
+            want = exact_pinv(d.atoms[:, chosen]) @ y
+            assert np.linalg.norm(x[chosen] - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_signal_shape_checked(self):
         d = random_unit_dictionary(25, 5, 7)
