@@ -33,6 +33,8 @@ The kernels:
   points, each standing for that many coinciding samples of one class
   (the caller merges each class's all-zero codes into one point). Weights
   multiply elementwise, so unit weights give the plain row sums bit for bit.
+  A tile mirrors pairs only when columns remain right of its square
+  block, never in a one-tile walk such as selection's few points make.
 - The quadratic-MI value and gradient sort the samples by class once
   (stable) and walk band tiles that stay inside one class: the value as
   class-weighted column sums, the gradient as one product for the tile's
@@ -81,10 +83,12 @@ def _sides(x):
 
 def _sq_dists(left, right, out):
     """Squared distances of a band tile into out: left @ right clipped at
-    zero, and exactly zero on the diagonal of the tile's square block."""
+    zero, and exactly zero on the diagonal of the tile's square block: out
+    is a contiguous (k, m) buffer, k <= m, whose flat view holds the
+    diagonal at every (m + 1)-th element."""
     np.matmul(left, right, out=out)
     np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, 0.0)
+    out.reshape(-1)[:: out.shape[1] + 1] = 0.0
     return out
 
 
@@ -132,12 +136,16 @@ def class_kernel_sums(points, classes, weights, var):
     s_all, s_own = np.zeros(len(points)), np.zeros(len(points))
     for _, tile, w in _kernel_row_tiles(points, (0, len(points)), var):
         k = tile.stop - tile.start
-        w_own = w * (classes[tile, None] == classes[tile.start :])
-        s_all[tile] += (w * weights[tile.start :]).sum(axis=1)
-        s_own[tile] += (w_own * weights[tile.start :]).sum(axis=1)
-        # the points right of the tile take their pairs with the tile's rows
-        s_all[tile.stop :] += (weights[tile, None] * w[:, k:]).sum(axis=0)
-        s_own[tile.stop :] += (weights[tile, None] * w_own[:, k:]).sum(axis=0)
+        # same is 0/1, so masking the weighted kernel is exact
+        same = classes[tile, None] == classes[tile.start :]
+        ww = w * weights[tile.start :]
+        s_all[tile] += ww.sum(axis=1)
+        s_own[tile] += (ww * same).sum(axis=1)
+        if tile.stop < len(points):
+            # the points right of the tile take their pairs with the tile's rows
+            wt = weights[tile, None] * w[:, k:]
+            s_all[tile.stop :] += wt.sum(axis=0)
+            s_own[tile.stop :] += (wt * same[:, k:]).sum(axis=0)
     return s_all, s_own
 
 

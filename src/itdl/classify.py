@@ -212,7 +212,7 @@ def reconstruct_masked(
     recon = np.empty((n, N))
     pred = np.empty(N, dtype=np.int64)
     best = np.full(N, np.inf)
-    for m, c in np.unique(np.column_stack([n_obs, n_cols]), axis=0):
+    for m, c in sorted(set(zip(n_obs.tolist(), n_cols.tolist()))):
         group = np.flatnonzero((n_obs == m) & (n_cols == c))
         cols = cols_by_pattern[first[group, None] + np.arange(c)]  # (G, c)
         rows = np.nonzero(patterns[group])[1].reshape(len(group), m)  # (G, m)

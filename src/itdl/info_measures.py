@@ -53,16 +53,20 @@ BANDWIDTH_FLOOR = 1e-3
 def median_pairwise_distance(codes: np.ndarray) -> float:
     """Median Euclidean distance over distinct column pairs.
 
-    Codes that hold nan or inf have a nan median, as np.median gives. z
-    all-zero columns give z(z-1)/2 pairs at distance exactly 0. When
-    that is more than half of the M = N(N-1)/2 pairs (at least M//2 + 1),
-    the median is exactly 0.0 and is returned after an O(dN) count.
+    1-d codes are one row; codes with no columns, or with more than two
+    dimensions, raise ValueError. A single column has no pair and a
+    median of 0.0. Codes that hold nan or inf have a nan median, as
+    np.median gives. z all-zero columns give z(z-1)/2 pairs at distance
+    exactly 0. When that is more than half of the M = N(N-1)/2 pairs (at
+    least M//2 + 1), the median is exactly 0.0 and is returned after an
+    O(dN) count.
 
     Otherwise the two middle squared distances come from
     _kernels.sq_dist_median_pair; sqrt is monotone, so the median is
-    their square roots averaged as np.median does.
+    (sqrt(lo) + sqrt(hi)) / 2, the mean np.median takes of the middle
+    values, written out because np.median's first call imports numpy.ma.
     """
-    codes = np.asarray(codes, dtype=np.float64)
+    codes = _code_matrix(codes)
     if not np.isfinite(codes).all():
         return math.nan
     n = codes.shape[1]
@@ -72,8 +76,8 @@ def median_pairwise_distance(codes: np.ndarray) -> float:
     m = n * (n - 1) // 2
     if z * (z - 1) // 2 >= m // 2 + 1:
         return 0.0
-    middle = sq_dist_median_pair(codes.T)
-    return float(np.median(np.sqrt(middle)))
+    lo, hi = sq_dist_median_pair(codes.T)
+    return (math.sqrt(lo) + math.sqrt(hi)) / 2
 
 
 def bandwidth_rule(codes: np.ndarray) -> float:
@@ -102,18 +106,20 @@ def ascent_bandwidth(codes: np.ndarray) -> float:
     BANDWIDTH_FLOOR. Non-finite codes raise ValueError, as do codes with
     no columns; 1-d codes are one row.
     """
-    median = median_pairwise_distance(_code_matrix(codes))
+    median = median_pairwise_distance(codes)
     if math.isnan(median):
         raise ValueError("codes must be finite (they hold nan or inf)")
     return max(8.0 * median, BANDWIDTH_FLOOR)
 
 
 def _code_matrix(codes: np.ndarray) -> np.ndarray:
-    """The float (d, N) code matrix, 1-d codes as one row; codes with no
-    columns raise ValueError."""
+    """The float (d, N) code matrix, 1-d codes as one row; codes of any
+    other dimension, or with no columns, raise ValueError."""
     codes = np.asarray(codes, dtype=np.float64)
     if codes.ndim == 1:
         codes = codes[None, :]
+    if codes.ndim != 2:
+        raise ValueError(f"codes must be a 1-d or 2-d matrix, got shape {codes.shape}")
     if codes.shape[1] == 0:
         raise ValueError("no codes: the code matrix has 0 columns")
     return codes
@@ -162,10 +168,12 @@ def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None =
         return 0.0
     active = codes.any(axis=0)
     zeros = np.bincount(labels[~active], minlength=len(counts))
-    merged = np.flatnonzero(zeros)
-    points = np.concatenate((codes[:, active].T, np.zeros((len(merged), len(codes)))))
-    classes = np.concatenate((labels[active], merged))
-    weights = np.concatenate((np.ones(len(points) - len(merged)), zeros[merged]))
+    merged = zeros.nonzero()[0]
+    a = np.count_nonzero(active)
+    points = np.zeros((a + len(merged), len(codes)))
+    points[:a] = codes[:, active].T
+    classes, weights = np.empty(len(points), dtype=np.int64), np.ones(len(points))
+    classes[:a], classes[a:], weights[a:] = labels[active], merged, zeros[merged]
     s_all, s_own = class_kernel_sums(points, classes, weights, var)
     n = len(labels)
     mi = float((weights * (np.log(s_own / counts[classes]) - np.log(s_all / n))).sum()) / n

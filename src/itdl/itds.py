@@ -7,11 +7,13 @@ between restricted codes and labels) and reconstruction (residual
 log-likelihood drop). A round scores all remaining candidates as
 vectors: compactness first, whose -inf entries (atoms the chosen ones
 explain) leave the pool for good, then discrimination (one KDE estimate
-per candidate) and reconstruction (one orthogonal projection); the pick
-is the first maximum of the weighted total. Weight estimation scores
-round 1 with the same function, over the selection's terms plus
-compactness, and keeps the best single-atom gain of each; a term the
-ablation leaves out is scored nowhere and gets weight 0.
+per candidate, on one buffer per round that holds the chosen atoms' code
+rows and takes each candidate's row in turn) and reconstruction (one
+orthogonal projection); the pick is the first maximum of the weighted
+total. Weight estimation scores round 1 with the same function, over the
+selection's terms plus compactness, and keeps the best single-atom gain
+of each; a term the ablation leaves out is scored nowhere and gets
+weight 0.
 
 Both variants run one greedy selection per group of (class id,
 discrimination labels, own signals). Shared mode is the single group
@@ -120,7 +122,11 @@ def _score_round(
         raise RuntimeError("all remaining atoms are excluded as duplicates")
     mi = np.zeros(pool.size)
     if codes is not None:
-        mi = np.array([mi_codes_labels(codes[chosen + [k], :], labels, sigma) for k in pool])
+        rows = np.empty((len(chosen) + 1, codes.shape[1]))
+        rows[:-1] = codes[chosen]
+        for i, k in enumerate(pool):
+            rows[-1] = codes[k]
+            mi[i] = mi_codes_labels(rows, labels, sigma)
     recon = np.zeros(pool.size)
     if signals is not None:
         recon = recon_gain(dictionary, sel, pool, signals, sigma_r)

@@ -7,7 +7,9 @@ analytic paths. The dense oracles are the plain all-pairs forms of the
 median pairwise distance, the class kernel sums and the quadratic-MI
 value and gradient, against which the library's sparse-aware and
 row-tiled versions are checked; peak_bytes measures what those versions
-allocate. The loop oracles code one
+allocate. ``candidate_mi`` scores a selection round's discrimination
+term with a fresh copy of the restricted codes per candidate, against
+which the round's one reused buffer is checked. The loop oracles code one
 signal (or one mask pattern) at a time, with a full pseudoinverse refit
 after every OMP pick, against which the library's batched coding is
 checked; ``loop_ksvd`` rebuilds each atom's deflated residual from the
@@ -37,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from itdl.dataset import Dataset
-from itdl.info_measures import GP_VAR_FLOOR, ascent_bandwidth, qmi, qmi_grad_codes
+from itdl.info_measures import GP_VAR_FLOOR, ascent_bandwidth, mi_codes_labels, qmi, qmi_grad_codes
 from itdl.itdu import TURN_TOL, UpdateState, backtrack_step
 from itdl.sparse_coding import Dictionary, Selection, pinv, svd_keep, unit_columns
 
@@ -221,6 +223,12 @@ def dense_mi_codes_labels(codes, labels, sigma):
     s_all, s_own = dense_class_kernel_sums(x, labels, sigma * sigma)
     n = x.shape[0]
     return max(float(np.mean(np.log(s_own / counts[labels]) - np.log(s_all / n))), 0.0)
+
+
+def candidate_mi(codes, labels, chosen, pool, sigma):
+    """KDE mutual information of the codes restricted to the chosen atoms
+    plus each candidate, one fresh row copy per candidate."""
+    return np.array([mi_codes_labels(codes[chosen + [k], :], labels, sigma) for k in pool])
 
 
 def svd_pinv(mat):

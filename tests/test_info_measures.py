@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,7 @@ from itdl.info_measures import (
     build_gp_model,
     class_entropy,
     gp_compact_gains,
+    median_pairwise_distance,
     mi_codes_labels,
     qmi,
     qmi_grad_codes,
@@ -727,13 +729,33 @@ class TestMeasureInputs:
         with pytest.raises(ValueError, match="codes must be finite"):
             rule(self.nan_codes()[0])
 
-    @pytest.mark.parametrize("rule", [bandwidth_rule, ascent_bandwidth])
+    @pytest.mark.parametrize("rule", [bandwidth_rule, ascent_bandwidth, median_pairwise_distance])
     def test_bandwidth_rules_reject_empty_codes_and_read_1d_codes_as_one_row(self, rule):
         for empty in (np.zeros((2, 0)), np.zeros(0)):
             with pytest.raises(ValueError, match="no codes: the code matrix has 0 columns"):
                 rule(empty)
         row = np.random.default_rng(4).standard_normal(7)
         assert rule(row) == rule(row[None, :])
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4), (1, 2, 3, 1)])
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            bandwidth_rule,
+            ascent_bandwidth,
+            median_pairwise_distance,
+            lambda codes: mi_codes_labels(codes, [0, 1]),
+            lambda codes: qmi(codes, [0, 1], 0.5),
+        ],
+        ids=["bandwidth_rule", "ascent_bandwidth", "median", "mi_codes_labels", "qmi"],
+    )
+    def test_measures_reject_codes_of_other_dimensions(self, measure, shape):
+        with pytest.raises(ValueError, match=rf"1-d or 2-d matrix, got shape {re.escape(str(shape))}"):
+            measure(np.ones(shape))
+
+    @pytest.mark.parametrize("codes", [np.ones((3, 1)), np.array([2.5])], ids=["2-d", "1-d"])
+    def test_median_of_a_single_column_is_zero(self, codes):
+        assert median_pairwise_distance(codes) == 0.0
 
     @pytest.mark.parametrize("sigma", [None, 0.5])
     def test_mi_codes_labels_rejects_nan_codes(self, sigma):

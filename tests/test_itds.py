@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    candidate_mi,
     gp_compact_gain,
     loop_recon_gain,
     planted_support_instance,
@@ -72,6 +76,38 @@ class TestWeights:
         gp = build_gp_model(d.atoms)
         with pytest.raises(ValueError):
             estimate_lambdas(d, codes[:3], ds.labels, ds.signals, gp)
+
+
+@st.composite
+def scored_round(draw):
+    """(codes, labels, chosen, pool, sigma): (K, N) codes with some all-zero
+    columns; class labels of 2-4 classes or one class against the rest; 0
+    to 3 chosen atoms and the others as the pool; a given or auto sigma."""
+    K, n, p = draw(st.integers(4, 8)), draw(st.integers(4, 30)), draw(st.integers(2, 4))
+    values = draw(arrays(np.float64, (K, n), elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    kept = draw(arrays(bool, (K, n)))
+    kept[:, draw(st.lists(st.integers(0, n - 1), min_size=1))] = False
+    labels = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        labels = (labels == 0).astype(np.int64)
+    chosen = draw(st.lists(st.integers(0, K - 1), max_size=3, unique=True))
+    pool = np.setdiff1d(np.arange(K), chosen)
+    sigma = draw(st.one_of(st.none(), st.floats(0.05, 2.0)))
+    return values * kept, labels, chosen, pool, sigma
+
+
+class TestRoundBuffer:
+    @settings(max_examples=150, deadline=None)
+    @given(scored_round())
+    def test_discrimination_matches_a_fresh_copy_per_candidate(self, case):
+        codes, labels, chosen, pool, sigma = case
+        # discrimination alone: no GP model, no signals, so no dictionary
+        kept, compact, mi, recon = itds._score_round(
+            None, codes, labels, None, chosen, pool, None, None, sigma
+        )
+        np.testing.assert_array_equal(kept, pool)
+        assert not compact.any() and not recon.any()
+        assert mi.tolist() == candidate_mi(codes, labels, chosen, pool, sigma).tolist()
 
 
 class TestSelectShared:

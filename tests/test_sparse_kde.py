@@ -11,6 +11,7 @@ class and histograms small enough to force every narrowing pass, and
 neither may hold an N x N matrix.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -282,6 +283,20 @@ def tiled(tile, bins=_kernels._BINS):
     return mock.patch.multiple(_kernels, _TILE=tile, _BINS=bins)
 
 
+@contextmanager
+def tile_sizes(tile):
+    """tiled(tile), yielding a list that takes the element count of each
+    distance tile the walker makes."""
+    sizes, sq_dists = [], _kernels._sq_dists
+
+    def counted(left, right, out):
+        sizes.append(out.size)
+        return sq_dists(left, right, out)
+
+    with tiled(tile), mock.patch.object(_kernels, "_sq_dists", counted):
+        yield sizes
+
+
 def rel_close(got, want, rtol=1e-12):
     return abs(got - want) <= rtol * abs(want)
 
@@ -352,17 +367,24 @@ class TestTiledKde:
         # make 20 * 400 = 8000
         rng = np.random.default_rng(8)
         data = zero_points(rng.standard_normal((20, 3)), rng.integers(0, 3, 20), np.array([130, 126, 124]))
-        made = []
-
-        def counted(left, right, out):
-            made.append(out.size)
-            return sq_dists(left, right, out)
-
-        sq_dists = _kernels._sq_dists
-        with tiled(tile), mock.patch.object(_kernels, "_sq_dists", counted):
+        with tile_sizes(tile) as made:
             (s_all, s_own), (d_all, d_own) = kernel_sums(*data, 0.5)
         step = min(max(1, tile // 23), 23)  # a tile holds at most the 23 points
         assert sum(made) <= 23 * (23 + step) // 2
+        np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
+
+    @PROPERTY
+    @given(weighted_points(p=3), st.sampled_from(["one tile", "several tiles"]), st.floats(0.1, 3.0))
+    def test_class_sums_mirror_only_left_of_remaining_columns(self, data, walk, sigma):
+        # a one-tile walk never mirrors; a walk of one or two rows per
+        # tile mirrors in every tile but the last
+        points, classes, weights = data
+        n = len(points)
+        tile = 1 << 16 if walk == "one tile" else n * (1 + n % 2)
+        with tile_sizes(tile) as tiles:
+            (s_all, s_own), (d_all, d_own) = kernel_sums(points, classes, weights, sigma * sigma)
+        assert (len(tiles) == 1) == (walk == "one tile")
         np.testing.assert_allclose(s_all, d_all, rtol=1e-12, atol=0)
         np.testing.assert_allclose(s_own, d_own, rtol=1e-12, atol=0)
 
