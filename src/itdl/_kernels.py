@@ -1,6 +1,5 @@
 """Hot numeric kernels: pairwise Gaussian sums and the pairwise-distance
-median behind the information measures, and the band tiles that fill the
-GP covariance over the atoms.
+median behind the information measures.
 
 Vectorized numpy, one implementation per kernel. Accumulation order is
 fixed, so every kernel reproduces its own results bit for bit.
@@ -44,9 +43,6 @@ The kernels:
 - The median pairwise distance selects the two middle squared distances
   in histogram passes over the band (sq_dist_median_pair), each pass
   taking the pairs i < j of every tile.
-- The GP covariance over the atoms (info_measures.build_gp_model), K x K
-  by definition, is the kernel of the distance tiles' upper triangle
-  and its mirror, with the near pairs' distances made exact there.
 """
 
 from __future__ import annotations

@@ -364,7 +364,18 @@ def _check_test_file(args: argparse.Namespace, train: dataset.Dataset, test: dat
 
 
 def _check_sizes(args: argparse.Namespace, cfg: RunConfig, train: dataset.Dataset) -> None:
-    """K-SVD needs sparsity <= the signal dimension and atoms <= the training signals."""
+    """K-SVD needs sparsity <= the signal dimension and atoms <= the
+    training signals, the classifier two classes, and dedicated selection
+    two training signals per class."""
+    if train.p < 2:
+        raise ValueError(f"{args.train} holds {train.p} class; training needs at least 2 classes")
+    if cfg.mode == "dedicated":
+        few = [str(v) for v, c in zip(train.label_values, train.class_counts) if c < 2]
+        if few:
+            raise ValueError(
+                f"{args.train} holds fewer than 2 training signals of label {', '.join(few)}; "
+                "dedicated mode needs at least 2 per class"
+            )
     if cfg.sparsity > train.n:
         raise ValueError(
             f"sparsity {cfg.sparsity} exceeds the signal dimension {train.n} of {args.train}"

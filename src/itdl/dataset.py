@@ -27,13 +27,30 @@ def frozen_copy(arr, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _whole_labels(labels) -> np.ndarray:
+    """The labels as int64; a label that is not a whole number (0.5, nan,
+    inf or one outside the int64 range) raises ValueError naming it."""
+    raw = np.asarray(labels)
+    with np.errstate(invalid="ignore"):
+        out = raw.astype(np.int64)
+    bad = out != raw
+    if bad.any():
+        raise ValueError(f"label {raw[bad][0]} is not a whole number in the int64 range")
+    return out
+
+
 def signal_labels(labels, signals: np.ndarray) -> np.ndarray:
-    """The labels as int64, checked to be one non-negative class per
-    signal, the columns of a nonempty (n, N) signal matrix."""
+    """The labels as int64, checked to be one non-negative whole-number
+    class per signal, the columns of a nonempty, finite (n, N) signal
+    matrix."""
     if signals.shape[1] == 0:
         raise ValueError("no signals: the signal matrix has 0 columns")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (signals.shape[1],):
+    if not np.isfinite(signals).all():
+        raise ValueError("signals must be finite (they hold nan or inf)")
+    labels = _whole_labels(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-d array, got shape {labels.shape}")
+    if labels.size != signals.shape[1]:
         raise ValueError(f"{labels.size} labels for {signals.shape[1]} signals")
     if (labels < 0).any():
         raise ValueError(f"negative label {labels.min()}")
@@ -58,7 +75,7 @@ class Dataset:
 
     def __post_init__(self):
         signals = frozen_copy(self.signals)
-        labels = frozen_copy(self.labels, np.int64)
+        labels = frozen_copy(_whole_labels(self.labels), np.int64)
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "labels", labels)
         if signals.ndim != 2:

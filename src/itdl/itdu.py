@@ -106,14 +106,15 @@ def update_dictionary(
     step=None sizes the initial step from the transform/gradient norm
     ratio at the first iteration; a given step must be finite and
     positive, max_iters non-negative and tol finite and non-negative
-    (ValueError otherwise), as must the signals be nonempty with one
-    non-negative label each. The ascent stops (``state.converged``) after
-    the first accepted step in which no column of the transform turned by
-    tol radians or more, or when no step improves the objective; tol=0
-    runs it to max_iters. The stopping point is evaluated for the trace
-    but takes no gradient. The bandwidth is always the interaction-scale
-    ascent_bandwidth of the initial codes, frozen for the whole ascent and
-    reported as ``state.sigma``. If no step was ever accepted the input
+    (ValueError otherwise), as must the signals be nonempty and finite
+    with one non-negative whole-number label each. The ascent stops
+    (``state.converged``) after the first accepted step in which no
+    column of the transform turned by tol radians or more, or when no
+    step improves the objective; tol=0 runs it to max_iters. The
+    stopping point is evaluated for the trace but takes no gradient. The
+    bandwidth is always the interaction-scale ascent_bandwidth of the
+    initial codes, frozen for the whole ascent and reported as
+    ``state.sigma``. If no step was ever accepted the input
     atoms are returned untouched. Raises LinAlgError if the final transform
     has lost rank, since its pseudoinverse would then not be the dictionary
     whose codes were ascended.

@@ -536,6 +536,53 @@ class TestCliErrors:
         assert "stage load failed" in err and expected.format(train=train_csv) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run-all", "select", "update", "evaluate"])
+    @pytest.mark.parametrize("mode", ["shared", "dedicated"])
+    def test_one_class_training_file_exit_1_names_it(self, tmp_path, capsys, command, mode):
+        # the classifier needs two classes: fail at load, not after the
+        # select and update stages have written their artifacts
+        train_csv, test_csv = write_data(tmp_path)
+        one = tmp_path / "one_class.csv"
+        one.write_text("".join(r for r in train_csv.read_text().splitlines(keepends=True) if r.startswith("0,")))
+        cfg = write_config(tmp_path, mode=mode)
+        out = tmp_path / "x"
+        argv = [command, "--config", str(cfg), "--train", str(one), "--out", str(out)]
+        if command in ("run-all", "evaluate"):
+            argv += ["--test", str(test_csv)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"stage load failed: {one} holds 1 class; training needs at least 2 classes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-all", "select", "update", "evaluate"])
+    def test_dedicated_class_of_one_training_signal_exit_1_names_its_label(self, tmp_path, capsys, command):
+        # raw label 7 is class 2 inside: the message names the label of the file
+        def relabel(rows):
+            return "".join("7," + r[2:] if r.startswith("2,") else r for r in rows)
+
+        train_csv, test_csv = write_data(tmp_path)
+        rows = train_csv.read_text().splitlines(keepends=True)
+        twos = [i for i, r in enumerate(rows) if r.startswith("2,")]
+        train = tmp_path / "lone.csv"
+        train.write_text(relabel(r for i, r in enumerate(rows) if i not in twos[1:]))
+        test = tmp_path / "test7.csv"
+        test.write_text(relabel(test_csv.read_text().splitlines(keepends=True)))
+        out = tmp_path / "x"
+        argv = [command, "--config", str(write_config(tmp_path, mode="dedicated")),
+                "--train", str(train), "--out", str(out)]
+        if command in ("run-all", "evaluate"):
+            argv += ["--test", str(test)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"stage load failed: {train} holds fewer than 2 training signals of label 7; "
+            "dedicated mode needs at least 2 per class"
+        ) in err
+        assert not out.exists()
+        # shared mode needs no two signals per class
+        assert main(["select", "--config", str(write_config(tmp_path, mode="shared", atoms=8)),
+                     "--train", str(train), "--out", str(out)]) == 0
+
     @pytest.mark.parametrize(
         "text,message",
         [

@@ -262,6 +262,13 @@ class TestSplit:
         with pytest.raises(ValueError, match=message):
             Dataset(signals, labels)
 
+    @pytest.mark.parametrize("bad", [0.5, -0.5, np.nan, np.inf, 2.0**63])
+    def test_labels_that_are_not_whole_numbers_rejected(self, bad):
+        with pytest.raises(ValueError, match="is not a whole number in the int64 range"):
+            Dataset(np.ones((1, 3)), np.array([0.0, 1.0, bad]))
+        # whole numbers held as floats are classes
+        assert Dataset(np.ones((1, 3)), np.array([0.0, 1.0, 1.0])).labels.tolist() == [0, 1, 1]
+
     def test_tiny_class_rejected(self):
         ds = Dataset(signals=np.eye(3), labels=np.array([0, 0, 1]))
         with pytest.raises(ValueError):

@@ -145,6 +145,29 @@ class TestMiCodesLabels:
         codes = np.random.default_rng(5).standard_normal((2, 8))
         assert mi_codes_labels(codes, np.zeros(8, dtype=int), None) == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        n=st.integers(2, 40),
+        p=st.integers(2, 5),
+        zero_share=st.floats(0.0, 1.0),
+        one_vs_rest=st.booleans(),
+        log_sigma=st.one_of(st.none(), st.floats(-3.0, 1.0)),
+    )
+    def test_never_above_the_class_entropy(self, seed, d, n, p, zero_share, one_vs_rest, log_sigma):
+        # Each sample's own-class kernel sum is at most its sum over all
+        # samples, so the estimate is at most H(C), which a selection
+        # round's discrimination gain may rely on.
+        rng = np.random.default_rng(seed)
+        codes = rng.standard_normal((d, n))
+        codes[:, rng.random(n) < zero_share] = 0.0
+        labels = rng.integers(0, p, n)
+        if one_vs_rest:
+            labels = (labels == 0).astype(np.int64)
+        sigma = None if log_sigma is None else 10.0**log_sigma
+        assert mi_codes_labels(codes, labels, sigma) <= class_entropy(labels) * (1 + 1e-12)
+
 
 class TestGpCompactness:
     def test_identity_covariance_all_zero_gains(self):
@@ -261,6 +284,37 @@ class TestGpCompactness:
         diff = atoms[:, :, None] - atoms[:, None, :]
         want = np.exp(-(diff * diff).sum(axis=0) / (2.0 * rho * rho)) + GP_JITTER * np.eye(5)
         np.testing.assert_allclose(cov, want, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(cov).min() > 0.5 * GP_JITTER
+
+    @GP_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        extra=st.integers(0, 30),
+        twins=st.lists(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5]), max_size=6),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_covariance_matches_dense_differences(self, seed, n, extra, twins, t):
+        # Random unit atoms with planted exact and near duplicates, rho
+        # log-uniform from 1e-8 up to the auto value: every pair's kernel
+        # within a few ulp of its exponent (or both below the normal floats,
+        # where exp keeps no relative precision), and the covariance SPD.
+        rng = np.random.default_rng(seed)
+        K = n + extra
+        atoms = rng.standard_normal((n, K))
+        for scale in twins:
+            a, b = rng.choice(K, 2, replace=False)
+            atoms[:, b] = atoms[:, a] + scale * rng.standard_normal(n)
+        atoms /= np.linalg.norm(atoms, axis=0)
+        auto = max(dense_median_pairwise_distance(atoms), 1e-6)
+        rho = 1e-8 * (auto / 1e-8) ** t
+        cov = build_gp_model(atoms, rho).cov
+        diff = atoms[:, :, None] - atoms[:, None, :]
+        arg = (diff * diff).sum(axis=0) / (2.0 * rho * rho)
+        want = np.exp(-arg) + GP_JITTER * np.eye(K)
+        assert np.array_equal(cov, cov.T)
+        fp = np.finfo(float)
+        assert (np.abs(cov - want) <= 4 * fp.eps * (1.0 + arg) * want + fp.tiny).all()
         assert np.linalg.eigvalsh(cov).min() > 0.5 * GP_JITTER
 
     def test_out_of_range_candidate_rejected(self):
@@ -712,6 +766,21 @@ class TestMeasureInputs:
         codes = np.random.default_rng(2).standard_normal((2, 6))
         with pytest.raises(ValueError, match=f"{n_labels} labels for 6 code columns"):
             mi_codes_labels(codes, np.arange(n_labels) % 2, sigma)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda labels: mi_codes_labels(np.eye(3), labels),
+            lambda labels: mi_codes_labels(np.eye(3), labels, 0.5),
+            lambda labels: qmi(np.eye(3), labels, 0.5),
+            lambda labels: qmi(np.eye(3), labels, 0.5, grad=True),
+            class_entropy,
+        ],
+        ids=["mi_codes_labels-auto", "mi_codes_labels", "qmi", "qmi-grad", "class_entropy"],
+    )
+    def test_measures_name_a_negative_label(self, measure):
+        with pytest.raises(ValueError, match="negative label -1"):
+            measure(np.array([0, -1, 1]))
 
     @pytest.mark.parametrize("sigma", [None, 0.5])
     def test_mi_codes_labels_rejects_empty_codes(self, sigma):

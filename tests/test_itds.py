@@ -466,14 +466,31 @@ class TestLabels:
             (lambda y: y[:-1], "23 labels for 24 signals"),
             (lambda y: np.append(y, 0), "25 labels for 24 signals"),
             (lambda y: np.where(np.arange(y.size) == 5, -1, y), "negative label -1"),
+            (lambda y: np.where(np.arange(y.size) == 5, 0.5, y), "label 0.5 is not a whole number"),
+            (lambda y: y.reshape(2, -1), r"labels must be a 1-d array, got shape \(2, 12\)"),
         ],
-        ids=["too-short", "too-long", "negative"],
+        ids=["too-short", "too-long", "negative", "fractional", "2-d"],
     )
     def test_labels_must_be_one_class_per_signal(self, select, ablation, change, message):
         # checked up front, also where no term reads the labels
         ds, d, _ = small_problem(seed=20)
         with pytest.raises(ValueError, match=message):
             select(d, ds.signals, change(ds.labels), 3, ablation)
+
+    @pytest.mark.parametrize("select", [select_shared, select_dedicated])
+    @pytest.mark.parametrize(
+        "ablation",
+        [{"reconstructive"}, {"compact"}, {"compact", "reconstructive"}, set(TERMS)],
+        ids=["reconstructive", "compact", "compact,reconstructive", "all"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signals_rejected(self, select, ablation, bad):
+        # checked up front, also where no term runs OMP on the signals
+        ds, d, _ = small_problem(seed=20)
+        Y = ds.signals.copy()
+        Y[1, 4] = bad
+        with pytest.raises(ValueError, match=r"signals must be finite \(they hold nan or inf\)"):
+            select(d, Y, ds.labels, 3, frozenset(ablation))
 
     @pytest.mark.parametrize("select", [select_shared, select_dedicated])
     def test_no_signals_rejected(self, select):

@@ -171,8 +171,10 @@ class TestUpdateDictionary:
             (lambda y: y[:-1], "29 labels for 30 signals"),
             (lambda y: np.append(y, 0), "31 labels for 30 signals"),
             (lambda y: np.where(np.arange(y.size) == 5, -1, y), "negative label -1"),
+            (lambda y: np.where(np.arange(y.size) == 5, 0.5, y), "label 0.5 is not a whole number"),
+            (lambda y: y.reshape(2, -1), r"labels must be a 1-d array, got shape \(2, 15\)"),
         ],
-        ids=["too-short", "too-long", "negative"],
+        ids=["too-short", "too-long", "negative", "fractional", "2-d"],
     )
     def test_labels_must_be_one_class_per_signal(self, change, message):
         atoms, Y, labels = two_class_instance(seed=2)
@@ -182,6 +184,16 @@ class TestUpdateDictionary:
         # negative label
         with pytest.raises(ValueError, match=message):
             update_all_classes([(None, atoms), (0, atoms), (1, atoms)], Y, change(labels))
+
+    def test_non_finite_signals_rejected(self):
+        atoms, Y, labels = two_class_instance(seed=2)
+        Y = Y.copy()
+        Y[0, 3] = np.nan
+        message = r"signals must be finite \(they hold nan or inf\)"
+        with pytest.raises(ValueError, match=message):
+            update_dictionary(atoms, Y, labels)
+        with pytest.raises(ValueError, match=message):
+            update_all_classes([(None, atoms), (0, atoms)], Y, labels)
 
     def test_trace_strictly_increases_initially(self):
         atoms, Y, labels = two_class_instance(seed=2)
