@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, frozen_copy
+from .dataset import Dataset, class_labels, frozen_copy
 from .info_measures import bayes_bound, class_entropy, mi_codes_labels
 from .sparse_coding import pinv, rmse
 
@@ -63,13 +63,11 @@ def train_linear(
     is the exact minimizer. ``epochs`` (at least 1) caps the passes. There is no seed.
     """
     F = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if F.ndim != 2 or labels.shape != F.shape[:1]:
-        raise ValueError(f"features {F.shape} and labels {labels.shape} must be (N, dim), (N,)")
+    if F.ndim != 2:
+        raise ValueError(f"features {F.shape} must be an (N, dim) matrix")
+    labels = class_labels(labels, F.shape[0], of="feature rows")
     if not np.isfinite(F).all():
         raise ValueError("features must be finite")
-    if (labels < 0).any():
-        raise ValueError("labels must be non-negative class indices")
     counts = np.bincount(labels)
     p = len(counts)
     if p < 2:

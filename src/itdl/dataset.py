@@ -27,34 +27,38 @@ def frozen_copy(arr, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def _whole_labels(labels) -> np.ndarray:
-    """The labels as int64; a label that is not a whole number (0.5, nan,
-    inf or one outside the int64 range) raises ValueError naming it."""
+def class_labels(labels, n: int | None, of: str = "signals") -> np.ndarray:
+    """The labels as a contiguous int64 array, checked in order to be whole
+    numbers in the int64 range (``label 1.5 is not a whole number in the
+    int64 range``, not class 1; signed-integer and bool labels are exact),
+    1-d, n of them (``<k> labels for <n> <of>``; n None takes any count)
+    and non-negative (``negative label -1``), or raise ValueError."""
     raw = np.asarray(labels)
-    with np.errstate(invalid="ignore"):
-        out = raw.astype(np.int64)
-    bad = out != raw
-    if bad.any():
-        raise ValueError(f"label {raw[bad][0]} is not a whole number in the int64 range")
+    if raw.dtype.kind in "bi":
+        out = raw.astype(np.int64, order="C", copy=False)
+    else:
+        with np.errstate(invalid="ignore"):
+            out = raw.astype(np.int64, order="C")
+        bad = out != raw
+        if bad.any():
+            raise ValueError(f"label {raw[bad][0]} is not a whole number in the int64 range")
+    if out.ndim != 1:
+        raise ValueError(f"labels must be a 1-d array, got shape {out.shape}")
+    if n is not None and out.size != n:
+        raise ValueError(f"{out.size} labels for {n} {of}")
+    if out.min(initial=0) < 0:
+        raise ValueError(f"negative label {out.min()}")
     return out
 
 
 def signal_labels(labels, signals: np.ndarray) -> np.ndarray:
-    """The labels as int64, checked to be one non-negative whole-number
-    class per signal, the columns of a nonempty, finite (n, N) signal
-    matrix."""
+    """class_labels of one label per signal, the columns of a nonempty,
+    finite (n, N) signal matrix."""
     if signals.shape[1] == 0:
         raise ValueError("no signals: the signal matrix has 0 columns")
     if not np.isfinite(signals).all():
         raise ValueError("signals must be finite (they hold nan or inf)")
-    labels = _whole_labels(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be a 1-d array, got shape {labels.shape}")
-    if labels.size != signals.shape[1]:
-        raise ValueError(f"{labels.size} labels for {signals.shape[1]} signals")
-    if (labels < 0).any():
-        raise ValueError(f"negative label {labels.min()}")
-    return labels
+    return class_labels(labels, signals.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,17 +79,15 @@ class Dataset:
 
     def __post_init__(self):
         signals = frozen_copy(self.signals)
-        labels = frozen_copy(_whole_labels(self.labels), np.int64)
-        object.__setattr__(self, "signals", signals)
-        object.__setattr__(self, "labels", labels)
         if signals.ndim != 2:
             raise ValueError("signals must be a 2-d matrix")
-        if labels.shape != (signals.shape[1],):
-            raise ValueError("labels length must match the number of signal columns")
-        top = int(labels.max(initial=-1)) + 1
+        if signals.shape[1] == 0:
+            raise ValueError("no signals: the signal matrix has 0 columns")
+        labels = frozen_copy(class_labels(self.labels, signals.shape[1]), np.int64)
+        object.__setattr__(self, "signals", signals)
+        object.__setattr__(self, "labels", labels)
+        top = int(labels.max()) + 1
         values = tuple(range(top) if self.label_values is None else self.label_values)
-        if top < 1 or labels.min() < 0:
-            raise ValueError("labels must lie in {0..p-1}")
         if top > len(values):
             raise ValueError("need one raw label value per class")
         if len(set(values)) != len(values):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
-from .dataset import frozen_copy
+from .dataset import class_labels, frozen_copy
 from .sparse_coding import CERTIFIED_RATIO, SVD_CUTOFF, Dictionary, Selection, svd_keep
 
 # Unused here. The import stays because the benchmark's tracer
@@ -130,16 +130,14 @@ def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *
 
     Returns the float (d, N) codes (1-d codes are one row), the int64
     labels, their class counts and the squared bandwidth. The codes must
-    have a column and the labels be one non-negative label per column
-    (a negative one is named). A given sigma must be finite and positive; None
+    have a column and the labels pass dataset.class_labels, one per
+    column. A given sigma must be finite and positive; None
     derives it by bandwidth_rule where ``rule`` is set and is an error
     otherwise (the quadratic MI). The counts are None when fewer than two
     classes are present, where every measure is zero.
     """
     codes = _code_matrix(codes)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.size != codes.shape[1]:
-        raise ValueError(f"{labels.size} labels for {codes.shape[1]} code columns; need one label per column")
+    labels = class_labels(labels, codes.shape[1], of="code columns")
     if sigma is None:
         if not rule:
             raise ValueError(
@@ -148,7 +146,7 @@ def _kernel_inputs(codes: np.ndarray, labels: np.ndarray, sigma: float | None, *
         sigma = bandwidth_rule(codes)
     elif not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"bandwidth sigma must be finite and positive, got {sigma!r}")
-    counts = _class_counts(labels)
+    counts = np.bincount(labels)
     sigma = float(sigma)
     return codes, labels, (counts if np.count_nonzero(counts) >= 2 else None), sigma * sigma
 
@@ -183,19 +181,10 @@ def mi_codes_labels(codes: np.ndarray, labels: np.ndarray, sigma: float | None =
     return max(mi, 0.0)
 
 
-def _class_counts(labels: np.ndarray) -> np.ndarray:
-    """np.bincount of the int64 labels; a negative label raises ValueError
-    naming it."""
-    low = labels.min(initial=0)
-    if low < 0:
-        raise ValueError(f"negative label {low}")
-    return np.bincount(labels)
-
-
 def class_entropy(labels: np.ndarray) -> float:
-    """Entropy of the empirical label distribution, in nats; a negative
-    label raises ValueError."""
-    counts = _class_counts(np.asarray(labels, dtype=np.int64))
+    """Entropy of the empirical label distribution, in nats; the labels
+    must pass dataset.class_labels."""
+    counts = np.bincount(class_labels(labels, None))
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
 
@@ -355,11 +344,14 @@ def recon_gain(
     would take it.
     A P_k of norm below SVD_CUTOFF always loses one: its unit atom lies in
     the span of Q within the cutoff, and it gains 0. A selected or
-    out-of-range candidate raises ValueError.
+    out-of-range candidate, or signals that hold nan or inf, raise
+    ValueError.
     """
     sel, cands = _round_indices(selected, candidates, dictionary.K)
     atoms = dictionary.atoms
     Y = np.asarray(signals, dtype=np.float64)
+    if not np.isfinite(Y).all():
+        raise ValueError("signals must be finite (they hold nan or inf)")
     if sigma_r is None:
         sigma_r = max(0.1 * float(np.linalg.norm(Y, axis=0).mean()), 1e-12)
     elif not (math.isfinite(sigma_r) and sigma_r > 0):

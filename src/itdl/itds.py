@@ -150,9 +150,9 @@ def estimate_lambdas(
     coefficients over the whole dictionary; codes None scores no
     discrimination and gives lambda2 = 0, signals None no reconstruction
     and lambda3 = 0. sigma is the KDE bandwidth, None for bandwidth_rule,
-    and sigma_r the residual scale, None for recon_gain's rule.
+    and sigma_r the residual scale, None for recon_gain's rule. Given
+    codes, the labels reach mi_codes_labels, which checks them.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     K = dictionary.K
     if codes is not None and codes.shape[0] != K:
         raise ValueError("weight estimation needs codes over the full initial dictionary")

@@ -356,8 +356,11 @@ def ksvd_init(
 
 
 def rmse(Y: np.ndarray, Y_hat: np.ndarray) -> float:
-    """Frobenius error normalized by sqrt(n*N)."""
-    Y = np.asarray(Y, dtype=np.float64)
+    """Frobenius error normalized by sqrt(n*N); Y and Y_hat of different
+    shapes raise ValueError naming both."""
+    Y, Y_hat = np.asarray(Y, dtype=np.float64), np.asarray(Y_hat, dtype=np.float64)
+    if Y.shape != Y_hat.shape:
+        raise ValueError(f"rmse of shapes {Y.shape} and {Y_hat.shape}: they must be equal")
     return float(np.linalg.norm(Y - Y_hat) / np.sqrt(Y.size))
 
 

@@ -107,10 +107,10 @@ class TestTrainLinear:
     @pytest.mark.parametrize(
         "features, labels, message",
         [
-            (np.ones((10, 2)), np.arange(12) % 3, r"\(10, 2\) and labels \(12,\)"),
-            (np.ones((10, 2)), np.arange(8) % 2, r"\(10, 2\) and labels \(8,\)"),
+            (np.ones((10, 2)), np.arange(12) % 3, "12 labels for 10 feature rows"),
+            (np.ones((10, 2)), np.arange(8) % 2, "8 labels for 10 feature rows"),
             (np.ones(10), np.arange(10) % 2, r"features \(10,\)"),
-            (np.ones((4, 2)), np.array([0, 1, -1, 1]), "non-negative"),
+            (np.ones((4, 2)), np.array([0, 1, -1, 1]), "negative label -1"),
             (np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), np.array([0, 1, 1]), "finite"),
             (np.ones((4, 2)), np.array([0, 2, 2, 0]), "class 1 has no training row"),
         ],

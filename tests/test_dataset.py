@@ -241,10 +241,10 @@ class TestSplit:
     @pytest.mark.parametrize(
         "labels, values, message",
         [
-            ([0, -1], None, "labels must lie"),
+            ([0, -1], None, "negative label -1"),
             ([0, 2], None, "at least one sample"),
             ([0, 1], (3, 4, 5), "at least one sample"),
-            ([], None, "labels must lie"),
+            ([], None, "no signals: the signal matrix has 0 columns"),
         ],
     )
     def test_bad_labels_rejected(self, labels, values, message):
@@ -255,7 +255,7 @@ class TestSplit:
         "signals, labels, message",
         [
             (np.ones(3), np.array([0, 1, 1]), "signals must be a 2-d matrix"),
-            (np.ones((2, 3)), np.array([0, 1]), "labels length must match the number of signal columns"),
+            (np.ones((2, 3)), np.array([0, 1]), "2 labels for 3 signals"),
         ],
     )
     def test_bad_shapes_rejected(self, signals, labels, message):

@@ -397,6 +397,15 @@ class TestReconGain:
         with pytest.raises(ValueError, match="sigma_r must be finite and positive"):
             recon_gain(d, Selection(), [0, 1], Y, sigma_r)
 
+    @pytest.mark.parametrize("sigma_r", [None, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signals_rejected(self, bad, sigma_r):
+        d = random_unit_dictionary(12, 6, 8)
+        Y = np.random.default_rng(12).standard_normal((6, 3))
+        Y[2, 1] = bad
+        with pytest.raises(ValueError, match=r"signals must be finite \(they hold nan or inf\)"):
+            recon_gain(d, Selection(indices=(0,)), [1, 2], Y, sigma_r)
+
     def test_no_residual_scale_is_a_tenth_of_the_mean_signal_norm(self):
         d = random_unit_dictionary(12, 6, 8)
         Y = np.random.default_rng(12).standard_normal((6, 5)) * np.arange(1.0, 6.0)

@@ -77,6 +77,15 @@ class TestWeights:
         with pytest.raises(ValueError):
             estimate_lambdas(d, codes[:3], ds.labels, ds.signals, gp)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signals_are_named(self, bad):
+        # not the lambda3 of all-nan reconstruction gains
+        ds, d, codes = small_problem(seed=5)
+        Y = ds.signals.copy()
+        Y[1, 4] = bad
+        with pytest.raises(ValueError, match=r"signals must be finite \(they hold nan or inf\)"):
+            estimate_lambdas(d, codes, ds.labels, Y, build_gp_model(d.atoms))
+
 
 @st.composite
 def scored_round(draw):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from itdl.sparse_coding import (
     load_selection,
     omp_codes,
     pinv,
+    rmse,
     save_matrix,
     save_selection,
     svd_keep,
@@ -335,6 +338,20 @@ class TestUnitColumns:
         for _ in range(50):
             mat = rng.standard_normal(tuple(rng.integers(1, 20, size=2))) * rng.uniform(1e-3, 1e3)
             np.testing.assert_array_equal(unit_columns(mat), mat / np.linalg.norm(mat, axis=0))
+
+
+class TestRmse:
+    def test_frobenius_error_over_root_of_the_size(self):
+        Y = np.arange(6.0).reshape(2, 3)
+        assert rmse(Y, Y + 2.0) == 2.0
+        assert rmse(Y, Y) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (6,), (1, 2, 3)])
+    def test_shapes_must_match(self, shape):
+        # (2, 1) would broadcast to a zero error, (3, 2) fail without the shapes
+        msg = re.escape(f"rmse of shapes (2, 3) and {shape}: they must be equal")
+        with pytest.raises(ValueError, match=msg):
+            rmse(np.ones((2, 3)), np.ones(shape))
 
 
 class TestKsvd:

@@ -1,6 +1,7 @@
 """The package modules import nothing they do not use, except the bindings
-that the benchmark's tracer (perfbench/tracing.py) patches, and no
-function takes a parameter it never reads."""
+that the benchmark's tracer (perfbench/tracing.py) patches, no function
+takes a parameter it never reads, and only dataset.class_labels converts
+labels."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,29 @@ def unused_parameters(tree: ast.Module) -> set[str]:
     return found
 
 
+def label_conversions(tree: ast.Module) -> set[str]:
+    """Each function that passes a name ``labels`` to np.asarray, np.array
+    or np.ascontiguousarray, or calls ``labels.astype``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+                    continue
+                f = call.func
+                args = call.args + [k.value for k in call.keywords]
+                if (
+                    isinstance(f.value, ast.Name)
+                    and f.value.id == "np"
+                    and f.attr in ("asarray", "array", "ascontiguousarray")
+                    and any(isinstance(a, ast.Name) and a.id == "labels" for a in args)
+                ) or (
+                    f.attr == "astype" and isinstance(f.value, ast.Name) and f.value.id == "labels"
+                ):
+                    found.add(node.name)
+    return found
+
+
 def test_only_the_tracer_bindings_are_unused():
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -55,3 +79,21 @@ def test_every_parameter_is_read():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found |= {(path.stem, name) for name in unused_parameters(tree)}
     assert found == set()
+
+
+def test_only_class_labels_converts_labels():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {(path.stem, name) for name in label_conversions(tree)}
+    assert found == {("dataset", "class_labels")}
+
+
+def test_the_label_check_sees_each_conversion():
+    tree = ast.parse(
+        "def a(labels):\n    return np.asarray(labels, dtype=np.int64)\n"
+        "def b(labels):\n    return np.ascontiguousarray(x, dtype=labels)\n"
+        "def c(labels):\n    return labels.astype(int)\n"
+        "def d(labels):\n    return (labels == 1).astype(int), np.asarray(y)\n"
+    )
+    assert label_conversions(tree) == {"a", "b", "c"}
