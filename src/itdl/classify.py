@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, class_labels, frozen_copy
+from .dataset import Dataset, class_atoms, class_labels, float_matrix, frozen_copy
 from .info_measures import bayes_bound, class_entropy, mi_codes_labels
 from .sparse_coding import pinv, rmse
 
@@ -141,8 +141,8 @@ def code_test_signals(atoms_by_class: list, signals: np.ndarray, shared: bool):
     the first set (shared) or the codes of every set stacked in class
     order (dedicated).
     """
-    Y = np.asarray(signals, dtype=np.float64)
-    per_class = [(class_id, pinv(atoms) @ Y, atoms) for class_id, atoms in atoms_by_class]
+    Y = float_matrix(signals, "signals")
+    per_class = [(c, pinv(atoms) @ Y, atoms) for c, atoms in class_atoms(atoms_by_class, Y.shape[0])]
     coded = per_class[:1] if shared else per_class
     features = np.ascontiguousarray(np.vstack([coeffs for _, coeffs, _ in coded]).T)
     return features, per_class
@@ -197,6 +197,7 @@ def reconstruct_masked(
     column counts are stacked, one ``pinv`` per class per stack.
     """
     Y = masked.signals
+    atoms_by_class = class_atoms(atoms_by_class, masked.n)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != Y.shape:
         raise ValueError("mask shape must match the signals")

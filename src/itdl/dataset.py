@@ -28,12 +28,13 @@ def frozen_copy(arr, dtype=np.float64) -> np.ndarray:
 
 
 def class_labels(labels, n: int | None, of: str = "signals") -> np.ndarray:
-    """The labels as a contiguous int64 array, checked in order to be whole
-    numbers in the int64 range (``label 1.5 is not a whole number in the
-    int64 range``, not class 1; signed-integer and bool labels are exact),
-    1-d, n of them (``<k> labels for <n> <of>``; n None takes any count)
-    and non-negative (``negative label -1``), or raise ValueError."""
+    """The labels as a contiguous int64 array, checked in order to be numbers,
+    whole numbers in the int64 range (1.5 is not class 1; signed-integer and
+    bool labels are exact), 1-d, n of them (n None takes any count) and
+    non-negative, or raise ValueError naming them (README: the label rule)."""
     raw = np.asarray(labels)
+    if raw.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be numbers, got dtype {raw.dtype}")
     if raw.dtype.kind in "bi":
         out = raw.astype(np.int64, order="C", copy=False)
     else:
@@ -51,14 +52,29 @@ def class_labels(labels, n: int | None, of: str = "signals") -> np.ndarray:
     return out
 
 
-def signal_labels(labels, signals: np.ndarray) -> np.ndarray:
-    """class_labels of one label per signal, the columns of a nonempty,
-    finite (n, N) signal matrix."""
-    if signals.shape[1] == 0:
-        raise ValueError("no signals: the signal matrix has 0 columns")
-    if not np.isfinite(signals).all():
-        raise ValueError("signals must be finite (they hold nan or inf)")
-    return class_labels(labels, signals.shape[1])
+def float_matrix(values, name: str, rows: int | None = None, class_id: int | None = None) -> np.ndarray:
+    """The values as a float64 matrix (a float64 array as is), checked in order
+    to be numbers, 2-d with a row, with a column, of ``rows`` rows if given and
+    finite, or ValueError naming ``name`` and ``class_id`` (README: the matrix rule)."""
+    what = name if class_id is None else f"{name} of class {class_id}"
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be numbers, got dtype {raw.dtype}")
+    out = raw.astype(np.float64, copy=False)
+    if out.ndim != 2 or out.shape[0] == 0:
+        raise ValueError(f"{what} must be a 2-d matrix with at least one row, got shape {out.shape}")
+    if out.shape[1] == 0:
+        raise ValueError(f"no {what}: the {name[:-1]} matrix has 0 columns")
+    if rows is not None and out.shape[0] != rows:
+        raise ValueError(f"{what} must have {rows} rows, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite (they hold nan or inf)")
+    return out
+
+
+def class_atoms(atoms_by_class, rows: int) -> list[tuple]:
+    """The (class id, atoms) pairs, each atom set through float_matrix of its class."""
+    return [(c, float_matrix(atoms, "atoms", rows, c)) for c, atoms in atoms_by_class]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +94,7 @@ class Dataset:
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        signals = frozen_copy(self.signals)
-        if signals.ndim != 2:
-            raise ValueError("signals must be a 2-d matrix")
-        if signals.shape[1] == 0:
-            raise ValueError("no signals: the signal matrix has 0 columns")
+        signals = frozen_copy(float_matrix(self.signals, "signals"))
         labels = frozen_copy(class_labels(self.labels, signals.shape[1]), np.int64)
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "labels", labels)

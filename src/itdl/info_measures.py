@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import class_kernel_sums, qmi_grad, qmi_value, sq_dist_median_pair
-from .dataset import class_labels, frozen_copy
+from .dataset import class_labels, float_matrix, frozen_copy
 from .sparse_coding import CERTIFIED_RATIO, SVD_CUTOFF, Dictionary, Selection, svd_keep
 
 # Unused here. The import stays because the benchmark's tracer
@@ -253,12 +253,10 @@ def build_gp_model(atoms: np.ndarray, rho: float | None = None) -> GpModel:
     smallest eigenvalue stays above 3/4 GP_JITTER.
 
     rho defaults to the median pairwise atom distance (floored at 1e-6),
-    which keeps the covariance scale-free across dictionaries. Atoms that
-    are not a 2-d matrix with at least one column raise ValueError.
+    which keeps the covariance scale-free across dictionaries. The atoms
+    pass dataset.float_matrix.
     """
-    atoms = np.asarray(atoms, dtype=np.float64)
-    if atoms.ndim != 2 or atoms.shape[1] < 1:
-        raise ValueError(f"atoms must be a 2-d matrix with at least one column, got shape {atoms.shape}")
+    atoms = float_matrix(atoms, "atoms")
     if rho is None:
         rho = max(median_pairwise_distance(atoms), 1e-6)
     elif not (math.isfinite(rho) and rho > 0):
@@ -344,14 +342,12 @@ def recon_gain(
     would take it.
     A P_k of norm below SVD_CUTOFF always loses one: its unit atom lies in
     the span of Q within the cutoff, and it gains 0. A selected or
-    out-of-range candidate, or signals that hold nan or inf, raise
-    ValueError.
+    out-of-range candidate raises ValueError; the signals pass
+    dataset.float_matrix with n rows.
     """
     sel, cands = _round_indices(selected, candidates, dictionary.K)
     atoms = dictionary.atoms
-    Y = np.asarray(signals, dtype=np.float64)
-    if not np.isfinite(Y).all():
-        raise ValueError("signals must be finite (they hold nan or inf)")
+    Y = float_matrix(signals, "signals", dictionary.n)
     if sigma_r is None:
         sigma_r = max(0.1 * float(np.linalg.norm(Y, axis=0).mean()), 1e-12)
     elif not (math.isfinite(sigma_r) and sigma_r > 0):

@@ -26,7 +26,7 @@ Both take the active terms as ``ablation``, a nonempty subset of TERMS
 (all three by default), the discrimination bandwidth as ``sigma`` (None
 derives it from the scored codes by bandwidth_rule) and the residual
 scale as ``sigma_r`` (None derives it from each group's own signals, see
-recon_gain).
+recon_gain). Both check signals and labels first (the matrix and label rules).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import signal_labels
+from .dataset import class_labels, float_matrix
 from .info_measures import (
     GpModel,
     build_gp_model,
@@ -278,8 +278,8 @@ def select_shared(
 
     weights=None estimates them from the class labels and all signals.
     """
-    Y = np.asarray(signals, dtype=np.float64)
-    labels = signal_labels(labels, Y)
+    Y = float_matrix(signals, "signals", dictionary.n)
+    labels = class_labels(labels, Y.shape[1])
     (result,) = _select_groups(
         dictionary, Y, [(None, labels, Y)], T, ablation, weights,
         gp_model, sigma_r, sigma,
@@ -305,14 +305,12 @@ def select_dedicated(
     codes; reconstruction sees only the class's own signals. Given weights
     apply to every class; weights=None estimates them per class.
     """
-    Y = np.asarray(signals, dtype=np.float64)
-    labels = signal_labels(labels, Y)
-    p = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=p)
+    Y = float_matrix(signals, "signals", dictionary.n)
+    labels = class_labels(labels, Y.shape[1])
+    counts = np.bincount(labels)
     if (counts < 2).any():
-        bad = int(np.argmin(counts))
-        raise ValueError(f"class {bad} has fewer than 2 samples")
-    groups = [(c, (labels == c).astype(np.int64), Y[:, labels == c]) for c in range(p)]
+        raise ValueError(f"class {int(np.argmin(counts))} has fewer than 2 samples")
+    groups = [(c, (labels == c).astype(np.int64), Y[:, labels == c]) for c in range(len(counts))]
     return _select_groups(
         dictionary, Y, groups, T, ablation, weights,
         gp_model, sigma_r, sigma,

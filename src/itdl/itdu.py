@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import signal_labels
+from .dataset import class_atoms, class_labels, float_matrix
 from .info_measures import ascent_bandwidth, qmi
 from .sparse_coding import pinv, svd_keep, unit_columns
 
@@ -106,16 +106,16 @@ def update_dictionary(
     step=None sizes the initial step from the transform/gradient norm
     ratio at the first iteration; a given step must be finite and
     positive, max_iters non-negative and tol finite and non-negative
-    (ValueError otherwise), as must the signals be nonempty and finite
-    with one non-negative whole-number label each. The ascent stops
-    (``state.converged``) after the first accepted step in which no
-    column of the transform turned by tol radians or more, or when no
-    step improves the objective; tol=0 runs it to max_iters. The
+    (ValueError otherwise). The signals pass dataset.float_matrix, the
+    atoms too with as many rows, and the labels dataset.class_labels. The
+    ascent stops (``state.converged``) after the first accepted step in
+    which no column of the transform turned by tol radians or more, or
+    when no step improves the objective; tol=0 runs it to max_iters. The
     stopping point is evaluated for the trace but takes no gradient. The
     bandwidth is always the interaction-scale ascent_bandwidth of the
     initial codes, frozen for the whole ascent and reported as
-    ``state.sigma``. If no step was ever accepted the input
-    atoms are returned untouched. Raises LinAlgError if the final transform
+    ``state.sigma``. If no step was ever accepted the input atoms are
+    returned untouched. Raises LinAlgError if the final transform
     has lost rank, since its pseudoinverse would then not be the dictionary
     whose codes were ascended.
     """
@@ -125,9 +125,9 @@ def update_dictionary(
         raise ValueError(f"max_iters must be non-negative, got {max_iters!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    D = np.ascontiguousarray(dict_selected, dtype=np.float64)
-    Y = np.asarray(signals, dtype=np.float64)
-    labels = signal_labels(labels, Y)
+    Y = float_matrix(signals, "signals")
+    D = float_matrix(dict_selected, "atoms", Y.shape[0])
+    labels = class_labels(labels, Y.shape[1])
     P = pinv(D)
     X = P @ Y
     sigma = ascent_bandwidth(X)
@@ -177,7 +177,7 @@ def update_dictionary(
             break
 
     if not state.accepted_steps:
-        return np.array(dict_selected, dtype=np.float64, copy=True), state
+        return D.copy(), state
     rank = int(np.count_nonzero(svd_keep(np.linalg.svd(state.transform, compute_uv=False))))
     if rank < state.transform.shape[1]:
         raise np.linalg.LinAlgError(
@@ -208,21 +208,18 @@ def update_all_classes(
     class_id=None (shared mode) ascends against the class labels; a class
     id ascends against its one-vs-rest labels. Both are computed over all
     samples. Each ascent freezes the ascent_bandwidth of its own initial
-    codes. The labels are checked before any one-vs-rest labeling, which
-    would hide a negative label.
+    codes. The signals, the labels and every atom set (dataset.class_atoms)
+    are checked before the first ascent, the labels before any one-vs-rest
+    labeling, which would hide a negative label.
     """
-    labels = signal_labels(labels, np.asarray(signals))
+    Y = float_matrix(signals, "signals")
+    labels = class_labels(labels, Y.shape[1])
     results: list[ClassUpdateResult] = []
-    for class_id, atoms in selected_atoms:
+    for class_id, atoms in class_atoms(selected_atoms, Y.shape[0]):
         run_labels = labels if class_id is None else (labels == class_id).astype(np.int64)
         try:
             new_atoms, state = update_dictionary(
-                atoms,
-                signals,
-                run_labels,
-                step=step,
-                max_iters=max_iters,
-                tol=tol,
+                atoms, Y, run_labels, step=step, max_iters=max_iters, tol=tol
             )
         except Exception as exc:
             raise RuntimeError(f"atom update failed for class {class_id}: {exc}") from exc

@@ -20,22 +20,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import frozen_copy
+from .dataset import float_matrix, frozen_copy
 
 SVD_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """Matrix of unit-l2-norm atoms, one per column."""
+    """Matrix of unit-l2-norm atoms, one per column (dataset.float_matrix)."""
 
     atoms: np.ndarray
 
     def __post_init__(self):
-        atoms = frozen_copy(self.atoms)
+        atoms = frozen_copy(float_matrix(self.atoms, "atoms"))
         object.__setattr__(self, "atoms", atoms)
-        if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] < 1:
-            raise ValueError("atoms must be a non-empty 2-d matrix")
         norms = np.linalg.norm(atoms, axis=0)
         if not (np.abs(norms - 1.0) <= 1e-10).all():
             raise ValueError("every atom must have unit l2 norm")
@@ -165,8 +163,8 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
 
     Greedy argmax of |d^T r| with lowest-index tie-break. A signal stops
     when its best score or its residual norm falls to 1e-12 x its norm; an
-    all-zero signal codes to zeros, and a non-finite one raises
-    ValueError. The coefficients are the least-squares fit on the final
+    all-zero signal codes to zeros. The signals pass dataset.float_matrix
+    with n rows. The coefficients are the least-squares fit on the final
     support under pinv's rank rule (see ``_omp_block``). Columns are coded
     in blocks, each step scoring the block's live signals with one matrix
     product.
@@ -175,11 +173,7 @@ def omp_codes(dictionary: Dictionary, signals: np.ndarray, T: int) -> np.ndarray
     n, K = atoms.shape
     if not 1 <= T <= min(n, K):
         raise ValueError("need 1 <= T <= min(n, K)")
-    Y = np.asarray(signals, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[0] != n:
-        raise ValueError("signals must be an (n, N) matrix")
-    if not np.isfinite(Y).all():
-        raise ValueError("signals must be finite (they hold nan or inf)")
+    Y = float_matrix(signals, "signals", n)
     coeffs = np.zeros((K, Y.shape[1]))
     for start in range(0, Y.shape[1], _OMP_BLOCK):
         support, coef = _omp_block(atoms, Y[:, start : start + _OMP_BLOCK], T)
@@ -257,7 +251,7 @@ def _omp_block(atoms: np.ndarray, Y: np.ndarray, T: int) -> tuple[np.ndarray, np
 
 
 def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of all signals on the selected atoms."""
+    """Least-squares coefficients of all signals (n rows) on the selected atoms."""
     if len(selection) > dictionary.n:
         warnings.warn(
             "selection larger than the signal dimension; coding with the "
@@ -265,7 +259,7 @@ def code_ls(dictionary: Dictionary, selection: Selection, signals: np.ndarray) -
             stacklevel=2,
         )
     sub = dictionary.atoms[:, list(selection.indices)]
-    return pinv(sub) @ np.asarray(signals, dtype=np.float64)
+    return pinv(sub) @ float_matrix(signals, "signals", dictionary.n)
 
 
 def _rank_one(E: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,9 +307,9 @@ def ksvd_init(
     only its own row. Atoms with an empty support are replaced by the
     currently worst-represented signals, each renormalized. If ``trace``
     is given, the post-sweep objective ||Y - DX||_F^2 is appended after
-    every sweep.
+    every sweep. The signals pass dataset.float_matrix.
     """
-    Y = np.asarray(signals, dtype=np.float64)
+    Y = float_matrix(signals, "signals")
     n, N = Y.shape
     if K > N:
         raise ValueError("K must not exceed the number of training signals")

@@ -1,7 +1,7 @@
 """One label rule, dataset.class_labels, for every exported function that
-takes class labels: a label that is not a whole number, a negative label,
-a label array that is not 1-d and a label count that does not match all
-raise its ValueError, whichever function they reach."""
+takes class labels: a label that is not a number or not a whole number,
+a negative label, a label array that is not 1-d and a label count that
+does not match all raise its ValueError, whichever function they reach."""
 
 import numpy as np
 import pytest
@@ -96,6 +96,11 @@ class TestClassLabels:
             (np.array([0.0, np.nan]), "label nan is not a whole"),
             (np.array([0.0, 2.0**63]), "is not a whole number in the int64 range"),
             (np.int64(1), r"got shape \(\)"),
+            # numbers first: numpy's own OverflowError and TypeError, and a
+            # string label read as the number 0, never reach the caller
+            ([0, 2**70], "^labels must be numbers, got dtype object$"),
+            ([0, None], "^labels must be numbers, got dtype object$"),
+            (["0", "1"], "^labels must be numbers, got dtype <U1$"),
         ],
     )
     def test_rejected(self, labels, message):

@@ -511,7 +511,7 @@ class TestUpdateAllClasses:
     def test_error_tagged_with_class(self):
         atoms, Y, labels = two_class_instance(seed=10)
         bad = np.full_like(atoms, np.nan)
-        with pytest.raises(RuntimeError, match="class 1"):
+        with pytest.raises(ValueError, match="atoms of class 1 must be finite"):
             update_all_classes([(0, atoms), (1, bad)], Y, labels, max_iters=1)
 
     def test_report_shape(self):

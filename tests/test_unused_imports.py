@@ -1,7 +1,7 @@
 """The package modules import nothing they do not use, except the bindings
 that the benchmark's tracer (perfbench/tracing.py) patches, no function
-takes a parameter it never reads, and only dataset.class_labels converts
-labels."""
+takes a parameter it never reads, only dataset.class_labels converts
+labels and only dataset.float_matrix converts signal and atom matrices."""
 
 import ast
 from pathlib import Path
@@ -41,9 +41,12 @@ def unused_parameters(tree: ast.Module) -> set[str]:
     return found
 
 
-def label_conversions(tree: ast.Module) -> set[str]:
-    """Each function that passes a name ``labels`` to np.asarray, np.array
-    or np.ascontiguousarray, or calls ``labels.astype``."""
+MATRIX_NAMES = {"signals", "atoms", "dict_selected"}
+
+
+def conversions(tree: ast.Module, names: set[str]) -> set[str]:
+    """Each function that passes one of the names to np.asarray, np.array
+    or np.ascontiguousarray, or calls ``<name>.astype``."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -56,9 +59,9 @@ def label_conversions(tree: ast.Module) -> set[str]:
                     isinstance(f.value, ast.Name)
                     and f.value.id == "np"
                     and f.attr in ("asarray", "array", "ascontiguousarray")
-                    and any(isinstance(a, ast.Name) and a.id == "labels" for a in args)
+                    and any(isinstance(a, ast.Name) and a.id in names for a in args)
                 ) or (
-                    f.attr == "astype" and isinstance(f.value, ast.Name) and f.value.id == "labels"
+                    f.attr == "astype" and isinstance(f.value, ast.Name) and f.value.id in names
                 ):
                     found.add(node.name)
     return found
@@ -85,8 +88,17 @@ def test_only_class_labels_converts_labels():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found |= {(path.stem, name) for name in label_conversions(tree)}
+        found |= {(path.stem, name) for name in conversions(tree, {"labels"})}
     assert found == {("dataset", "class_labels")}
+
+
+def test_only_float_matrix_converts_signals_and_atoms():
+    # float_matrix itself converts a parameter named ``values``
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {(path.stem, name) for name in conversions(tree, MATRIX_NAMES)}
+    assert found == set()
 
 
 def test_the_label_check_sees_each_conversion():
@@ -96,4 +108,15 @@ def test_the_label_check_sees_each_conversion():
         "def c(labels):\n    return labels.astype(int)\n"
         "def d(labels):\n    return (labels == 1).astype(int), np.asarray(y)\n"
     )
-    assert label_conversions(tree) == {"a", "b", "c"}
+    assert conversions(tree, {"labels"}) == {"a", "b", "c"}
+
+
+def test_the_matrix_check_sees_each_conversion():
+    tree = ast.parse(
+        "def a(signals):\n    return np.asarray(signals, dtype=np.float64)\n"
+        "def b(atoms):\n    return np.ascontiguousarray(atoms)\n"
+        "def c(dict_selected):\n    return np.array(dict_selected, copy=True)\n"
+        "def d(signals):\n    return signals.astype(float)\n"
+        "def e(values):\n    return np.asarray(values), float_matrix(signals, 'signals')\n"
+    )
+    assert conversions(tree, MATRIX_NAMES) == {"a", "b", "c", "d"}
